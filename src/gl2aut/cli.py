@@ -13,12 +13,12 @@ import json
 import sys
 
 from .cosets import (SubgroupSpec, cusp_count, quotient_context,
-                     subgroup_from_members)
+                     reduction_generators)
 from .curves import (class_data, cs_order, curve_from_text, ell_count,
                      enumerate_points, lpoly_from_count)
 from .ffield import aut_rel_count, aut_rel_enumerate, field_of_order, prime_power
 from .graphs import export_dot, export_json, graph_by_name
-from .matgroup import mat_parse
+from .matgroup import Mat2, mat_parse
 from .nagao import decompose
 from .nagao import word_text as nagao_word_text
 from .polyring import poly_ring
@@ -118,16 +118,17 @@ def _subgroup_for(ctx, ring, modulus, name, gens_text):
     if name == "trivial":
         return SubgroupSpec.from_matrices(ctx.group, ctx.R, [])
     if name == "full":
-        return subgroup_from_members(ctx.group, frozenset(range(len(ctx.group))))
+        return SubgroupSpec.from_matrices(ctx.group, ctx.R, reduction_generators(ctx.R))
     # borel: upper-triangular part of the reduction image
-    field = ring.field
+    one, zero = ring.one, ring.zero
     mats = []
-    for u in range(2, field.q):
-        mats.append(mat_parse(ring, f"[[{u},0],[0,1]]"))
-        mats.append(mat_parse(ring, f"[[1,0],[0,{u}]]"))
+    for u in range(2, ring.field.q):
+        unit = ring.poly((u,))
+        mats.append(Mat2(ring, unit, zero, zero, one))
+        mats.append(Mat2(ring, one, zero, zero, unit))
     for i in range(max(modulus.deg, 1)):
-        for c in range(1, field.q):
-            mats.append(mat_parse(ring, f"[[1,{c}t^{i}],[0,1]]" if i else f"[[1,{c}],[0,1]]"))
+        for c in range(1, ring.field.q):
+            mats.append(Mat2(ring, one, ring.monomial(c, i), zero, one))
     return SubgroupSpec.from_matrices(ctx.group, ctx.R, mats)
 
 

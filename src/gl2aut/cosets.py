@@ -203,8 +203,8 @@ def full_gl2(R: QuotRing) -> FiniteGroup:
     return FiniteGroup(R, elems)
 
 
-def reduction_image(R: QuotRing) -> FiniteGroup:
-    """The image of GL2(F_q[t]) in GL2(F_q[t]/m): generated by reduced
+def reduction_generators(R: QuotRing) -> list:
+    """Generators of the image of GL2(F_q[t]) in GL2(F_q[t]/m): reduced
     elementary matrices and the diagonal F_q*-units."""
     q = R.field.q
     gens = []
@@ -216,7 +216,12 @@ def reduction_image(R: QuotRing) -> FiniteGroup:
     for alpha in range(2, q):
         gens.append((alpha, 0, 0, 1))
         gens.append((1, 0, 0, alpha))
-    return FiniteGroup.generated(R, gens)
+    return gens
+
+
+def reduction_image(R: QuotRing) -> FiniteGroup:
+    """The image of GL2(F_q[t]) in GL2(F_q[t]/m)."""
+    return FiniteGroup.generated(R, reduction_generators(R))
 
 
 @dataclass(frozen=True)

@@ -81,13 +81,45 @@ class WeierstrassCurve:
 
 
 def enumerate_points(curve: WeierstrassCurve) -> list:
-    """All rational points, infinity first, affine points in code order."""
+    """All rational points, infinity first, affine points in code order.
+
+    For each x the curve equation reads y^2 + b y = r with b = a1 x + a3
+    and r = x^3 + a2 x^2 + a4 x + a6; its roots y come from tables built
+    once per call, so the whole count is O(q):
+
+    - odd p: (2y + b)^2 = b^2 + 4r, read from a square-root table;
+    - p = 2, b = 0: y is the unique square root of r;
+    - p = 2, b != 0: y = b z with z^2 + z = r / b^2, read from an
+      Artin-Schreier table (the roots are z and z + 1).
+    """
+    field = curve.field
+    add, neg, mul, inv = field.add_i, field.neg_i, field.mul_i, field.inv_i
+    a1, a2, a3, a4, a6 = (c.code for c in (curve.a1, curve.a2, curve.a3,
+                                           curve.a4, curve.a6))
+    sqrt = [[] for _ in range(field.q)]
+    for w in range(field.q):
+        sqrt[mul(w, w)].append(w)
+    if field.p == 2:
+        artin_schreier = [[] for _ in range(field.q)]
+        for z in range(field.q):
+            artin_schreier[add(mul(z, z), z)].append(z)
+    else:
+        four = add(add(1, 1), add(1, 1))
+        half = inv(add(1, 1))
     pts = [INFINITY]
-    for x in curve.field.elements():
-        for y in curve.field.elements():
-            p = AffinePoint(x, y)
-            if curve.contains(p):
-                pts.append(p)
+    for x in range(field.q):
+        b = add(mul(a1, x), a3)
+        xx = mul(x, x)
+        r = add(add(mul(xx, x), mul(a2, xx)), add(mul(a4, x), a6))
+        if field.p != 2:
+            ys = sorted(mul(add(w, neg(b)), half)
+                        for w in sqrt[add(mul(b, b), mul(four, r))])
+        elif b == 0:
+            ys = sqrt[r]
+        else:
+            ys = sorted(mul(b, z) for z in artin_schreier[mul(r, inv(mul(b, b)))])
+        for y in ys:
+            pts.append(AffinePoint(FieldElem(field, x), FieldElem(field, y)))
     return pts
 
 
@@ -148,29 +180,36 @@ def group_structure(curve: WeierstrassCurve, points=None) -> list[int]:
     """Invariant factors [d1, ..., dk] with d1 | d2 | ... (empty for trivial).
 
     Determined from the counts of p^k-torsion points, which fix the
-    partition of exponents for each prime dividing the group order.
+    partition of exponents for each prime dividing the group order.  A
+    prime p with p^2 not dividing the order gives the factor Z/p outright;
+    otherwise the map P -> pP is built once over all points, and the
+    p^k-torsion counts come from iterating it as an index table.
     """
     if points is None:
         points = enumerate_points(curve)
     n = len(points)
     if n == 1:
         return []
+    index = {pt: i for i, pt in enumerate(points)}
+    zero = index[INFINITY]
     by_prime: dict[int, list[int]] = {}
     for p in _prime_factors(n):
+        if n % (p * p):
+            by_prime[p] = [1]
+            continue
+        times_p = [index[point_mul(curve, p, pt)] for pt in points]
         # m_k = log_p #{x : p^k x = 0}; parts-with-size >= k = m_k - m_{k-1}
+        images = list(range(n))
         prev = 0
         parts = []
-        k = 1
         while True:
-            cnt = sum(1 for pt in points if point_mul(curve, p ** k, pt) is INFINITY)
-            mk = round(math.log(cnt, p))
-            assert p ** mk == cnt, "torsion count is not a prime power"
+            images = [times_p[i] for i in images]
+            mk = _prime_power_exponent(images.count(zero), p)
             width = mk - prev
             if width == 0:
                 break
             parts.append(width)
             prev = mk
-            k += 1
         # parts[k-1] = number of cyclic factors of order >= p^k
         exps = []
         for i, w in enumerate(parts):
@@ -190,6 +229,16 @@ def group_structure(curve: WeierstrassCurve, points=None) -> list[int]:
     return factors
 
 
+def _prime_power_exponent(n: int, p: int) -> int:
+    """The exact e with p**e == n, by repeated division."""
+    e = 0
+    while n > 1 and n % p == 0:
+        n //= p
+        e += 1
+    assert n == 1, "torsion count is not a prime power"
+    return e
+
+
 def _prime_factors(n: int) -> list[int]:
     out = []
     p = 2
@@ -205,10 +254,10 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def two_torsion_count(curve: WeierstrassCurve, points=None) -> int:
-    """Number of points with 2P = infinity, the identity included."""
+    """Number of points with 2P = infinity, i.e. P = -P, the identity included."""
     if points is None:
         points = enumerate_points(curve)
-    return sum(1 for pt in points if point_mul(curve, 2, pt) is INFINITY)
+    return sum(1 for pt in points if point_neg(curve, pt) == pt)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,41 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and brute-force oracles for the test suite.
 
-Everything takes an explicit random.Random so each test controls its seed
-and stays reproducible.
+Everything random takes an explicit random.Random so each test controls its
+seed and stays reproducible.
 """
 
+import os
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
+from gl2aut.curves import INFINITY, AffinePoint, point_mul, point_order
 from gl2aut.ffield import field_of_order
 from gl2aut.matgroup import Mat2, mat_parse
 from gl2aut.polyring import PolyRing, poly_ring
 from gl2aut.words import FiniteCyclic, MatrixBacked, VectorFactor, word_reduce
 from gl2aut import nagao
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 _RINGS: dict[int, PolyRing] = {}
+
+
+@contextmanager
+def budget(seconds):
+    """Fail the enclosed block if it takes `seconds` or longer."""
+    start = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds:.0f}s"
+
+
+def src_first_env():
+    """The caller's environment with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    rest = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + ([rest] if rest else []))
+    return env
 
 
 def ring_of(q: int) -> PolyRing:
@@ -110,3 +135,37 @@ def rand_word(decl, rng, max_len=8, mat_deg=2):
         i = rng.randrange(len(decl.factors))
         letters.append((i, rand_elem(decl.factors[i].kind, rng, mat_deg)))
     return word_reduce(decl, letters)
+
+
+# ---- brute-force curve oracles ----
+
+def brute_points(curve):
+    """Every rational point by testing all q^2 pairs (x, y): infinity first,
+    then affine points by x code, then by y code."""
+    pts = [INFINITY]
+    for x in curve.field.elements():
+        for y in curve.field.elements():
+            lhs = y * y + curve.a1 * x * y + curve.a3 * y
+            rhs = x * x * x + curve.a2 * x * x + curve.a4 * x + curve.a6
+            if lhs == rhs:
+                pts.append(AffinePoint(x, y))
+    return pts
+
+
+def brute_group_structure(curve, points):
+    """Invariant factors from the order of every point.
+
+    E(F_q) is Z/d1 x Z/d2 with d1 | d2, so d2 is the largest point order
+    and d1 = #E / d2; the d1-torsion then has exactly d1^2 points.
+    """
+    orders = [point_order(curve, pt) for pt in points]
+    d2 = max(orders)
+    d1, rem = divmod(len(points), d2)
+    assert rem == 0 and d2 % d1 == 0
+    assert sum(1 for k in orders if d1 % k == 0) == d1 * d1
+    return [d for d in (d1, d2) if d > 1]
+
+
+def brute_two_torsion_count(curve, points):
+    """Points with 2P = infinity, by the group law."""
+    return sum(1 for pt in points if point_mul(curve, 2, pt) is INFINITY)

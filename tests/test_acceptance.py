@@ -6,10 +6,9 @@ pass/fail line per criterion (see conftest.py).
 
 import math
 import random
-import time
-from contextlib import contextmanager
 
 import helpers
+from helpers import budget
 from gl2aut import nagao
 from gl2aut.cosets import (SubgroupSpec, all_subgroups, conj_invariance_check,
                            cusp_count, quotient_context,
@@ -29,14 +28,6 @@ from gl2aut.words import (FiniteCyclic, PartialConj, build_ex1cusp,
                           dihedral_cohopf_demo, inner_auto, word_reduce)
 from gl2aut.graphs import (build_graph_ex1, build_graph_ex3, isolated_cyclic,
                            validate_serre)
-
-
-@contextmanager
-def budget(seconds):
-    start = time.perf_counter()
-    yield
-    elapsed = time.perf_counter() - start
-    assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds:.0f}s"
 
 
 PRIME_POWERS_LE_49 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27,

@@ -1,5 +1,4 @@
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -15,7 +14,6 @@ from gl2aut.words import build_ex1cusp
 import helpers
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-SRC = REPO_ROOT / "src"
 
 
 def run_ok(capsys, argv):
@@ -120,6 +118,17 @@ def test_cusp_count_presets(capsys):
     assert run_ok(capsys, base + ["--subgroup", "trivial"]) == "3"
     assert run_ok(capsys, base + ["--subgroup", "borel"]) == "2"
     assert run_ok(capsys, base + ["--subgroup", "full"]) == "1"
+    # over F_4 the unit with code 2 has no bare-scalar text form
+    assert run_ok(capsys, ["cusp-count", "--q", "4", "--modulus", "t",
+                           "--subgroup", "borel"]) == "2"
+
+
+def test_cusp_count_full_preset_above_table_limit(capsys):
+    # |G| = 3072 for q = 2, m = t^4: the preset passes the reduction image's
+    # generators, not its members
+    with helpers.budget(5):
+        assert run_ok(capsys, ["cusp-count", "--q", "2", "--modulus", "t^4",
+                               "--subgroup", "full"]) == "1"
 
 
 def test_cusp_count_generators(capsys):
@@ -204,14 +213,6 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-def _src_first_env():
-    """The caller's environment with this checkout's src first on PYTHONPATH."""
-    env = dict(os.environ)
-    rest = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + ([rest] if rest else []))
-    return env
-
-
 def _console_script(tmp_path):
     """The `gl2aut` console script declared in pyproject.toml.
 
@@ -237,7 +238,7 @@ def _console_script(tmp_path):
 
 def test_installed_entry_point_runs(tmp_path):
     script = _console_script(tmp_path)
-    env = _src_first_env()
+    env = helpers.src_first_env()
     proc = subprocess.run([script, "ell-count", "--curve", "q=2;y2+y=x3"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -251,6 +252,6 @@ def test_installed_entry_point_runs(tmp_path):
 def test_module_invocation_runs():
     proc = subprocess.run([sys.executable, "-m", "gl2aut.cli", "cs-order",
                            "--r", "3", "--q", "2"],
-                          capture_output=True, text=True, env=_src_first_env())
+                          capture_output=True, text=True, env=helpers.src_first_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "48"

@@ -1,26 +1,34 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from gl2aut.curves import (INFINITY, AffinePoint, LPoly, class_data, cs_order,
+from gl2aut.curves import (INFINITY, LPoly, WeierstrassCurve,
+                           _prime_power_exponent, class_data, cs_order,
                            curve_from_json, curve_from_text, curve_to_json,
                            ell_count, enumerate_points, group_structure,
                            lpoly_from_count, point_add, point_mul, point_neg,
                            point_order, two_torsion_count)
+from gl2aut.ffield import field_of_order
+from helpers import (brute_group_structure, brute_points,
+                     brute_two_torsion_count)
 
 SUPERSINGULAR_F2 = "q=2;y2+y=x3"
 ANISOTROPIC_F2 = "q=2;y2+y=x3+x+1"
+ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32]
+SMALL_FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 13]
 
 
-def brute_points(curve):
-    pts = [INFINITY]
-    for x in curve.field.elements():
-        for y in curve.field.elements():
-            lhs = y * y + curve.a1 * x * y + curve.a3 * y
-            rhs = x * x * x + curve.a2 * x * x + curve.a4 * x + curve.a6
-            if lhs == rhs:
-                pts.append(AffinePoint(x, y))
-    return pts
+@st.composite
+def curves(draw, fields, nonsingular=False, a1_nonzero=False):
+    field = field_of_order(draw(st.sampled_from(fields)))
+    code = st.integers(0, field.q - 1)
+    a1 = draw(st.integers(1, field.q - 1) if a1_nonzero else code)
+    a2, a3, a4, a6 = (draw(code) for _ in range(4))
+    curve = WeierstrassCurve(field, *(field.el(c) for c in (a1, a2, a3, a4, a6)))
+    if nonsingular:
+        assume(curve.is_nonsingular())
+    return curve
 
 
 @pytest.mark.parametrize("spec,count", [
@@ -36,8 +44,50 @@ def test_point_enumeration_matches_brute_force(spec, count):
     assert len(pts) == count
     brute = brute_points(curve)
     assert len(brute) == count
-    assert set(pts[1:]) == set(brute[1:])
+    assert pts == brute
     assert pts[0] is INFINITY
+
+
+@settings(max_examples=80, deadline=None)
+@given(curves(ORACLE_FIELDS))
+def test_enumerate_points_equals_the_brute_force_scan(curve):
+    # the same list in the same order, for singular equations too
+    assert enumerate_points(curve) == brute_points(curve)
+
+
+@settings(max_examples=40, deadline=None)
+@given(curves([2, 4, 8, 16, 32], a1_nonzero=True))
+def test_enumerate_points_char2_with_a1_nonzero(curve):
+    # b = a1 x + a3 vanishes at exactly one x, so both the square-root and
+    # the Artin-Schreier branch run on the same curve
+    zeros = [x for x in curve.field.elements() if not curve.a1 * x + curve.a3]
+    assert len(zeros) == 1
+    assert enumerate_points(curve) == brute_points(curve)
+
+
+@settings(max_examples=60, deadline=None)
+@given(curves(SMALL_FIELDS, nonsingular=True))
+def test_group_structure_matches_point_orders(curve):
+    pts = brute_points(curve)
+    assert group_structure(curve, pts) == brute_group_structure(curve, pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(curves(ORACLE_FIELDS, nonsingular=True))
+def test_two_torsion_count_matches_the_group_law(curve):
+    pts = enumerate_points(curve)
+    assert two_torsion_count(curve, pts) == brute_two_torsion_count(curve, pts)
+
+
+def test_prime_power_exponent_is_exact():
+    assert _prime_power_exponent(1, 7) == 0
+    assert _prime_power_exponent(2 ** 16, 2) == 16
+    assert _prime_power_exponent(251 ** 2, 251) == 2
+    # math.log(243, 3) evaluates to 4.999..., which int() would truncate to 4
+    assert _prime_power_exponent(243, 3) == 5
+    for n, p in ((12, 2), (10, 5), (2 ** 16 + 2, 2), (3, 2), (0, 3)):
+        with pytest.raises(AssertionError, match="not a prime power"):
+            _prime_power_exponent(n, p)
 
 
 def test_singular_curves_are_rejected():
