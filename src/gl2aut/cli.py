@@ -18,7 +18,7 @@ from .curves import (class_data, cs_order, curve_from_text, ell_count,
                      enumerate_points, lpoly_from_count)
 from .ffield import aut_rel_count, aut_rel_enumerate, field_of_order, prime_power
 from .graphs import export_dot, export_json, graph_by_name
-from .matgroup import Mat2, mat_parse
+from .matgroup import mat_parse
 from .nagao import decompose
 from .nagao import word_text as nagao_word_text
 from .polyring import poly_ring
@@ -111,24 +111,15 @@ def cmd_unipotent_fiber(args) -> str:
                        "members": [p.text() for p in members]})
 
 
-def _subgroup_for(ctx, ring, modulus, name, gens_text):
+def _subgroup_for(ctx, ring, name, gens_text):
     if gens_text is not None:
         mats = [mat_parse(ring, part) for part in gens_text.split(";") if part.strip()]
-        return SubgroupSpec.from_matrices(ctx.group, ctx.R, mats)
-    if name == "trivial":
-        return SubgroupSpec.from_matrices(ctx.group, ctx.R, [])
-    if name == "full":
-        return SubgroupSpec.from_matrices(ctx.group, ctx.R, reduction_generators(ctx.R))
-    # borel: upper-triangular part of the reduction image
-    one, zero = ring.one, ring.zero
-    mats = []
-    for u in range(2, ring.field.q):
-        unit = ring.poly((u,))
-        mats.append(Mat2(ring, unit, zero, zero, one))
-        mats.append(Mat2(ring, one, zero, zero, unit))
-    for i in range(max(modulus.deg, 1)):
-        for c in range(1, ring.field.q):
-            mats.append(Mat2(ring, one, ring.monomial(c, i), zero, one))
+    elif name == "borel":
+        return ctx.cusp_stab
+    elif name == "full":
+        mats = reduction_generators(ctx.R)
+    else:
+        mats = []
     return SubgroupSpec.from_matrices(ctx.group, ctx.R, mats)
 
 
@@ -136,7 +127,7 @@ def cmd_cusp_count(args) -> str:
     ring = _ring_for(args.q)
     modulus = ring.parse_element(args.modulus)
     ctx = quotient_context(ring, modulus)
-    hbar = _subgroup_for(ctx, ring, modulus, args.subgroup, args.gens)
+    hbar = _subgroup_for(ctx, ring, args.subgroup, args.gens)
     return str(cusp_count(ctx, hbar))
 
 
@@ -278,8 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         out = args.func(args)
-    except (ValueError, NotImplementedError, RuntimeError,
-            ZeroDivisionError, AssertionError) as err:
+    except (ValueError, RuntimeError, ZeroDivisionError, AssertionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(out)

@@ -15,12 +15,17 @@ has class number one, so one orbit of points at the boundary).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
+from .closure import closure
 from .matgroup import Mat2
 from .polyring import Poly, PolyRing
 
 _TABLE_LIMIT = 2048
+# largest quotient group built; past it a count fails fast instead of
+# exhausting time and memory
+_GROUP_CAP = 100_000
 
 
 class QuotRing:
@@ -87,12 +92,6 @@ class QuotRing:
         if a not in self._inv:
             raise ZeroDivisionError(f"residue {self._residues[a].text()} is not a unit")
         return self._inv[a]
-
-    def is_field_scalar(self, a: int) -> bool:
-        return a < self.field.q
-
-    def residue_text(self, a: int) -> str:
-        return self._residues[a].text()
 
     def __repr__(self):
         return f"QuotRing(F_{self.field.q}[t]/({self.modulus.text()}))"
@@ -164,59 +163,43 @@ class FiniteGroup:
         for g in gens:
             if not R.is_unit(mat_det_r(R, g)):
                 raise ValueError("generator is not invertible in the quotient")
-        seen = {(1, 0, 0, 1)}
-        frontier = [(1, 0, 0, 1)]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = mat_mul_r(R, x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return cls(R, list(seen))
+        try:
+            elems = closure([(1, 0, 0, 1)],
+                            lambda x: [mat_mul_r(R, x, g) for g in gens],
+                            cap=_GROUP_CAP)
+        except RuntimeError:
+            raise RuntimeError(
+                f"the quotient group has more than {_GROUP_CAP} elements") from None
+        return cls(R, elems)
 
     def closure_idx(self, gen_idx) -> frozenset:
         """Subgroup of this group generated by the given element indices."""
-        seen = {self.identity_idx}
-        frontier = [self.identity_idx]
         gen_idx = list(dict.fromkeys(gen_idx))
-        while frontier:
-            x = frontier.pop()
-            for g in gen_idx:
-                y = self.mul_idx(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
+        mul = self.mul_idx
+        return frozenset(closure([self.identity_idx],
+                                 lambda x: [mul(x, g) for g in gen_idx]))
 
 
-def full_gl2(R: QuotRing) -> FiniteGroup:
-    """All of GL2(F_q[t]/m), by scanning entry tuples (small moduli only)."""
-    elems = []
-    n = R.size
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if R.is_unit(mat_det_r(R, (a, b, c, d))):
-                        elems.append((a, b, c, d))
-    return FiniteGroup(R, elems)
-
-
-def reduction_generators(R: QuotRing) -> list:
-    """Generators of the image of GL2(F_q[t]) in GL2(F_q[t]/m): reduced
-    elementary matrices and the diagonal F_q*-units."""
+def cusp_stab_generators(R: QuotRing) -> list:
+    """Generators of the image of the infinity-cusp stabilizer (upper
+    triangular with F_q* diagonal): the diagonal F_q*-units and the upper
+    unipotents with entry c t^i, i below the modulus degree."""
     q = R.field.q
     gens = []
-    for i in range(R.deg):
-        for c in range(1, q):
-            mono = R.reduce_poly(R.ring.monomial(c, i))
-            gens.append((1, mono, 0, 1))
-            gens.append((1, 0, mono, 1))
     for alpha in range(2, q):
         gens.append((alpha, 0, 0, 1))
         gens.append((1, 0, 0, alpha))
+    for i in range(R.deg):
+        for c in range(1, q):
+            gens.append((1, R.reduce_poly(R.ring.monomial(c, i)), 0, 1))
     return gens
+
+
+def reduction_generators(R: QuotRing) -> list:
+    """Generators of the image of GL2(F_q[t]) in GL2(F_q[t]/m): the cusp
+    stabilizer generators plus the transposed (lower) unipotents."""
+    stab = cusp_stab_generators(R)
+    return stab + [(1, 0, b, 1) for _a, b, _c, _d in stab if b]
 
 
 def reduction_image(R: QuotRing) -> FiniteGroup:
@@ -226,14 +209,15 @@ def reduction_image(R: QuotRing) -> FiniteGroup:
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """A subgroup of a FiniteGroup: generator indices plus the closed set."""
+    """A subgroup of a FiniteGroup: generator indices plus the closed set,
+    which is found on first use (a cusp count needs only the generators)."""
 
     group: FiniteGroup
     gens: tuple
-    members: frozenset = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", self.group.closure_idx(self.gens))
+    @cached_property
+    def members(self) -> frozenset:
+        return self.group.closure_idx(self.gens)
 
     @property
     def order(self) -> int:
@@ -252,20 +236,6 @@ class SubgroupSpec:
     def conjugate(self, g: int) -> "SubgroupSpec":
         return SubgroupSpec(self.group, tuple(self.group.conj_idx(g, h)
                                               for h in self.gens))
-
-
-def image_cusp_stab(group: FiniteGroup, R: QuotRing) -> SubgroupSpec:
-    """The reduction of the infinity-cusp stabilizer: upper triangular
-    matrices with F_q* diagonal and arbitrary residue upper entry."""
-    q = R.field.q
-    gens = []
-    for alpha in range(2, q):
-        gens.append((alpha, 0, 0, 1))
-        gens.append((1, 0, 0, alpha))
-    for i in range(R.deg):
-        for c in range(1, q):
-            gens.append((1, R.reduce_poly(R.ring.monomial(c, i)), 0, 1))
-    return SubgroupSpec.from_matrices(group, R, gens)
 
 
 def double_coset_count(G: FiniteGroup, H: SubgroupSpec, K: SubgroupSpec) -> int:
@@ -319,7 +289,8 @@ def quotient_context(ring: PolyRing, modulus: Poly) -> QuotientContext:
     if key not in _CTX_CACHE:
         R = QuotRing(ring, modulus)
         group = reduction_image(R)
-        _CTX_CACHE[key] = QuotientContext(R, group, image_cusp_stab(group, R))
+        stab = SubgroupSpec.from_matrices(group, R, cusp_stab_generators(R))
+        _CTX_CACHE[key] = QuotientContext(R, group, stab)
     return _CTX_CACHE[key]
 
 
@@ -335,36 +306,26 @@ def cusp_count_from_matrices(ring: PolyRing, modulus: Poly, mats) -> int:
 
 
 def conj_invariance_check(ctx: QuotientContext, hbar: SubgroupSpec) -> bool:
-    """Cusp counts agree for every conjugate of hbar inside the ambient group."""
+    """Cusp counts agree for every conjugate of hbar inside the ambient group.
+
+    The conjugacy class of hbar is its orbit under conjugation by the
+    generators of the ambient group."""
+    G = ctx.group
+    gens = [G.index[g] for g in reduction_generators(ctx.R)]
     base = cusp_count(ctx, hbar)
-    seen_members = {hbar.members}
-    for g in range(len(ctx.group)):
-        conj = hbar.conjugate(g)
-        if conj.members in seen_members:
-            continue
-        seen_members.add(conj.members)
-        if cusp_count(ctx, conj) != base:
-            return False
-    return True
+    conjugates = closure([hbar], lambda h: [h.conjugate(g) for g in gens],
+                         key=lambda h: h.members)
+    return all(cusp_count(ctx, conj) == base for conj in conjugates)
 
 
 def all_subgroups(G: FiniteGroup) -> list[frozenset]:
     """Every subgroup of G (as member-index frozensets), found by closing
     each known subgroup with one extra element until the lattice stabilizes."""
-    trivial = frozenset({G.identity_idx})
-    gens_of = {trivial: ()}
-    work = [trivial]
-    while work:
-        S = work.pop()
-        for g in range(len(G)):
-            if g in S:
-                continue
-            T = G.closure_idx(gens_of[S] + (g,))
-            if T not in gens_of:
-                gens_of[T] = gens_of[S] + (g,)
-                work.append(T)
-    return sorted(gens_of, key=lambda s: (len(s), sorted(s)))
+    def extend(sub):
+        gens, members = sub
+        return [(gens + (g,), G.closure_idx(gens + (g,)))
+                for g in range(len(G)) if g not in members]
 
-
-def subgroup_from_members(G: FiniteGroup, members: frozenset) -> SubgroupSpec:
-    return SubgroupSpec(G, tuple(sorted(members)))
+    subs = closure([((), frozenset({G.identity_idx}))], extend, key=lambda s: s[1])
+    return sorted((members for _gens, members in subs),
+                  key=lambda s: (len(s), sorted(s)))

@@ -341,7 +341,7 @@ def curve_from_text(spec: str) -> WeierstrassCurve:
     """Parse "q=<prime power>;y2+a1xy+a3y=x3+a2x2+a4x+a6".
 
     Terms may be omitted when their coefficient vanishes; coefficients are
-    bare integers over prime fields and (c0,c1,...) vectors otherwise.
+    read by FieldSpec.read_coeff (element codes or (c0,c1,...) vectors).
     """
     from .ffield import field_of_order
 
@@ -360,24 +360,14 @@ def curve_from_text(spec: str) -> WeierstrassCurve:
     coeffs = {"a1": field.zero, "a2": field.zero, "a3": field.zero,
               "a4": field.zero, "a6": field.zero}
 
-    def parse_coeff(text: str) -> FieldElem:
-        if text == "":
-            return field.one
-        if text.startswith("(") and text.endswith(")"):
-            return field.from_coeffs([int(d) for d in text[1:-1].split(",")])
-        if field.n > 1:
-            raise ValueError(f"coefficient {text!r} is ambiguous over F_{q}; "
-                             "use a (c0,c1,...) vector")
-        return field.el(int(text) % field.p)
-
     lhs_terms = lhs.split("+")
     if not lhs_terms or lhs_terms[0] != "y2":
         raise ValueError(f"left side must start with y2: {spec!r}")
     for term in lhs_terms[1:]:
         if term.endswith("xy"):
-            coeffs["a1"] = parse_coeff(term[:-2])
+            coeffs["a1"] = field.read_coeff(term[:-2])
         elif term.endswith("y"):
-            coeffs["a3"] = parse_coeff(term[:-1])
+            coeffs["a3"] = field.read_coeff(term[:-1])
         else:
             raise ValueError(f"unexpected left-side term {term!r}")
     rhs_terms = rhs.split("+")
@@ -385,11 +375,11 @@ def curve_from_text(spec: str) -> WeierstrassCurve:
         raise ValueError(f"right side must start with x3: {spec!r}")
     for term in rhs_terms[1:]:
         if term.endswith("x2"):
-            coeffs["a2"] = parse_coeff(term[:-2])
+            coeffs["a2"] = field.read_coeff(term[:-2])
         elif term.endswith("x"):
-            coeffs["a4"] = parse_coeff(term[:-1])
+            coeffs["a4"] = field.read_coeff(term[:-1])
         else:
-            coeffs["a6"] = parse_coeff(term)
+            coeffs["a6"] = field.read_coeff(term)
     curve = WeierstrassCurve(field, coeffs["a1"], coeffs["a2"], coeffs["a3"],
                              coeffs["a4"], coeffs["a6"])
     if not curve.is_nonsingular():

@@ -324,6 +324,17 @@ class FieldSpec:
     def element_str(self, x: FieldElem) -> str:
         return x.text()
 
+    def read_coeff(self, text: str) -> FieldElem:
+        """A coefficient as written in polynomial and curve text: empty for
+        one, "(c0,c1,...)" for base-p digits, or a bare integer element code
+        (read mod p over a prime field, below q otherwise)."""
+        if text == "":
+            return self.one
+        if text.startswith("(") and text.endswith(")"):
+            return self.from_coeffs([int(d) for d in text[1:-1].split(",")])
+        code = int(text)
+        return self.el(code % self.p if self.n == 1 else code)
+
     def parse_element(self, s: str) -> FieldElem:
         parts = s.strip().split(",")
         try:

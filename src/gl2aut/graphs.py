@@ -28,6 +28,7 @@ import json
 import re
 from dataclasses import dataclass
 
+from .closure import closure
 from .ffield import prime_power
 
 # ---------------------------------------------------------------------------
@@ -192,12 +193,7 @@ def validate_graph(g: QuotientGraph) -> None:
                     f"stabilizer of vertex {end}")
     if g.vertices:
         adj = g.adjacency()
-        seen = {ids[0]}
-        frontier = [ids[0]]
-        while frontier:
-            frontier = [nb for cur in frontier for nb in adj[cur]
-                        if nb not in seen and not seen.add(nb)]
-        if len(seen) != len(ids):
+        if len(closure([ids[0]], adj.__getitem__)) != len(ids):
             raise ValueError("graph is not connected")
     cusps = [r.cusp for r in g.rays]
     if len(set(cusps)) != len(cusps):
@@ -275,32 +271,19 @@ def isolated_cyclic(g: QuotientGraph) -> tuple:
 # hardcoded builders for the two F_2 elliptic examples
 
 
-def _ray_chain(add_vertex, add_edge, cusp: str, base_label: str, depth: int,
-               dim_of, q: int):
-    """Attach c(cusp,1..depth) to the base vertex with nested stabilizers."""
-    prev = base_label
-    for n in range(1, depth + 1):
-        label = f"c({cusp},{n})"
-        add_vertex(label, stab_unipotent(q, dim_of(n)))
-        if n == 1:
-            add_edge(prev, label, stab_trivial())
-        else:
-            add_edge(prev, label, stab_unipotent(q, dim_of(n - 1)))
-        prev = label
-    return prev
-
-
-def build_graph_ex3(depth: int = 3) -> QuotientGraph:
-    """Quotient graph for the curve y^2 + y = x^3 over F_2 (three cusps).
+def _example_graph(depth: int, cusps_over_0: tuple) -> QuotientGraph:
+    """Quotient graph for an elliptic curve over F_2 with no rational point
+    over x = 1 and the given affine cusps (rational points) over x = 0.
 
     Vertex stabilizers: e(inf) is the full constant matrix group; c(inf,1)
     and v(inf) are one-dimensional unipotent; c(inf,n) for n >= 2 has
-    dimension n+1 (polynomials of degree at most n); o and v(0) are trivial;
-    v(1) is cyclic of order 3; c((0,0),n) and c((0,1),n) have dimension n.
+    dimension n+1 (polynomials of degree at most n); o is trivial; v(1) is
+    cyclic of order 3; v(0) is cyclic of order 3 when no cusp lies over it
+    and trivial otherwise, with one ray c(P,n) of dimension n per cusp P.
     Edges touching c(inf,1) carry its one-dimensional stabilizer; edges
     touching o or v(0) are trivial; consecutive ray edges carry the smaller
-    endpoint stabilizer.  Each of the three rays is truncated at the given
-    depth with a marker.
+    endpoint stabilizer.  Each ray is truncated at the given depth with a
+    marker.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -324,65 +307,39 @@ def build_graph_ex3(depth: int = 3) -> QuotientGraph:
         add_vertex(label, stab_unipotent(q, n + 1))
         add_edge(prev, label, u1 if n == 2 else stab_unipotent(q, n))
         prev = label
+    rays = [RayMarker("inf", depth, ids[prev])]
     add_vertex("v(inf)", u1)
     add_edge("c(inf,1)", "v(inf)", u1)
     add_vertex("o", stab_trivial())
     add_edge("v(inf)", "o", stab_trivial())
     add_vertex("v(1)", stab_cyclic(q))
     add_edge("o", "v(1)", stab_trivial())
-    add_vertex("v(0)", stab_trivial())
+    add_vertex("v(0)", stab_trivial() if cusps_over_0 else stab_cyclic(q))
     add_edge("o", "v(0)", stab_trivial())
-    end0 = _ray_chain(add_vertex, add_edge, "(0,0)", "v(0)", depth, lambda n: n, q)
-    end1 = _ray_chain(add_vertex, add_edge, "(0,1)", "v(0)", depth, lambda n: n, q)
-    rays = (RayMarker("inf", depth, ids[prev]),
-            RayMarker("(0,0)", depth, ids[end0]),
-            RayMarker("(0,1)", depth, ids[end1]))
-    g = QuotientGraph(tuple(vertices), tuple(edges), rays)
+    for cusp in cusps_over_0:
+        prev = "v(0)"
+        for n in range(1, depth + 1):
+            label = f"c({cusp},{n})"
+            add_vertex(label, stab_unipotent(q, n))
+            add_edge(prev, label, stab_unipotent(q, n - 1) if n > 1 else stab_trivial())
+            prev = label
+        rays.append(RayMarker(cusp, depth, ids[prev]))
+    g = QuotientGraph(tuple(vertices), tuple(edges), tuple(rays))
     validate_graph(g)
     return g
+
+
+def build_graph_ex3(depth: int = 3) -> QuotientGraph:
+    """Quotient graph for the curve y^2 + y = x^3 over F_2 (three cusps:
+    infinity, (0,0) and (0,1)), so v(1) is the one spike vertex."""
+    return _example_graph(depth, ("(0,0)", "(0,1)"))
 
 
 def build_graph_ex1(depth: int = 3) -> QuotientGraph:
-    """Quotient graph for the curve y^2 + y = x^3 + x + 1 over F_2 (one cusp).
-
-    Same shape as the three-cusp graph with both affine cusps removed: v(0)
-    becomes a terminal vertex with cyclic stabilizer of order 3, so the
-    graph has two spike vertices, v(1) and v(0), and a single ray.
-    """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    q = 2
-    vertices, edges, ids = [], [], {}
-
-    def add_vertex(label, stab):
-        ids[label] = len(vertices) + 1
-        vertices.append(Vertex(ids[label], label, stab))
-
-    def add_edge(a, b, stab):
-        edges.append(Edge(ids[a], ids[b], stab))
-
-    u1 = stab_unipotent(q, 1)
-    add_vertex("e(inf)", stab_gl2(q))
-    add_vertex("c(inf,1)", u1)
-    add_edge("e(inf)", "c(inf,1)", u1)
-    prev = "c(inf,1)"
-    for n in range(2, depth + 1):
-        label = f"c(inf,{n})"
-        add_vertex(label, stab_unipotent(q, n + 1))
-        add_edge(prev, label, u1 if n == 2 else stab_unipotent(q, n))
-        prev = label
-    add_vertex("v(inf)", u1)
-    add_edge("c(inf,1)", "v(inf)", u1)
-    add_vertex("o", stab_trivial())
-    add_edge("v(inf)", "o", stab_trivial())
-    add_vertex("v(1)", stab_cyclic(q))
-    add_edge("o", "v(1)", stab_trivial())
-    add_vertex("v(0)", stab_cyclic(q))
-    add_edge("o", "v(0)", stab_trivial())
-    rays = (RayMarker("inf", depth, ids[prev]),)
-    g = QuotientGraph(tuple(vertices), tuple(edges), rays)
-    validate_graph(g)
-    return g
+    """Quotient graph for the curve y^2 + y = x^3 + x + 1 over F_2 (one cusp):
+    no rational point lies over x = 0 or 1, so v(0) and v(1) are both spike
+    vertices with cyclic stabilizer of order 3, and infinity has the only ray."""
+    return _example_graph(depth, ())
 
 
 def graph_by_name(name: str, depth: int = 3) -> QuotientGraph:

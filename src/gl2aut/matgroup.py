@@ -33,15 +33,6 @@ class Mat2:
     def identity(cls, ring) -> "Mat2":
         return cls(ring, ring.one, ring.zero, ring.zero, ring.one)
 
-    @classmethod
-    def from_rows(cls, ring, rows) -> "Mat2":
-        (a, b), (c, d) = rows
-
-        def lift(x):
-            return ring.parse_element(x) if isinstance(x, str) else ring.coerce(x)
-
-        return cls(ring, lift(a), lift(b), lift(c), lift(d))
-
     def __mul__(self, other: "Mat2") -> "Mat2":
         if self.ring is not other.ring:
             raise TypeError("matrix rings differ")
@@ -85,9 +76,6 @@ class Mat2:
 
     def is_upper_triangular(self) -> bool:
         return self.c == self.ring.zero
-
-    def is_scalar(self) -> bool:
-        return self.b == self.ring.zero and self.c == self.ring.zero and self.a == self.d
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)

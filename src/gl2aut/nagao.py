@@ -174,10 +174,6 @@ def word_inverse(ring: PolyRing, w) -> tuple[Letter, ...]:
     return normalize(ring, tuple(Letter(lt.side, lt.mat.inverse()) for lt in reversed(w)))
 
 
-def syllable_length(letters) -> int:
-    return len(letters)
-
-
 def word_text(letters) -> str:
     return ";".join(lt.text() for lt in letters)
 

@@ -11,7 +11,7 @@ import re
 
 from .ffield import FieldElem, FieldSpec
 
-_TERM_RE = re.compile(r"^(?:\((?P<vec>[0-9]+(?:,[0-9]+)*)\)|(?P<scalar>[0-9]+))?"
+_TERM_RE = re.compile(r"^(?P<coeff>\([0-9]+(?:,[0-9]+)*\)|[0-9]+)?"
                       r"(?P<var>t(?:\^(?P<pow>[0-9]+))?)?$")
 
 
@@ -248,19 +248,9 @@ class PolyRing:
         acc = self.zero
         for term in s.split("+"):
             m = _TERM_RE.match(term)
-            if not m or (m.group("vec") is None and m.group("scalar") is None
-                         and m.group("var") is None):
+            if not m or (m.group("coeff") is None and m.group("var") is None):
                 raise ValueError(f"bad polynomial term {term!r}")
-            if m.group("vec") is not None:
-                coeff = self.field.from_coeffs([int(d) for d in m.group("vec").split(",")])
-            elif m.group("scalar") is not None:
-                if self.field.n > 1:
-                    raise ValueError(
-                        f"scalar coefficient {term!r} is ambiguous over F_{self.field.q}; "
-                        "use a coefficient vector")
-                coeff = self.field.el(int(m.group("scalar")) % self.field.p)
-            else:
-                coeff = self.field.one
+            coeff = self.field.read_coeff(m.group("coeff") or "")
             power = 0
             if m.group("var"):
                 power = int(m.group("pow")) if m.group("pow") else 1

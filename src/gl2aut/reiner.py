@@ -169,29 +169,26 @@ def congruence_member(m: Mat2, modulus: Poly) -> bool:
                zip(m.entries(), ident.entries()))
 
 
-def unipotent_fiber(spec: LinearAutoSpec, modulus: Poly, bound: int,
-                    check: bool = True) -> list[Poly]:
+def unipotent_fiber(spec: LinearAutoSpec, modulus: Poly, bound: int) -> list[Poly]:
     """All a with deg a <= bound whose unipotent T(a) is carried into the
     principal congruence subgroup of the modulus by the inverse substitution.
 
-    Computed two ways and cross-checked when check=True: through the full
-    reiner_apply machinery, and by the closed-form membership
+    Computed two ways and cross-checked: through the full reiner_apply
+    machinery, and by the closed-form membership
     a0 + phi^{-1}(a - a0) = 0 mod modulus.  The result is an F_q-subspace.
     """
     ring = spec.ring
     if bound < 0:
         raise ValueError("degree bound must be >= 0")
+    inverse = spec.inverted()
     out = []
     for a in ring.polys_of_degree_at_most(bound):
         a0 = ring.const(a.constant_code())
         closed = (a0 + spec.inverse_tail(a - a0)) % modulus == ring.zero
-        if check:
-            direct = congruence_member(reiner_apply(spec.inverted(),
-                                                    unipotent_upper(ring, a)),
-                                       modulus)
-            if direct != closed:
-                raise AssertionError(
-                    f"fiber routes disagree at a = {a.text()}")
+        direct = congruence_member(reiner_apply(inverse, unipotent_upper(ring, a)),
+                                   modulus)
+        if direct != closed:
+            raise AssertionError(f"fiber routes disagree at a = {a.text()}")
         if closed:
             out.append(a)
     return out

@@ -21,11 +21,6 @@ generators for order q^2-1 cyclic factors with exponents drawn from the
 admissible unit classes), a wreath-product closure check for the group those
 generators generate, an infinite dihedral subgroup-index demonstration, and
 the free-product declarations for the two one-curve examples over F_2.
-
-A declaration may also carry a finite central subgroup (order plus a
-generator image inside each factor).  Word arithmetic is implemented for the
-trivial-centre case only; the examples exercised here all have trivial
-centre because the scalar matrices over F_2 are trivial.
 """
 
 from __future__ import annotations
@@ -34,6 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from .closure import closure
 from .ffield import FieldSpec, aut_rel_enumerate, field_make
 from .matgroup import Mat2, mat_parse
 from .polyring import Poly, PolyRing, poly_ring
@@ -202,32 +198,19 @@ class FactorDecl:
 
 @dataclass(frozen=True)
 class CentralAmalgamDecl:
-    """Free product of declared factors, optionally amalgamated along a
-    finite central subgroup.
+    """Free product of declared factors.
 
     ``cusps`` records which factor carries the stabilizer of each labelled
-    boundary point, for the orbit report.  Word arithmetic requires a
-    trivial centre; a nontrivial centre is declared by its order together
-    with one generator image per factor and is carried as data only.
+    boundary point, for the orbit report.
     """
 
     factors: tuple
-    center_order: int = 1
-    center_images: tuple = ()
     cusps: tuple = ()
 
     def __post_init__(self):
         for pos, fac in enumerate(self.factors):
             if not isinstance(fac, FactorDecl) or fac.index != pos:
                 raise ValueError("factor indices must run 0..k-1 in order")
-        if self.center_order < 1:
-            raise ValueError("centre order must be positive")
-        if self.center_order > 1:
-            if len(self.center_images) != len(self.factors):
-                raise ValueError("a nontrivial centre needs one image per factor")
-            for fac, z in zip(self.factors, self.center_images):
-                if not fac.kind.is_member(z):
-                    raise ValueError("centre image lies outside its factor")
         for _label, idx in self.cusps:
             self.factor(idx)
 
@@ -235,11 +218,6 @@ class CentralAmalgamDecl:
         if not (isinstance(i, int) and 0 <= i < len(self.factors)):
             raise ValueError(f"no factor with index {i!r}")
         return self.factors[i]
-
-    def require_plain(self):
-        if self.center_order != 1:
-            raise NotImplementedError(
-                "word arithmetic is implemented for the trivial-centre case only")
 
 
 @dataclass(frozen=True)
@@ -265,7 +243,6 @@ LETTER_SEP = "·"
 
 def word_reduce(decl: CentralAmalgamDecl, letters) -> FreeWord:
     """Reduce a letter sequence: drop identities, merge same-factor runs."""
-    decl.require_plain()
     stack = []
     for idx, elem in letters:
         kind = decl.factor(idx).kind
@@ -448,7 +425,6 @@ def _vector_twist(kind: VectorFactor, spec: LinearAutoSpec, elem: tuple) -> tupl
 
 def apply_gen(decl: CentralAmalgamDecl, gen, w: FreeWord) -> FreeWord:
     """Letterwise image of a reduced word under one generator, re-reduced."""
-    decl.require_plain()
     validate_gen(decl, gen)
     out = []
     if isinstance(gen, Type1):
@@ -621,18 +597,7 @@ def cs_wreath_check(r: int, q: int) -> WreathReport:
         return (tuple(pg[pf[i]] for i in range(r)),
                 tuple(eg[pf[i]] * ef[i] % n for i in range(r)))
 
-    identity = (ident_perm, (1,) * r)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = mul(g, x)
-                if y not in seen:
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
+    seen = closure([(ident_perm, (1,) * r)], lambda x: [mul(g, x) for g in gens])
     expected = math.factorial(r) * len(classes) ** r
     full = len({p for p, _ in seen}) == math.factorial(r)
     return WreathReport(r, q, classes, len(seen), expected, full,
@@ -710,22 +675,10 @@ def dihedral_coset_index(gen_isoms, cap: int = 10000) -> int:
     """Index of the subgroup generated by the given isometries, by coset
     search; raises if no finite index is detected below the node cap."""
     sub = _DihedralSubgroup(list(gen_isoms))
-    start = (1, 0)
-    seen = {sub.coset_key(start)}
-    frontier = [start]
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for step in (DIHEDRAL_A, DIHEDRAL_B):
-                h = isom_mul(g, step)
-                key = sub.coset_key(h)
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(h)
-                    if len(seen) > cap:
-                        raise RuntimeError("no finite index found below the node cap")
-        frontier = fresh
-    return len(seen)
+    cosets = closure([(1, 0)],
+                     lambda g: [isom_mul(g, DIHEDRAL_A), isom_mul(g, DIHEDRAL_B)],
+                     key=sub.coset_key, cap=cap)
+    return len(cosets)
 
 
 def apply_substitution(decl: CentralAmalgamDecl, images: dict, w: FreeWord) -> FreeWord:

@@ -9,6 +9,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+from gl2aut.cosets import FiniteGroup, QuotRing, SubgroupSpec, mat_det_r
 from gl2aut.curves import INFINITY, AffinePoint, point_mul, point_order
 from gl2aut.ffield import field_of_order
 from gl2aut.matgroup import Mat2, mat_parse
@@ -169,3 +170,23 @@ def brute_group_structure(curve, points):
 def brute_two_torsion_count(curve, points):
     """Points with 2P = infinity, by the group law."""
     return sum(1 for pt in points if point_mul(curve, 2, pt) is INFINITY)
+
+
+# ---- brute-force quotient-group oracles ----
+
+def full_gl2(R: QuotRing) -> FiniteGroup:
+    """All of GL2(F_q[t]/m), by scanning entry tuples (small moduli only)."""
+    elems = []
+    n = R.size
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    if R.is_unit(mat_det_r(R, (a, b, c, d))):
+                        elems.append((a, b, c, d))
+    return FiniteGroup(R, elems)
+
+
+def subgroup_from_members(G: FiniteGroup, members: frozenset) -> SubgroupSpec:
+    """The subgroup with the given member indices, every member a generator."""
+    return SubgroupSpec(G, tuple(sorted(members)))

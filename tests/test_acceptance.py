@@ -11,8 +11,7 @@ import helpers
 from helpers import budget
 from gl2aut import nagao
 from gl2aut.cosets import (SubgroupSpec, all_subgroups, conj_invariance_check,
-                           cusp_count, quotient_context,
-                           subgroup_from_members)
+                           cusp_count, quotient_context)
 from gl2aut.curves import (class_data, curve_from_text, ell_count,
                            enumerate_points, lpoly_from_count)
 from gl2aut.ffield import (aut_rel_count, aut_rel_enumerate, field_of_order,
@@ -137,8 +136,8 @@ def test_c06_unipotent_fibers_against_direct_definition():
         moduli = [ring.t, ring.poly((0, 0, 1)), ring.poly((1, 1, 1))]
         for spec in specs:
             for modulus in moduli:
-                # check=True cross-validates the closed form internally
-                got = unipotent_fiber(spec, modulus, 4, check=True)
+                # unipotent_fiber cross-validates the closed form internally
+                got = unipotent_fiber(spec, modulus, 4)
                 want = [a for a in ring.polys_of_degree_at_most(4)
                         if congruence_member(
                             reiner_apply(spec.inverted(),
@@ -157,15 +156,15 @@ def test_c07_cusp_counts_and_exhaustive_conjugation_invariance():
         trivial = SubgroupSpec.from_matrices(ctx.group, ctx.R, [])
         assert cusp_count(ctx, trivial) == 3
         assert cusp_count(ctx, ctx.cusp_stab) == 2
-        full = subgroup_from_members(ctx.group,
-                                     frozenset(range(len(ctx.group))))
+        full = helpers.subgroup_from_members(ctx.group,
+                                             frozenset(range(len(ctx.group))))
         assert cusp_count(ctx, full) == 1
 
         for modulus in (ring.t, ring.poly((0, 0, 1))):
             c = quotient_context(ring, modulus)
             subs = all_subgroups(c.group)
             for members in subs:
-                hbar = subgroup_from_members(c.group, members)
+                hbar = helpers.subgroup_from_members(c.group, members)
                 assert conj_invariance_check(c, hbar)
 
 

@@ -69,6 +69,10 @@ def test_nagao_decompose_documented_example(capsys):
     out = run_ok(capsys, ["nagao-decompose", "--q", "2",
                           "--matrix", "[[1,0],[t,1]]"])
     assert out == "G:[[0,1],[1,0]];B:[[1,t],[0,1]];G:[[0,1],[1,0]]"
+    # bare coefficients are element codes over F_4 too
+    out = run_ok(capsys, ["nagao-decompose", "--q", "4",
+                          "--matrix", "[[0,1],[1,0]]"])
+    assert out == "G:[[0,(1,0)],[(1,0),0]]"
 
 
 def test_nagao_decompose_rejects_singular(capsys):
@@ -118,9 +122,15 @@ def test_cusp_count_presets(capsys):
     assert run_ok(capsys, base + ["--subgroup", "trivial"]) == "3"
     assert run_ok(capsys, base + ["--subgroup", "borel"]) == "2"
     assert run_ok(capsys, base + ["--subgroup", "full"]) == "1"
-    # over F_4 the unit with code 2 has no bare-scalar text form
+    # over F_4 the diagonal units have codes 2 and 3; as --gens text the
+    # same generators give the same count
     assert run_ok(capsys, ["cusp-count", "--q", "4", "--modulus", "t",
                            "--subgroup", "borel"]) == "2"
+    borel_f4 = ";".join(["[[2,0],[0,1]]", "[[1,0],[0,2]]", "[[3,0],[0,1]]",
+                         "[[1,0],[0,3]]", "[[1,1],[0,1]]", "[[1,2],[0,1]]",
+                         "[[1,3],[0,1]]"])
+    assert run_ok(capsys, ["cusp-count", "--q", "4", "--modulus", "t",
+                           "--gens", borel_f4]) == "2"
 
 
 def test_cusp_count_full_preset_above_table_limit(capsys):
@@ -129,6 +139,16 @@ def test_cusp_count_full_preset_above_table_limit(capsys):
     with helpers.budget(5):
         assert run_ok(capsys, ["cusp-count", "--q", "2", "--modulus", "t^4",
                                "--subgroup", "full"]) == "1"
+
+
+def test_cusp_count_oversized_quotient_fails_fast(capsys):
+    # both quotient groups have far more than 100 000 elements
+    with helpers.budget(10):
+        run_err(capsys, ["cusp-count", "--q", "5", "--modulus", "t^3",
+                         "--subgroup", "trivial"])
+    with helpers.budget(10):
+        run_err(capsys, ["cusp-count", "--q", "2", "--modulus", "t^8",
+                         "--subgroup", "borel"])
 
 
 def test_cusp_count_generators(capsys):

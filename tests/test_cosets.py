@@ -1,12 +1,13 @@
 import pytest
 
 import helpers
+from gl2aut import cosets
 from gl2aut.cosets import (QuotRing, SubgroupSpec, all_subgroups,
                            conj_invariance_check, cusp_count,
                            cusp_count_from_matrices, double_coset_count,
-                           full_gl2, image_cusp_stab, quotient_context,
-                           reduction_image, subgroup_from_members)
+                           quotient_context)
 from gl2aut.matgroup import mat_parse
+from helpers import full_gl2, subgroup_from_members
 
 
 def ctx_mod_t():
@@ -97,6 +98,16 @@ def test_subgroup_closure_and_conjugation():
         conj = sub.conjugate(g)
         assert conj.order == 2
         assert cusp_count(ctx, conj) == cusp_count(ctx, sub)
+
+
+def test_group_cap_admits_exactly_cap_elements(monkeypatch):
+    # |G| = 48 for q = 2, m = t^2
+    Q = QuotRing(helpers.ring_of(2), helpers.ring_of(2).poly((0, 0, 1)))
+    monkeypatch.setattr(cosets, "_GROUP_CAP", 48)
+    assert len(cosets.reduction_image(Q)) == 48
+    monkeypatch.setattr(cosets, "_GROUP_CAP", 47)
+    with pytest.raises(RuntimeError, match="more than 47 elements"):
+        cosets.reduction_image(Q)
 
 
 def test_subgroup_generator_outside_ambient_group_is_rejected():

@@ -97,9 +97,18 @@ def test_singular_curves_are_rejected():
 
 
 def test_curve_text_parsing_errors():
-    for bad in ("y2=x3+1", "q=6;y2=x3+1", "q=2;y2=x4", "q=2;nonsense"):
+    for bad in ("y2=x3+1", "q=6;y2=x3+1", "q=2;y2=x4", "q=2;nonsense",
+                "q=4;y2+y=x3+4"):
         with pytest.raises(ValueError):
             curve_from_text(bad)
+
+
+def test_curve_coefficients_are_element_codes():
+    # a bare integer is an element code: 2 is the digit vector (0,1) over F_4
+    def same(a, b):
+        return curve_to_json(curve_from_text(a)) == curve_to_json(curve_from_text(b))
+    assert same("q=4;y2+y=x3+2", "q=4;y2+y=x3+(0,1)")
+    assert same("q=3;y2=x3+5x+1", "q=3;y2=x3+2x+1")
 
 
 def test_curve_json_roundtrip():

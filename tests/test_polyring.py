@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
 from gl2aut.ffield import field_of_order
+from gl2aut.matgroup import Mat2, mat_parse
 from gl2aut.polyring import frac_field, poly_ring
 
 
@@ -36,6 +39,47 @@ def test_parse_rejects_garbage():
     for bad in ("x+1", "t^", "", "t^-1"):
         with pytest.raises(ValueError):
             R.parse_element(bad)
+
+
+def test_bare_coefficients_are_element_codes():
+    R4 = helpers.ring_of(4)
+    assert R4.parse_element("3t^2+2t+1") == R4.poly((1, 2, 3))
+    assert R4.parse_element("(1,1)t+(1)") == R4.poly((1, 3))
+    assert mat_parse(R4, "[[0,1],[1,0]]") == Mat2(R4, R4.zero, R4.one, R4.one, R4.zero)
+    for bad in ("4t", "t+9"):
+        with pytest.raises(ValueError):
+            R4.parse_element(bad)
+    # over a prime field a bare integer is read mod p
+    assert helpers.ring_of(3).parse_element("5t+4") == helpers.ring_of(3).poly((1, 2))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_random_matrices_over_non_prime_fields(q, rng):
+    ring = helpers.ring_of(q)
+    for _ in range(5):
+        m = helpers.rand_gl2_poly(ring, rng, 4)
+        assert m.det().is_constant() and not m.det().is_zero()
+
+
+non_prime_polys = st.sampled_from([4, 8, 9]).flatmap(
+    lambda q: st.tuples(st.just(q), st.lists(st.integers(0, q - 1), max_size=6)))
+
+
+@given(non_prime_polys)
+@settings(max_examples=80, deadline=None)
+def test_printed_polynomials_parse_back_over_non_prime_fields(case):
+    q, coeffs = case
+    ring = helpers.ring_of(q)
+    p = ring.poly(tuple(coeffs))
+    assert ring.parse_element(p.text()) == p
+
+
+@given(st.sampled_from([4, 8, 9]), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_printed_matrices_parse_back_over_non_prime_fields(q, seed):
+    ring = helpers.ring_of(q)
+    m = helpers.rand_gl2_poly(ring, random.Random(seed), 4)
+    assert mat_parse(ring, m.text()) == m
 
 
 coeff_lists = st.lists(st.integers(min_value=0, max_value=2), min_size=0, max_size=7)

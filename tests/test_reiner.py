@@ -136,7 +136,7 @@ def test_unipotent_fiber_matches_direct_definition():
     R = helpers.ring_of(2)
     spec = swap_spec(R, 1, 2)
     modulus = R.poly((0, 0, 1))
-    got = unipotent_fiber(spec, modulus, 3, check=True)
+    got = unipotent_fiber(spec, modulus, 3)
     want = [a for a in R.polys_of_degree_at_most(3)
             if congruence_member(reiner_apply(spec.inverted(),
                                               unipotent_upper(R, a)), modulus)]
@@ -166,7 +166,7 @@ def test_fibers_over_f3(rng):
     R = helpers.ring_of(3)
     spec = LinearAutoSpec.from_pairs(R, {1: "2t^2", 2: "2t"}, {1: "2t^2", 2: "2t"})
     modulus = R.t
-    fiber = unipotent_fiber(spec, modulus, 2, check=True)
+    fiber = unipotent_fiber(spec, modulus, 2)
     # membership only constrains the constant coefficient
     assert all(a.constant_code() == 0 for a in fiber)
     assert len(fiber) == 9

@@ -16,3 +16,20 @@ def test_curve_survey_runs_on_small_fields():
     # q^5 - q^4 nonsingular tuples: the discriminant vanishes on a 1/q share
     assert "F_2: 16 nonsingular curves out of 32 coefficient tuples" in lines
     assert "F_3: 162 nonsingular curves out of 243 coefficient tuples" in lines
+
+
+def test_fiber_explorer_runs():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "fiber_explorer.py"),
+                           "-q", "2", "-b", "2"],
+                          capture_output=True, text=True,
+                          env=helpers.src_first_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "modulus t, degree bound 2" in proc.stdout.splitlines()
+
+
+def test_quotient_graphs_runs():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "quotient_graphs.py")],
+                          capture_output=True, text=True,
+                          env=helpers.src_first_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "  isolated cyclic stabilizers: v(1), v(0)" in proc.stdout.splitlines()

@@ -140,23 +140,6 @@ def test_decl_validation_rejects_bad_cusps():
                            cusps=(("inf", 4),))
 
 
-def test_nontrivial_center_is_declared_but_not_implemented():
-    decl = CentralAmalgamDecl(
-        factors=(FactorDecl(0, FiniteCyclic(4)), FactorDecl(1, FiniteCyclic(4))),
-        center_order=2, center_images=(2, 2))
-    with pytest.raises(NotImplementedError):
-        decl.require_plain()
-    with pytest.raises(NotImplementedError):
-        word_reduce(decl, [(0, 1)])
-
-
-def test_center_images_must_be_members():
-    with pytest.raises(ValueError):
-        CentralAmalgamDecl(
-            factors=(FactorDecl(0, FiniteCyclic(4)),),
-            center_order=2, center_images=(9,))
-
-
 def test_builders_shape(ex1, ex3):
     assert len(ex1.factors) == 3
     assert isinstance(ex1.factors[0].kind, MatrixBacked)
@@ -398,6 +381,9 @@ def test_dihedral_coset_indices():
     assert dihedral_coset_index([a, b]) == 1
     bab = isom_mul(b, isom_mul(a, b))
     assert dihedral_coset_index([bab, b]) == 1
+    # one reflection generates a subgroup of infinite index
+    with pytest.raises(RuntimeError):
+        dihedral_coset_index([b], cap=50)
 
 
 def test_dihedral_demo_report():
