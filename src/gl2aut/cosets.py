@@ -29,36 +29,38 @@ _GROUP_CAP = 100_000
 
 
 class QuotRing:
-    """F_q[t]/(m) with residues encoded as ints (base-q coefficient codes)."""
+    """F_q[t]/(m) with residues encoded as ints (base-q coefficient codes).
+
+    Refused at once when the image of GL2(F_q[t]) would exceed the group
+    cap: that image has (q-1)|SL2(F_q[t]/m)| >= (q-1) q^d (q^2-1)^d
+    elements for deg m = d, since |SL2(F_q[t]/m)| = q^(3d) times the product
+    of (1 - q^(-2 deg p)) over the primes p dividing m.  Every ring that
+    passes has at most 64 residues, so addition and multiplication are
+    tables."""
 
     def __init__(self, ring: PolyRing, modulus: Poly):
         if modulus.deg < 1:
             raise ValueError("modulus must have degree >= 1")
+        q, d = ring.field.q, modulus.deg
+        # the bound is at least 2^d, so a long modulus is refused before the powers
+        if d >= _GROUP_CAP.bit_length() or (q - 1) * q ** d * (q * q - 1) ** d > _GROUP_CAP:
+            raise RuntimeError(f"the quotient group has more than {_GROUP_CAP} elements")
         self.ring = ring
         self.field = ring.field
         self.modulus = modulus.monic()
-        self.deg = modulus.deg
-        self.size = ring.field.q ** self.deg
-        q = ring.field.q
-        self._residues = [ring.from_code(c) for c in range(self.size)]
-        self._unit = [self._coprime(p) for p in self._residues]
+        self.deg = d
+        self.size = q ** d
+        residues = [ring.from_code(c) for c in range(self.size)]
+        self._residues = residues
+        self._unit = [self._coprime(p) for p in residues]
         self.one = 1
         self.zero = 0
-        if self.size <= 256:
-            self._mul_tab = [[self._mul_slow(a, b) for b in range(self.size)]
-                             for a in range(self.size)]
-            self._add_tab = [[self._add_slow(a, b) for b in range(self.size)]
-                             for a in range(self.size)]
-        else:
-            self._mul_tab = None
-            self._add_tab = None
+        self._mul_tab = [[self.reduce_poly(x * y) for y in residues] for x in residues]
+        self._add_tab = [[(x + y).encode() for y in residues] for x in residues]
         self._inv = {}
         for a in range(self.size):
             if self._unit[a]:
-                for b in range(self.size):
-                    if self.mul(a, b) == 1:
-                        self._inv[a] = b
-                        break
+                self._inv[a] = self._mul_tab[a].index(1)
 
     def _coprime(self, p: Poly) -> bool:
         return self.ring.gcd(p, self.modulus).deg == 0 if not p.is_zero() else False
@@ -66,21 +68,11 @@ class QuotRing:
     def reduce_poly(self, p: Poly) -> int:
         return (p % self.modulus).encode()
 
-    def _add_slow(self, a: int, b: int) -> int:
-        return (self._residues[a] + self._residues[b]).encode()
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        return self.reduce_poly(self._residues[a] * self._residues[b])
-
     def add(self, a: int, b: int) -> int:
-        if self._add_tab is not None:
-            return self._add_tab[a][b]
-        return self._add_slow(a, b)
+        return self._add_tab[a][b]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_tab is not None:
-            return self._mul_tab[a][b]
-        return self._mul_slow(a, b)
+        return self._mul_tab[a][b]
 
     def neg(self, a: int) -> int:
         return (-self._residues[a] % self.modulus).encode()

@@ -34,7 +34,9 @@ from .ffield import prime_power
 # ---------------------------------------------------------------------------
 # stabilizer descriptors
 
-_STAB_KINDS = ("trivial", "gl2", "cyclic", "unipotent", "btype")
+# kind -> printed name; parsing reads it backwards
+_STAB_NAMES = {"trivial": "Trivial", "gl2": "GL2", "cyclic": "CyclicQsqMinus1",
+               "unipotent": "UnipotentDim", "btype": "BType"}
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class StabDescriptor:
     dim: int = 0
 
     def __post_init__(self):
-        if self.kind not in _STAB_KINDS:
+        if self.kind not in _STAB_NAMES:
             raise ValueError(f"unknown stabilizer kind {self.kind!r}")
         if self.kind == "trivial":
             if self.q != 0 or self.dim != 0:
@@ -79,13 +81,12 @@ class StabDescriptor:
         return (q - 1) ** 2 * q ** self.dim
 
     def text(self) -> str:
+        name = _STAB_NAMES[self.kind]
         if self.kind == "trivial":
-            return "Trivial"
-        names = {"gl2": "GL2", "cyclic": "CyclicQsqMinus1",
-                 "unipotent": "UnipotentDim", "btype": "BType"}
+            return name
         if self.kind in ("unipotent", "btype"):
-            return f"{names[self.kind]}(q={self.q},n={self.dim})"
-        return f"{names[self.kind]}(q={self.q})"
+            return f"{name}(q={self.q},n={self.dim})"
+        return f"{name}(q={self.q})"
 
 
 def stab_trivial() -> StabDescriptor:
@@ -109,15 +110,14 @@ def stab_btype(q: int, dim: int) -> StabDescriptor:
 
 
 _STAB_RE = re.compile(r"^(\w+)(?:\(q=(\d+)(?:,n=(\d+))?\))?$")
-_STAB_NAMES = {"Trivial": "trivial", "GL2": "gl2", "CyclicQsqMinus1": "cyclic",
-               "UnipotentDim": "unipotent", "BType": "btype"}
+_STAB_KINDS = {name: kind for kind, name in _STAB_NAMES.items()}
 
 
 def stab_parse(s: str) -> StabDescriptor:
     m = _STAB_RE.match(s.strip())
-    if not m or m.group(1) not in _STAB_NAMES:
+    if not m or m.group(1) not in _STAB_KINDS:
         raise ValueError(f"bad stabilizer descriptor {s!r}")
-    kind = _STAB_NAMES[m.group(1)]
+    kind = _STAB_KINDS[m.group(1)]
     q = int(m.group(2)) if m.group(2) else 0
     dim = int(m.group(3)) if m.group(3) else 0
     return StabDescriptor(kind, q, dim)
@@ -271,6 +271,11 @@ def isolated_cyclic(g: QuotientGraph) -> tuple:
 # hardcoded builders for the two F_2 elliptic examples
 
 
+# deepest ray truncation built; stabilizer orders grow like q^depth and
+# validation takes one order per edge
+_MAX_DEPTH = 1000
+
+
 def _example_graph(depth: int, cusps_over_0: tuple) -> QuotientGraph:
     """Quotient graph for an elliptic curve over F_2 with no rational point
     over x = 1 and the given affine cusps (rational points) over x = 0.
@@ -285,8 +290,8 @@ def _example_graph(depth: int, cusps_over_0: tuple) -> QuotientGraph:
     endpoint stabilizer.  Each ray is truncated at the given depth with a
     marker.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    if not 1 <= depth <= _MAX_DEPTH:
+        raise ValueError(f"depth must be between 1 and {_MAX_DEPTH}")
     q = 2
     vertices, edges, ids = [], [], {}
 

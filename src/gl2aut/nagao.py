@@ -11,6 +11,12 @@ every element has a unique expression j * r1 * ... * rn with the ri
 drawn alternately from the two transversals (none the identity) and
 j in J.  Words here fold j into the first letter, so the canonical word
 is a list of alternating letters; a lone element of J is typed "G".
+(Nagao, "On GL(2, K[x])", 1959; Serre, Trees, II.1.6.)
+
+Since the expression is unique, any alternating factorization is the
+canonical one.  `decompose` finds it in one Euclidean pass on the bottom
+row, peeling letters off the right, and `normalize` of a letter sequence
+is `decompose` of its product.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matgroup import Mat2, mat_parse
-from .polyring import Poly, PolyRing
+from .polyring import PolyRing
 
 G_SIDE = "G"
 B_SIDE = "B"
@@ -50,10 +56,6 @@ def _unit_det(m: Mat2) -> bool:
     return det.is_constant() and not det.is_zero()
 
 
-def _in_j(m: Mat2) -> bool:
-    return m.c.is_zero() and _is_constant_mat(m)
-
-
 def letter(side: str, mat: Mat2) -> Letter:
     """Validated letter: a G letter is constant, a B letter upper triangular."""
     if not _unit_det(mat):
@@ -63,100 +65,58 @@ def letter(side: str, mat: Mat2) -> Letter:
     return Letter(side, mat)
 
 
-def _coset_split(ring: PolyRing, side: str, m: Mat2) -> tuple[Mat2, Mat2]:
-    """Write m = j * r with j in J and r the transversal representative."""
-    field = ring.field
-    if side == B_SIDE:
-        # [[alpha, a], [0, beta]] = [[alpha, a0], [0, beta]] * [[1, (a-a0)/alpha], [0, 1]]
-        a0 = ring.const(m.b.constant_code())
-        j = Mat2(ring, m.a, a0, ring.zero, m.d)
-        v = (m.b - a0).scale(field.inv_i(m.a.constant_code()))
-        r = Mat2(ring, ring.one, v, ring.zero, ring.one)
-        return j, r
-    if m.c.is_zero():
-        return m, Mat2.identity(ring)
-    # m = j * [[0,1],[1,x]] with x = d/c;  j = [[b - a*x, a], [0, c]]
-    x = m.d.scale(field.inv_i(m.c.constant_code()))
-    j = Mat2(ring, m.b - m.a * x, m.a, ring.zero, m.c)
-    r = Mat2(ring, ring.zero, ring.one, ring.one, x)
-    return j, r
-
-
-def _fold(ring: PolyRing, state, side: str, x: Mat2):
-    """Append the factor element x (living in the given side) to a canonical
-    state (j, reps) and restore canonical shape."""
-    if x.is_identity():
-        return state
-    j, reps = state
-    if not reps:
-        w = j * x
-        if _in_j(w):
-            return w, reps
-        j2, r = _coset_split(ring, side, w)
-        return j2, [(side, r)]
-    last_side, last_rep = reps[-1]
-    if last_side == side or _in_j(x):
-        return _fold(ring, (j, reps[:-1]), last_side, last_rep * x)
-    j1, r = _coset_split(ring, side, x)
-    if j1.is_identity():
-        return j, reps + [(side, r)]
-    new_reps = []
-    carry = j1
-    for s, rep in reversed(reps):
-        j2, r2 = _coset_split(ring, s, rep * carry)
-        new_reps.append((s, r2))
-        carry = j2
-    new_reps.reverse()
-    return j * carry, new_reps + [(side, r)]
-
-
-def _state_to_word(ring: PolyRing, state) -> tuple[Letter, ...]:
-    j, reps = state
-    if not reps:
-        if j.is_identity():
-            return ()
-        return (Letter(G_SIDE, j),)
-    side0, rep0 = reps[0]
-    out = [Letter(side0, j * rep0)]
-    out.extend(Letter(s, r) for s, r in reps[1:])
-    return tuple(out)
-
-
 def normalize(ring: PolyRing, letters) -> tuple[Letter, ...]:
     """Canonical form of a letter sequence; [] represents the identity."""
-    state = (Mat2.identity(ring), [])
+    letters = tuple(letters)
     for lt in letters:
         if not isinstance(lt, Letter):
             raise TypeError(f"expected Letter, got {lt!r}")
         if not _in_side(lt.mat, lt.side) or not _unit_det(lt.mat):
             raise ValueError(f"invalid letter {lt.text()}")
-        state = _fold(ring, state, lt.side, lt.mat)
-    return _state_to_word(ring, state)
+    return decompose(evaluate(ring, letters))
 
 
 def decompose(m: Mat2) -> tuple[Letter, ...]:
-    """Canonical word of m in GL2(F_q[t]) by the Euclidean descent on the
-    bottom row; evaluate(decompose(m)) == m exactly."""
+    """Canonical word of m in GL2(F_q[t]); evaluate(decompose(m)) == m exactly.
+
+    Transversal letters are peeled off the right of m by the Euclidean
+    algorithm on its bottom row (c, d).  When deg d > deg c the last letter
+    is [[1, v], [0, 1]] with v the quotient d div c less its constant term;
+    otherwise it is [[0, 1], [1, x]] with x the coefficient of t^deg(c) in d
+    over the leading coefficient of c.  Each peel lowers the bottom row, and
+    the letters alternate because after a B letter deg d <= deg c and after
+    a G letter deg d > deg c.  Once c = 0 the upper triangular remainder is
+    j * [[1, v], [0, 1]] with j in J, and j folds into the first letter.
+    """
     ring: PolyRing = m.ring
     if not isinstance(ring, PolyRing):
         raise TypeError("decompose expects a matrix over F_q[t]")
     if not _unit_det(m):
         raise ValueError(f"{m.text()} is not invertible over F_q[t]")
-    raw: list[Letter] = []
-    weyl = Mat2(ring, ring.zero, ring.one, ring.one, ring.zero)
+    field = ring.field
+    peeled: list[Letter] = []  # rightmost letter first
     cur = m
     while not cur.c.is_zero():
-        a, c = cur.a, cur.c
-        if a.is_zero() or a.deg < c.deg:
-            raw.append(Letter(G_SIDE, weyl))
-            cur = weyl * cur
+        c, d = cur.c, cur.d
+        if d.deg > c.deg:
+            v = d // c
+            v = v - ring.const(v.constant_code())
+            peeled.append(Letter(B_SIDE, Mat2(ring, ring.one, v, ring.zero, ring.one)))
+            cur = cur * Mat2(ring, ring.one, -v, ring.zero, ring.one)
         else:
-            f = a // c
-            raw.append(Letter(B_SIDE, Mat2(ring, ring.one, f, ring.zero, ring.one)))
-            cur = Mat2(ring, ring.one, -f, ring.zero, ring.one) * cur
-    raw.append(Letter(B_SIDE, cur))
-    # raw now satisfies m = raw[0] * raw[1] * ... * raw[-1]
-    return normalize(ring, raw)
+            x = ring.const(field.mul_i(d.coeff_code(c.deg), field.inv_i(c.lead_code())))
+            peeled.append(Letter(G_SIDE, Mat2(ring, ring.zero, ring.one, ring.one, x)))
+            cur = cur * Mat2(ring, -x, ring.one, ring.one, ring.zero)
+    # [[alpha, b], [0, beta]] = [[alpha, b0], [0, beta]] * [[1, (b-b0)/alpha], [0, 1]]
+    b0 = ring.const(cur.b.constant_code())
+    j = Mat2(ring, cur.a, b0, ring.zero, cur.d)
+    v = (cur.b - b0).scale(field.inv_i(cur.a.constant_code()))
+    if not v.is_zero():
+        peeled.append(Letter(B_SIDE, Mat2(ring, ring.one, v, ring.zero, ring.one)))
+    if not peeled:
+        return () if j.is_identity() else (Letter(G_SIDE, j),)
+    first = peeled.pop()
+    return (Letter(first.side, j * first.mat),) + tuple(reversed(peeled))
 
 
 def evaluate(ring: PolyRing, letters) -> Mat2:

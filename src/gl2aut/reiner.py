@@ -169,6 +169,11 @@ def congruence_member(m: Mat2, modulus: Poly) -> bool:
                zip(m.entries(), ident.entries()))
 
 
+# most polynomials unipotent_fiber walks (q^(bound+1) of them); past it
+# the walk is refused instead of running for minutes
+_FIBER_WALK_CAP = 4096
+
+
 def unipotent_fiber(spec: LinearAutoSpec, modulus: Poly, bound: int) -> list[Poly]:
     """All a with deg a <= bound whose unipotent T(a) is carried into the
     principal congruence subgroup of the modulus by the inverse substitution.
@@ -180,6 +185,11 @@ def unipotent_fiber(spec: LinearAutoSpec, modulus: Poly, bound: int) -> list[Pol
     ring = spec.ring
     if bound < 0:
         raise ValueError("degree bound must be >= 0")
+    q = ring.field.q
+    # q^(bound+1) >= 2^(bound+1), so a long bound is refused before the power
+    if bound + 1 >= _FIBER_WALK_CAP.bit_length() or q ** (bound + 1) > _FIBER_WALK_CAP:
+        raise ValueError(f"degree bound {bound} over F_{q} walks more than "
+                         f"{_FIBER_WALK_CAP} polynomials")
     inverse = spec.inverted()
     out = []
     for a in ring.polys_of_degree_at_most(bound):

@@ -13,6 +13,7 @@ from gl2aut.cosets import FiniteGroup, QuotRing, SubgroupSpec, mat_det_r
 from gl2aut.curves import INFINITY, AffinePoint, point_mul, point_order
 from gl2aut.ffield import field_of_order
 from gl2aut.matgroup import Mat2, mat_parse
+from gl2aut.nagao import B_SIDE, G_SIDE, Letter
 from gl2aut.polyring import PolyRing, poly_ring
 from gl2aut.words import FiniteCyclic, MatrixBacked, VectorFactor, word_reduce
 from gl2aut import nagao
@@ -136,6 +137,85 @@ def rand_word(decl, rng, max_len=8, mat_deg=2):
         i = rng.randrange(len(decl.factors))
         letters.append((i, rand_elem(decl.factors[i].kind, rng, mat_deg)))
     return word_reduce(decl, letters)
+
+
+# ---- fold normal form oracle ----
+#
+# The amalgam normal form built letter by letter, independent of the
+# Euclidean descent in nagao.decompose.
+
+def _in_j(m: Mat2) -> bool:
+    return m.c.is_zero() and all(e.is_constant() for e in m.entries())
+
+
+def _coset_split(ring: PolyRing, side: str, m: Mat2) -> tuple[Mat2, Mat2]:
+    """Write m = j * r with j in J and r the transversal representative."""
+    field = ring.field
+    if side == B_SIDE:
+        # [[alpha, a], [0, beta]] = [[alpha, a0], [0, beta]] * [[1, (a-a0)/alpha], [0, 1]]
+        a0 = ring.const(m.b.constant_code())
+        j = Mat2(ring, m.a, a0, ring.zero, m.d)
+        v = (m.b - a0).scale(field.inv_i(m.a.constant_code()))
+        r = Mat2(ring, ring.one, v, ring.zero, ring.one)
+        return j, r
+    if m.c.is_zero():
+        return m, Mat2.identity(ring)
+    # m = j * [[0,1],[1,x]] with x = d/c;  j = [[b - a*x, a], [0, c]]
+    x = m.d.scale(field.inv_i(m.c.constant_code()))
+    j = Mat2(ring, m.b - m.a * x, m.a, ring.zero, m.c)
+    r = Mat2(ring, ring.zero, ring.one, ring.one, x)
+    return j, r
+
+
+def _fold(ring: PolyRing, state, side: str, x: Mat2):
+    """Append the factor element x (living in the given side) to a canonical
+    state (j, reps) and restore canonical shape."""
+    if x.is_identity():
+        return state
+    j, reps = state
+    if not reps:
+        w = j * x
+        if _in_j(w):
+            return w, reps
+        j2, r = _coset_split(ring, side, w)
+        return j2, [(side, r)]
+    last_side, last_rep = reps[-1]
+    if last_side == side or _in_j(x):
+        return _fold(ring, (j, reps[:-1]), last_side, last_rep * x)
+    j1, r = _coset_split(ring, side, x)
+    if j1.is_identity():
+        return j, reps + [(side, r)]
+    new_reps = []
+    carry = j1
+    for s, rep in reversed(reps):
+        j2, r2 = _coset_split(ring, s, rep * carry)
+        new_reps.append((s, r2))
+        carry = j2
+    new_reps.reverse()
+    return j * carry, new_reps + [(side, r)]
+
+
+def _state_to_word(ring: PolyRing, state) -> tuple[Letter, ...]:
+    j, reps = state
+    if not reps:
+        if j.is_identity():
+            return ()
+        return (Letter(G_SIDE, j),)
+    side0, rep0 = reps[0]
+    out = [Letter(side0, j * rep0)]
+    out.extend(Letter(s, r) for s, r in reps[1:])
+    return tuple(out)
+
+
+def fold_normalize(ring: PolyRing, letters) -> tuple[Letter, ...]:
+    """Canonical form of a letter sequence by folding one letter at a time
+    into a canonical state (j, reps), carrying J leftwards through the
+    transversal representatives; [] represents the identity.  The letters
+    must be valid (as built by nagao.letter)."""
+    state = (Mat2.identity(ring), [])
+    for lt in letters:
+        state = _fold(ring, state, lt.side, lt.mat)
+    return _state_to_word(ring, state)
 
 
 # ---- brute-force curve oracles ----

@@ -142,13 +142,34 @@ def test_cusp_count_full_preset_above_table_limit(capsys):
 
 
 def test_cusp_count_oversized_quotient_fails_fast(capsys):
-    # both quotient groups have far more than 100 000 elements
-    with helpers.budget(10):
+    # both quotient groups have far more than 100 000 elements, which the
+    # modulus degree shows before anything is built
+    with helpers.budget(1):
         run_err(capsys, ["cusp-count", "--q", "5", "--modulus", "t^3",
                          "--subgroup", "trivial"])
-    with helpers.budget(10):
+    with helpers.budget(1):
         run_err(capsys, ["cusp-count", "--q", "2", "--modulus", "t^8",
                          "--subgroup", "borel"])
+
+
+def test_aut_count_largest_field(capsys):
+    with helpers.budget(5):
+        data = json.loads(run_ok(capsys, ["aut-count", "--q", "65536"]))
+    # q + 1 = 65537 is prime, so every admissible residue is a unit
+    assert data["count"] == 65536 == len(data["classes"])
+
+
+def test_unipotent_fiber_oversized_bound_fails_fast(capsys):
+    spec = json.dumps({"map": {"2": [0, 1, 1]}, "inverse": {"2": [0, 1, 1]}})
+    with helpers.budget(1):
+        err = run_err(capsys, ["unipotent-fiber", "--q", "2", "--spec", spec,
+                               "--modulus", "t^2", "--bound", "14"])
+    assert "more than 4096 polynomials" in err
+
+
+def test_graph_export_oversized_depth_fails_fast(capsys):
+    with helpers.budget(1):
+        run_err(capsys, ["graph-export", "--graph", "ex3", "--depth", "20000"])
 
 
 def test_cusp_count_generators(capsys):

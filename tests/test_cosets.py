@@ -33,6 +33,22 @@ def test_quotient_ring_rejects_constant_modulus():
         QuotRing(R, R.one)
 
 
+def test_quotient_ring_refuses_groups_above_the_cap_before_building():
+    # for a prime modulus of degree 1 the bound (q-1) q (q^2-1) is |G| itself:
+    # 78 336 for q = 17 and 123 120 for q = 19
+    assert QuotRing(helpers.ring_of(17), helpers.ring_of(17).t).size == 17
+    with pytest.raises(RuntimeError, match="more than 100000 elements"):
+        QuotRing(helpers.ring_of(19), helpers.ring_of(19).t)
+    # over F_2 the bound is 6^d: t^6 passes (|R| = 64, the largest ring
+    # admitted), t^7 is refused at once, with or without extra factors
+    R = helpers.ring_of(2)
+    assert QuotRing(R, R.monomial(1, 6)).size == 64
+    for modulus in (R.monomial(1, 7), R.monomial(1, 8), R.poly((1, 1, 0, 0, 0, 0, 0, 1)),
+                    R.monomial(1, 10 ** 6)):
+        with helpers.budget(1), pytest.raises(RuntimeError, match="more than 100000"):
+            QuotRing(R, modulus)
+
+
 def test_reduction_image_orders():
     ctx = ctx_mod_t()
     assert len(ctx.group) == 6  # all of GL2(F_2)

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from gl2aut.graphs import (Edge, QuotientGraph, RayMarker, StabDescriptor,
-                           Vertex, build_graph_ex1, build_graph_ex3,
+from gl2aut.graphs import (_MAX_DEPTH, Edge, QuotientGraph, RayMarker,
+                           StabDescriptor, Vertex, build_graph_ex1, build_graph_ex3,
                            export_dot, export_json, graph_by_name,
                            isolated_cyclic, parse_json, stab_btype,
                            stab_cyclic, stab_gl2, stab_parse, stab_trivial,
@@ -83,6 +83,14 @@ def test_examples_validate_at_other_depths(depth):
         for cusp, tail in parts.rays:
             expected = depth - 1 if cusp == "inf" else depth
             assert len(tail) == expected
+
+
+def test_examples_refuse_depths_past_the_limit():
+    assert len(build_graph_ex3(_MAX_DEPTH).rays) == 3
+    for depth in (0, _MAX_DEPTH + 1):
+        for name in ("ex1", "ex3"):
+            with pytest.raises(ValueError, match="depth must be between"):
+                graph_by_name(name, depth=depth)
 
 
 def test_graph_by_name_unknown():

@@ -43,17 +43,32 @@ def test_roundtrip_on_random_matrices(q):
         assert nagao.is_canonical(R, w)
 
 
-@pytest.mark.parametrize("q", [2, 3])
-def test_normalize_agrees_with_decompose_of_the_product(q):
+# q = 4, 8 and 9 exercise non-prime coefficient codes
+ORACLE_QS = [2, 3, 4, 5, 7, 8, 9]
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_normalize_and_decompose_match_the_fold_oracle(q):
     R = helpers.ring_of(q)
     rng = random.Random(200 + q)
-    for _ in range(150):
+    for _ in range(100):
         letters = helpers.rand_nagao_letters(R, rng)
-        normal = nagao.normalize(R, letters)
-        assert normal == nagao.decompose(nagao.evaluate(R, letters))
-        assert nagao.is_canonical(R, normal)
+        want = helpers.fold_normalize(R, letters)
+        assert nagao.normalize(R, letters) == want
+        assert nagao.decompose(nagao.evaluate(R, letters)) == want
         # normalization is idempotent
-        assert nagao.normalize(R, normal) == normal
+        assert nagao.normalize(R, want) == want
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_decomposition_is_fixed_by_the_fold_oracle(q):
+    R = helpers.ring_of(q)
+    rng = random.Random(300 + q)
+    for _ in range(60):
+        m = helpers.rand_gl2_poly(R, rng, 6)
+        w = nagao.decompose(m)
+        assert helpers.fold_normalize(R, w) == w
+        assert nagao.evaluate(R, w) == m
 
 
 def test_word_concat_multiplies(rng):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import helpers
+from gl2aut import reiner
 from gl2aut.matgroup import Mat2
 from gl2aut.reiner import (LinearAutoSpec, congruence_member, identity_spec,
                            reiner_apply, reiner_inverse, reiner_on_cuspstab,
@@ -170,3 +171,17 @@ def test_fibers_over_f3(rng):
     # membership only constrains the constant coefficient
     assert all(a.constant_code() == 0 for a in fiber)
     assert len(fiber) == 9
+
+
+def test_unipotent_fiber_refuses_long_walks_before_starting(monkeypatch):
+    R = helpers.ring_of(2)
+    spec = identity_spec(R)
+    tsq = R.poly((0, 0, 1))
+    for bound in (12, 10 ** 9):
+        with helpers.budget(1), pytest.raises(ValueError, match="more than 4096"):
+            unipotent_fiber(spec, tsq, bound)
+    # the cap counts the q^(bound+1) polynomials walked, inclusive
+    monkeypatch.setattr(reiner, "_FIBER_WALK_CAP", 2 ** 4)
+    assert len(unipotent_fiber(spec, tsq, 3)) == 2 ** 2
+    with pytest.raises(ValueError):
+        unipotent_fiber(spec, tsq, 4)
