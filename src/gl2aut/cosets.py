@@ -22,7 +22,9 @@ from .closure import closure
 from .matgroup import Mat2
 from .polyring import Poly, PolyRing
 
-_TABLE_LIMIT = 2048
+# groups up to this size get a |G|^2 multiplication table; past it a single
+# count spends more building the table than it saves
+_TABLE_LIMIT = 512
 # largest quotient group built; past it a count fails fast instead of
 # exhausting time and memory
 _GROUP_CAP = 100_000

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ffield import FieldElem, FieldSpec, aut_rel_count
+from .ffield import FieldElem, FieldSpec, aut_rel_count, factorize
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def group_structure(curve: WeierstrassCurve, points=None) -> list[int]:
     index = {pt: i for i, pt in enumerate(points)}
     zero = index[INFINITY]
     by_prime: dict[int, list[int]] = {}
-    for p in _prime_factors(n):
+    for p in factorize(n):
         if n % (p * p):
             by_prime[p] = [1]
             continue
@@ -237,20 +237,6 @@ def _prime_power_exponent(n: int, p: int) -> int:
         e += 1
     assert n == 1, "torsion count is not a prime power"
     return e
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def two_torsion_count(curve: WeierstrassCurve, points=None) -> int:

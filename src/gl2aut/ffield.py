@@ -3,6 +3,14 @@
 Elements are stored as integer codes (base-p digit vectors, constant digit
 first), so arithmetic in hot loops can stay on plain ints via the FieldSpec
 add_i / mul_i / inv_i hooks.  FieldElem is the friendly wrapper type.
+
+Nothing here counts its way to an order.  `factorize` is the one integer
+factorization, and `order_dividing` finds the order of any x with x**n = 1
+from it: x has order n exactly when x**(n/l) != 1 for every prime l | n.
+Generators are the first candidates of full order, and the canonical
+quadratic s^2 + c1 s + c0 is the least one whose discriminant is a
+non-square (odd q), or with c1 != 0 and Tr(c0/c1^2) = 1 (even q)
+(Lidl and Niederreiter, Finite Fields, ch. 2-3).
 """
 
 from __future__ import annotations
@@ -15,51 +23,63 @@ _QUAD_CACHE: dict[int, "QuadExt"] = {}
 MAX_Q = 1 << 16
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+def factorize(n: int) -> dict[int, int]:
+    """The prime factorization {p: e} of n >= 1, primes ascending."""
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    out: dict[int, int] = {}
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
-    return True
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and factorize(p) == {p: 1}
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Split a prime power q into (p, n) with q = p**n, else ValueError."""
-    if q < 2:
+    """Split a prime power q <= MAX_Q into (p, n) with q = p**n, else ValueError."""
+    if q > MAX_Q:
+        raise ValueError(f"field size {q} exceeds {MAX_Q}")
+    factors = factorize(q) if q >= 2 else {}
+    if len(factors) != 1:
         raise ValueError(f"not a prime power: {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    n = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        n += 1
-    if m != 1:
-        raise ValueError(f"not a prime power: {q}")
+    [(p, n)] = factors.items()
     return p, n
 
 
 def euler_phi(n: int) -> int:
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in factorize(n):
+        result -= result // p
     return result
+
+
+def order_dividing(x, n: int, power, one) -> int:
+    """The multiplicative order of x, given that power(x, n) == one.
+
+    Starts at n and divides out each prime l of n while power(x, d // l)
+    is still one.
+    """
+    d = n
+    for ell in factorize(n):
+        while d % ell == 0 and power(x, d // ell) == one:
+            d //= ell
+    return d
+
+
+def first_of_order(candidates, n: int, power, one):
+    """The first candidate whose order is n (every candidate has x**n == one)."""
+    for x in candidates:
+        if order_dividing(x, n, power, one) == n:
+            return x
+    raise AssertionError(f"no element of order {n}")
 
 
 # ---- digit-tuple polynomial helpers over F_p (used only at spec build time) ----
@@ -177,8 +197,10 @@ class FieldSpec:
         self.n = n
         self.q = q
         self.modulus = self._find_modulus()
-        self._build_arithmetic()
-        self.generator = FieldElem(self, self._find_generator())
+        # the log tables need the generator first, so test on _raw_mul
+        g = first_of_order(range(1, q), q - 1, self._raw_pow, 1)
+        self._build_arithmetic(g)
+        self.generator = FieldElem(self, g)
 
     def _find_modulus(self) -> tuple:
         if self.n == 1:
@@ -195,13 +217,22 @@ class FieldSpec:
         prod = _pmod(_pmul(da, db, self.p), self.modulus, self.p)
         return self._encode(prod)
 
+    def _raw_pow(self, a: int, k: int) -> int:
+        out = 1
+        while k:
+            if k & 1:
+                out = self._raw_mul(out, a)
+            a = self._raw_mul(a, a)
+            k >>= 1
+        return out
+
     def _encode(self, digs) -> int:
         code = 0
         for d in reversed(digs):
             code = code * self.p + d
         return code
 
-    def _build_arithmetic(self):
+    def _build_arithmetic(self, g: int):
         p, n, q = self.p, self.n, self.q
         if n == 1:
             self.add_i = lambda a, b: (a + b) % p
@@ -218,33 +249,21 @@ class FieldSpec:
 
             self.pow_i = pow_i
             return
-        digs = [_digits(k, p, n) for k in range(q)]
-        self._digs = digs
         if p == 2:
             self.add_i = lambda a, b: a ^ b
             self.neg_i = lambda a: a
         else:
+            digs = [_digits(k, p, n) for k in range(q)]
             enc = self._encode
             self.add_i = lambda a, b: enc([(x + y) % p for x, y in zip(digs[a], digs[b])])
             self.neg_i = lambda a: enc([(-x) % p for x in digs[a]])
-        # discrete-log tables over a generator give O(1) mul/inv
-        g = None
-        for cand in range(2, q):
-            e, seen = cand, 1
-            while e != 1:
-                e = self._raw_mul(e, cand)
-                seen += 1
-            if seen == q - 1:
-                g = cand
-                break
-        assert g is not None
+        # discrete-log tables over the generator give O(1) mul/inv
         exp = [1] * (q - 1)
         for i in range(1, q - 1):
-            exp[i] = self._raw_mul(exp[i - 1], g)
+            exp[i] = self._raw_mul(g, exp[i - 1])  # g first: _pmul skips its zero digits
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
-        self._exp, self._log, self._gen_code = exp, log, g
 
         def mul_i(a, b):
             if a == 0 or b == 0:
@@ -269,20 +288,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
         return pow(a, self.p - 2, self.p)
-
-    def _find_generator(self) -> int:
-        if self.q == 2:
-            return 1
-        if self.n > 1:
-            return self._gen_code
-        for cand in range(2, self.q):
-            e, seen = cand, 1
-            while e != 1:
-                e = self.mul_i(e, cand)
-                seen += 1
-            if seen == self.q - 1:
-                return cand
-        raise AssertionError("no primitive root found")
 
     # -- element constructors and ring protocol --
 
@@ -346,11 +351,7 @@ class FieldSpec:
     def order_of(self, x: FieldElem) -> int:
         if x.code == 0:
             raise ValueError("zero has no multiplicative order")
-        e, k = x.code, 1
-        while e != 1:
-            e = self.mul_i(e, x.code)
-            k += 1
-        return k
+        return order_dividing(x.code, self.q - 1, self.pow_i, 1)
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, n={self.n})"
@@ -439,30 +440,31 @@ class QuadExt:
         self.base = base
         self.q = base.q
         self.c1, self.c0 = self._find_quadratic()
-        self.generator = self._find_generator()
+        # codes below q lie in F_q, whose orders divide q - 1
+        self.generator = first_of_order(map(self.el_code, range(self.q, self.q * self.q)),
+                                        self.q * self.q - 1, pow, self.one)
 
     def _find_quadratic(self) -> tuple[FieldElem, FieldElem]:
-        # least (c1*q + c0) integer code such that s^2 + c1 s + c0 has no root in F_q
-        for code in range(self.q * self.q):
-            c1 = self.base.el(code // self.q)
-            c0 = self.base.el(code % self.q)
-            if all(bool(x * x + c1 * x + c0) for x in self.base.elements()):
-                return c1, c0
+        """The least code c1*q + c0 such that s^2 + c1 s + c0 has no root in
+        F_q: for odd q the discriminant is a non-square (Euler's criterion),
+        for even q c1 != 0 and the absolute trace of c0/c1^2 is 1."""
+        base, q = self.base, self.q
+        minus_one = -base.one
+        four = base.el(4 % base.p)
+        for code in range(q * q):
+            c1, c0 = base.el(code // q), base.el(code % q)
+            if base.p != 2:
+                if (c1 * c1 - four * c0) ** ((q - 1) // 2) == minus_one:
+                    return c1, c0
+            elif c1:
+                a = c0 / (c1 * c1)
+                trace = a
+                for _ in range(base.n - 1):
+                    a = a * a
+                    trace = trace + a
+                if trace == base.one:
+                    return c1, c0
         raise AssertionError("no irreducible quadratic found")
-
-    def _find_generator(self) -> QuadExtElem:
-        target = self.q * self.q - 1
-        for code in range(1, self.q * self.q):
-            x = self.el_code(code)
-            e, k = x, 1
-            while e != self.one:
-                e = e * x
-                k += 1
-                if k > target:
-                    break
-            if k == target:
-                return x
-        raise AssertionError("no generator found")
 
     def el(self, a: FieldElem, b: FieldElem) -> QuadExtElem:
         return QuadExtElem(self, a, b)
@@ -527,11 +529,7 @@ class QuadExt:
     def order_of(self, x: QuadExtElem) -> int:
         if not bool(x):
             raise ValueError("zero has no multiplicative order")
-        e, k = x, 1
-        while e != self.one:
-            e = e * x
-            k += 1
-        return k
+        return order_dividing(x, self.q * self.q - 1, pow, self.one)
 
     def __repr__(self):
         return f"QuadExt(q={self.q})"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ffield import FieldElem, FieldSpec, QuadExt, QuadExtElem
+from .ffield import FieldElem, FieldSpec, QuadExt, QuadExtElem, order_dividing
 from .polyring import FracField, Poly, PolyRing, frac_field, poly_ring
 
 
@@ -362,16 +362,14 @@ def elliptic_stab(field: FieldSpec, eps: QuadExtElem) -> EllipticStab:
     return EllipticStab(g, g_swap, lam, mu)
 
 
-def matrix_order(m: Mat2, limit: int = 1 << 20) -> int:
-    ident = Mat2.identity(m.ring)
-    acc = m
-    k = 1
-    while acc != ident:
-        acc = acc * m
-        k += 1
-        if k > limit:
-            raise ValueError("order exceeds limit")
-    return k
+def matrix_order(m: Mat2) -> int:
+    """The order of m in GL2(F_q), a divisor of |GL2(F_q)| = (q^2-1)(q^2-q)."""
+    if not isinstance(m.ring, FieldSpec):
+        raise TypeError("matrix order needs a finite coefficient field")
+    if not bool(m.det()):
+        raise ValueError("a singular matrix has no order")
+    q = m.ring.q
+    return order_dividing(m, (q * q - 1) * (q * q - q), pow, Mat2.identity(m.ring))
 
 
 def gl2_elements(field: FieldSpec):

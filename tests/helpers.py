@@ -4,6 +4,8 @@ Everything random takes an explicit random.Random so each test controls its
 seed and stays reproducible.
 """
 
+import itertools
+import operator
 import os
 import time
 from contextlib import contextmanager
@@ -216,6 +218,58 @@ def fold_normalize(ring: PolyRing, letters) -> tuple[Letter, ...]:
     for lt in letters:
         state = _fold(ring, state, lt.side, lt.mat)
     return _state_to_word(ring, state)
+
+
+# ---- counting oracles for orders, generators and moduli ----
+
+def brute_order(x, one, mul=operator.mul, limit=1 << 16) -> int:
+    """Multiplicative order of x, by multiplying until it returns to one;
+    AssertionError past `limit` steps (x is then no unit of a finite group)."""
+    acc, k = x, 1
+    while acc != one:
+        acc = mul(acc, x)
+        k += 1
+        assert k <= limit, f"{x!r} does not return to one within {limit} steps"
+    return k
+
+
+def brute_generator(candidates, n, one, mul=operator.mul):
+    """The first candidate whose counted order is n."""
+    for x in candidates:
+        if brute_order(x, one, mul) == n:
+            return x
+    raise AssertionError(f"no element of order {n}")
+
+
+def brute_quadratic(base):
+    """(c1, c0) of least code c1*q + c0 with s^2 + c1 s + c0 rootless in F_q."""
+    q = base.q
+    for code in range(q * q):
+        c1, c0 = base.el(code // q), base.el(code % q)
+        if all(bool(x * x + c1 * x + c0) for x in base.elements()):
+            return c1, c0
+    raise AssertionError("no irreducible quadratic found")
+
+
+def brute_modulus(p, n):
+    """Digits (constant first) of the least-code monic irreducible of degree
+    n over F_p, found by ruling out every product of two monic factors; the
+    polynomial x for n = 1, as FieldSpec stores it."""
+    def monic(d):
+        return [low + (1,) for low in itertools.product(range(p), repeat=d)]
+
+    def mul(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+        return tuple(out)
+
+    if n == 1:
+        return (0, 1)
+    reducible = {mul(f, g) for d in range(1, n // 2 + 1) for f in monic(d) for g in monic(n - d)}
+    candidates = sorted(monic(n), key=lambda f: sum(c * p ** i for i, c in enumerate(f[:-1])))
+    return next(f for f in candidates if f not in reducible)
 
 
 # ---- brute-force curve oracles ----

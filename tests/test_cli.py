@@ -159,6 +159,23 @@ def test_aut_count_largest_field(capsys):
     assert data["count"] == 65536 == len(data["classes"])
 
 
+def test_oversized_field_fails_fast(capsys):
+    # both are refused on size before any factoring or residue walk
+    with helpers.budget(1):
+        err = run_err(capsys, ["aut-count", "--q", "1000000007"])
+    assert "exceeds 65536" in err
+    with helpers.budget(1):
+        err = run_err(capsys, ["cs-order", "--r", "1", "--q", "1000000000000000003"])
+    assert "exceeds 65536" in err
+
+
+def test_cusp_count_off_the_table(capsys):
+    # |G| = 2016 lies past the table limit; the trivial subgroup's cusps
+    # are the q + 1 points of P^1(F_7)
+    with helpers.budget(2):
+        assert run_ok(capsys, ["cusp-count", "--q", "7", "--modulus", "t"]) == "8"
+
+
 def test_unipotent_fiber_oversized_bound_fails_fast(capsys):
     spec = json.dumps({"map": {"2": [0, 1, 1]}, "inverse": {"2": [0, 1, 1]}})
     with helpers.budget(1):

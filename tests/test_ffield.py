@@ -3,9 +3,23 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gl2aut.ffield import (aut_rel_count, aut_rel_enumerate, euler_phi,
+import helpers
+from gl2aut.ffield import (aut_rel_count, aut_rel_enumerate, euler_phi, factorize,
                            field_make, field_of_order, frobenius, is_prime,
                            prime_power, quad_ext)
+
+
+def _prime_powers(limit):
+    """Every q in [2, limit] that its least prime divisor divides down to 1."""
+    out = []
+    for q in range(2, limit + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        m = q
+        while m % p == 0:
+            m //= p
+        if m == 1:
+            out.append(q)
+    return out
 
 
 def test_prime_power_factors_valid_orders():
@@ -31,6 +45,80 @@ def test_euler_phi_matches_definition():
     for n in range(1, 60):
         assert euler_phi(n) == sum(1 for k in range(1, n + 1)
                                    if math.gcd(k, n) == 1)
+
+
+@given(st.integers(min_value=1, max_value=3000))
+@settings(max_examples=200, deadline=None)
+def test_factorize_matches_divisor_scan(n):
+    factors = factorize(n)
+    assert math.prod(p ** e for p, e in factors.items()) == n
+    assert list(factors) == sorted(factors)
+    assert all(e >= 1 for e in factors.values())
+    primes = {d for d in range(2, n + 1) if n % d == 0 and all(d % k for k in range(2, d))}
+    assert set(factors) == primes
+
+
+def test_factorize_rejects_non_positive():
+    for bad in (0, -12):
+        with pytest.raises(ValueError):
+            factorize(bad)
+
+
+def test_prime_power_refuses_oversized_orders():
+    assert prime_power(65536) == (2, 16)
+    # refused on size before any factoring, prime or not
+    for big in (65537, 1000000007, 10 ** 18 + 3, 10 ** 40):
+        with helpers.budget(1):
+            with pytest.raises(ValueError, match="exceeds 65536"):
+                prime_power(big)
+
+
+@pytest.mark.parametrize("q", _prime_powers(256))
+def test_modulus_and_generator_match_counting_oracles(q):
+    field = field_of_order(q)
+    assert field.modulus == helpers.brute_modulus(field.p, field.n)
+    assert field.generator.code == helpers.brute_generator(range(1, q), q - 1, 1, field._raw_mul)
+
+
+@pytest.mark.parametrize("q", _prime_powers(64))
+def test_order_of_matches_counting(q):
+    field = field_of_order(q)
+    for x in field.units():
+        assert field.order_of(x) == helpers.brute_order(x, field.one)
+
+
+@pytest.mark.parametrize("q", _prime_powers(9))
+def test_quad_ext_order_of_matches_counting(q):
+    ext = quad_ext(field_of_order(q))
+    for x in ext.units():
+        assert ext.order_of(x) == helpers.brute_order(x, ext.one)
+
+
+@pytest.mark.parametrize("q", _prime_powers(32))
+def test_quad_ext_matches_counting_oracles(q):
+    field = field_of_order(q)
+    ext = quad_ext(field)
+    assert (ext.c1, ext.c0) == helpers.brute_quadratic(field)
+    assert ext.generator == helpers.brute_generator(ext.units(), q * q - 1, ext.one)
+
+
+@pytest.mark.parametrize("q", [4096, 65521])
+def test_quad_ext_of_large_fields_is_fast(q):
+    with helpers.budget(2):
+        field = field_of_order(q)
+        ext = quad_ext(field)
+    assert all(x * x + ext.c1 * x + ext.c0 for x in field.elements())
+    assert ext.order_of(ext.generator) == q * q - 1
+
+
+def test_largest_odd_extension_field_builds_fast():
+    q = 3 ** 10
+    with helpers.budget(5):
+        field = field_of_order(q)
+    g = field.generator
+    # q - 1 = 2^3 * 11^2 * 61
+    assert g ** (q - 1) == field.one
+    assert all(g ** ((q - 1) // ell) != field.one for ell in (2, 11, 61))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])

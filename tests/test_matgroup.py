@@ -180,6 +180,23 @@ def test_matrix_order_small_cases():
     assert matrix_order(unip) == 3
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_matrix_order_matches_counting_on_all_of_gl2(q):
+    field = field_of_order(q)
+    ident = Mat2.identity(field)
+    for m in gl2_elements(field):
+        assert matrix_order(m) == helpers.brute_order(m, ident)
+
+
+def test_matrix_order_needs_an_invertible_matrix_over_a_finite_field():
+    field = field_of_order(3)
+    with pytest.raises(ValueError):
+        matrix_order(Mat2(field, field.one, field.one, field.one, field.one))
+    R = helpers.ring_of(3)
+    with pytest.raises(TypeError):
+        matrix_order(Mat2.identity(R))
+
+
 def test_proj_point_text_roundtrip():
     R = helpers.ring_of(2)
     K = frac_field(R)
