@@ -221,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_unipotent_fiber)
 
     p = sub.add_parser("cusp-count",
-                       help="double-coset cusp count of a subgroup image "
-                            "modulo a polynomial")
+                       help="cusp count of a subgroup image modulo a "
+                            "polynomial: its orbits on the boundary")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--modulus", required=True)
     p.add_argument("--subgroup", choices=["trivial", "borel", "full"],

@@ -1,16 +1,18 @@
 """Cusp counts through finite quotients of GL2(F_q[t]).
 
-Reducing mod a polynomial modulus m sends GL2(F_q[t]) onto the subgroup
-of GL2(F_q[t]/m) whose determinant lies in F_q* (a proper subgroup once
-the residue ring has extra units: order 48 inside the order 96 group for
-q = 2, m = t^2).  The number of cusps of a finite-index subgroup given
-by its reduction Hbar is the number of double cosets
+Reducing mod a polynomial modulus m sends GL2(F_q[t]) onto the subgroup G
+of GL2(R), R = F_q[t]/m, whose determinant lies in F_q* (a proper subgroup
+once R has extra units: order 48 inside the order 96 group for q = 2,
+m = t^2).  The cusps of a finite-index subgroup with reduction H are its
+orbits on the boundary, which in the quotient are the double cosets
 
-    Hbar \\ Gbar / Bbar
+    H \\ G / B
 
-with Bbar the image of the infinity-cusp stabilizer, summed over a set
-of cusp representatives (a single representative here: base ring F_q[t]
-has class number one, so one orbit of points at the boundary).
+with B the image of the infinity-cusp stabilizer (a single B: base ring
+F_q[t] has class number one, so one orbit of points at the boundary).  B
+is the stabilizer in G of the line through the column (1, 0), whose orbit
+under G is every unimodular column of R^2, so G/B is the set of unimodular
+columns up to F_q* and a cusp is an orbit of H and the scalars on them.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ from .closure import closure
 from .matgroup import Mat2
 from .polyring import Poly, PolyRing
 
-# groups up to this size get a |G|^2 multiplication table; past it a single
-# count spends more building the table than it saves
-_TABLE_LIMIT = 512
 # largest quotient group built; past it a count fails fast instead of
 # exhausting time and memory
 _GROUP_CAP = 100_000
@@ -128,21 +127,12 @@ class FiniteGroup:
         if ident not in self.index:
             raise ValueError("group does not contain the identity")
         self.identity_idx = self.index[ident]
-        n = len(self.elems)
-        if n <= _TABLE_LIMIT:
-            self._table = [
-                [self.index[mat_mul_r(R, x, y)] for y in self.elems]
-                for x in self.elems]
-        else:
-            self._table = None
         self._inv_idx = [self.index[mat_inv_r(R, x)] for x in self.elems]
 
     def __len__(self):
         return len(self.elems)
 
     def mul_idx(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return self._table[i][j]
         return self.index[mat_mul_r(self.R, self.elems[i], self.elems[j])]
 
     def inv_idx(self, i: int) -> int:
@@ -201,6 +191,16 @@ def reduction_image(R: QuotRing) -> FiniteGroup:
     return FiniteGroup.generated(R, reduction_generators(R))
 
 
+def column_orbit(R: QuotRing, gens, v: tuple) -> list:
+    """The orbit of the column v under the finite group generated by the
+    matrices gens (in a finite group the forward closure is the orbit)."""
+    def step(w):
+        x, y = w
+        return [(R.add(R.mul(a, x), R.mul(b, y)), R.add(R.mul(c, x), R.mul(d, y)))
+                for a, b, c, d in gens]
+    return closure([v], step)
+
+
 @dataclass(frozen=True)
 class SubgroupSpec:
     """A subgroup of a FiniteGroup: generator indices plus the closed set,
@@ -232,40 +232,6 @@ class SubgroupSpec:
                                               for h in self.gens))
 
 
-def double_coset_count(G: FiniteGroup, H: SubgroupSpec, K: SubgroupSpec) -> int:
-    """|H \\ G / K| by orbit sweeping; the class sizes always sum to |G|."""
-    if H.group is not G or K.group is not G:
-        raise ValueError("subgroups must live in the ambient group")
-    hgens = [g for g in H.gens] + [G.inv_idx(g) for g in H.gens]
-    kgens = [g for g in K.gens] + [G.inv_idx(g) for g in K.gens]
-    visited = bytearray(len(G))
-    classes = 0
-    total = 0
-    for start in range(len(G)):
-        if visited[start]:
-            continue
-        classes += 1
-        stack = [start]
-        visited[start] = 1
-        size = 0
-        while stack:
-            x = stack.pop()
-            size += 1
-            for h in hgens:
-                y = G.mul_idx(h, x)
-                if not visited[y]:
-                    visited[y] = 1
-                    stack.append(y)
-            for k in kgens:
-                y = G.mul_idx(x, k)
-                if not visited[y]:
-                    visited[y] = 1
-                    stack.append(y)
-        total += size
-    assert total == len(G)
-    return classes
-
-
 @dataclass
 class QuotientContext:
     """Ambient data for cusp counting mod a fixed modulus."""
@@ -273,6 +239,8 @@ class QuotientContext:
     R: QuotRing
     group: FiniteGroup
     cusp_stab: SubgroupSpec
+    # the unimodular columns of R^2: the orbit of (1, 0) under the group
+    boundary: list
 
 
 _CTX_CACHE: dict[tuple, QuotientContext] = {}
@@ -284,14 +252,24 @@ def quotient_context(ring: PolyRing, modulus: Poly) -> QuotientContext:
         R = QuotRing(ring, modulus)
         group = reduction_image(R)
         stab = SubgroupSpec.from_matrices(group, R, cusp_stab_generators(R))
-        _CTX_CACHE[key] = QuotientContext(R, group, stab)
+        boundary = column_orbit(R, reduction_generators(R), (1, 0))
+        _CTX_CACHE[key] = QuotientContext(R, group, stab, boundary)
     return _CTX_CACHE[key]
 
 
 def cusp_count(ctx: QuotientContext, hbar: SubgroupSpec) -> int:
-    """Number of cusps of the subgroup with reduction hbar: the double coset
-    count against the boundary stabilizer image."""
-    return double_coset_count(ctx.group, hbar, ctx.cusp_stab)
+    """Number of cusps of the subgroup with reduction hbar: the orbits of
+    its generators and the scalars F_q* on the boundary columns."""
+    R = ctx.R
+    gens = ([hbar.group.elems[i] for i in hbar.gens]
+            + [(a, 0, 0, a) for a in range(2, R.field.q)])
+    orbits = 0
+    seen = set()
+    for v in ctx.boundary:
+        if v not in seen:
+            orbits += 1
+            seen.update(column_orbit(R, gens, v))
+    return orbits
 
 
 def cusp_count_from_matrices(ring: PolyRing, modulus: Poly, mats) -> int:

@@ -186,13 +186,17 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, n: int):
-        if not is_prime(p):
+        if p < 2:
             raise ValueError(f"p must be prime, got {p}")
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        # refused on size before p is factored; 2^n alone exceeds MAX_Q past
+        # its bit length, so no huge power is built
+        if n >= MAX_Q.bit_length() or p ** n > MAX_Q:
+            raise ValueError(f"field size {p}^{n} exceeds {MAX_Q}")
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
         q = p ** n
-        if q > MAX_Q:
-            raise ValueError(f"field size {q} exceeds {MAX_Q}")
         self.p = p
         self.n = n
         self.q = q

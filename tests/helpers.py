@@ -324,3 +324,37 @@ def full_gl2(R: QuotRing) -> FiniteGroup:
 def subgroup_from_members(G: FiniteGroup, members: frozenset) -> SubgroupSpec:
     """The subgroup with the given member indices, every member a generator."""
     return SubgroupSpec(G, tuple(sorted(members)))
+
+
+def double_coset_count(G: FiniteGroup, H: SubgroupSpec, K: SubgroupSpec) -> int:
+    """|H \\ G / K| by orbit sweeping; the class sizes always sum to |G|."""
+    if H.group is not G or K.group is not G:
+        raise ValueError("subgroups must live in the ambient group")
+    hgens = [g for g in H.gens] + [G.inv_idx(g) for g in H.gens]
+    kgens = [g for g in K.gens] + [G.inv_idx(g) for g in K.gens]
+    visited = bytearray(len(G))
+    classes = 0
+    total = 0
+    for start in range(len(G)):
+        if visited[start]:
+            continue
+        classes += 1
+        stack = [start]
+        visited[start] = 1
+        size = 0
+        while stack:
+            x = stack.pop()
+            size += 1
+            for h in hgens:
+                y = G.mul_idx(h, x)
+                if not visited[y]:
+                    visited[y] = 1
+                    stack.append(y)
+            for k in kgens:
+                y = G.mul_idx(x, k)
+                if not visited[y]:
+                    visited[y] = 1
+                    stack.append(y)
+        total += size
+    assert total == len(G)
+    return classes

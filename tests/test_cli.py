@@ -170,8 +170,8 @@ def test_oversized_field_fails_fast(capsys):
 
 
 def test_cusp_count_off_the_table(capsys):
-    # |G| = 2016 lies past the table limit; the trivial subgroup's cusps
-    # are the q + 1 points of P^1(F_7)
+    # |G| = 2016; the trivial subgroup's cusps are the q + 1 points of
+    # P^1(F_7)
     with helpers.budget(2):
         assert run_ok(capsys, ["cusp-count", "--q", "7", "--modulus", "t"]) == "8"
 

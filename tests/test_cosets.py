@@ -4,8 +4,7 @@ import helpers
 from gl2aut import cosets
 from gl2aut.cosets import (QuotRing, SubgroupSpec, all_subgroups,
                            conj_invariance_check, cusp_count,
-                           cusp_count_from_matrices, double_coset_count,
-                           quotient_context)
+                           cusp_count_from_matrices, quotient_context)
 from gl2aut.matgroup import mat_parse
 from helpers import full_gl2, subgroup_from_members
 
@@ -91,17 +90,77 @@ def test_cusp_count_from_matrices_agrees():
     assert got == cusp_count(ctx, hbar) == 2
 
 
-def test_double_cosets_partition_the_group():
-    ctx = ctx_mod_tsq()
+def test_cusp_count_matches_the_double_coset_sweep_on_every_subgroup():
+    for q, modulus in ((2, (0, 1)), (2, (0, 0, 1)), (3, (0, 1))):
+        ring = helpers.ring_of(q)
+        ctx = quotient_context(ring, ring.poly(modulus))
+        G = ctx.group
+        B = ctx.cusp_stab
+        for members in all_subgroups(G):
+            hbar = subgroup_from_members(G, members)
+            assert cusp_count(ctx, hbar) == helpers.double_coset_count(G, hbar, B), \
+                (q, modulus, len(members))
+        # trivial x B double cosets are right B-cosets; full x B is one class
+        triv = SubgroupSpec.from_matrices(G, ctx.R, [])
+        full = subgroup_from_members(G, frozenset(range(len(G))))
+        assert cusp_count(ctx, triv) == helpers.double_coset_count(G, triv, B) \
+            == len(G) // B.order
+        assert helpers.double_coset_count(G, B, triv) == len(G) // B.order
+        assert cusp_count(ctx, full) == helpers.double_coset_count(G, full, B) == 1
+
+
+def _monic_divisors(ring, m):
+    out = []
+    for deg in range(m.deg + 1):
+        for code in range(ring.field.q ** deg):
+            d = ring.from_code(code) + ring.monomial(1, deg)
+            if (m % d).is_zero():
+                out.append(d)
+    return out
+
+
+def _unit_classes(ring, g) -> int:
+    """|(F_q[t]/g)* / F_q*|, by counting the residues prime to g; 1 for g = 1."""
+    if g.deg == 0:
+        return 1
+    units = sum(1 for code in range(ring.field.q ** g.deg)
+                if ring.gcd(ring.from_code(code), g).deg == 0
+                and not ring.from_code(code).is_zero())
+    return units // (ring.field.q - 1)
+
+
+@pytest.mark.parametrize("q, modulus", [
+    (2, "t"), (2, "t^2"), (2, "t^3"), (2, "t^4"), (2, "t^2+t"), (2, "t^2+t+1"),
+    (2, "t^3+t"), (3, "t"), (3, "t^2"), (3, "t^3"), (3, "t^2+1"), (3, "t^2+t"),
+    (4, "t"), (5, "t"), (7, "t")])
+def test_gamma0_cusp_count_matches_gekeler_formula(q, modulus):
+    """Gamma_0(m), the matrices upper triangular mod m, has
+    sum over monic d | m of |(A / gcd(d, m/d))* / F_q*| cusps, A = F_q[t]
+    (Gekeler, Drinfeld Modular Curves, LNM 1231, 1986): the function-field
+    analogue of sum phi(gcd(d, N/d)).  Its image is generated by
+    diag(u, u^-1) for u in R*, diag(alpha, 1) for alpha in F_q* and the
+    upper unipotents (1, t^i; 0, 1)."""
+    ring = helpers.ring_of(q)
+    m = ring.parse_element(modulus)
+    ctx = quotient_context(ring, m)
+    R = ctx.R
+    gens = ([(u, 0, 0, R.inv(u)) for u in range(R.size) if R.is_unit(u)]
+            + [(alpha, 0, 0, 1) for alpha in range(1, q)]
+            + [(1, R.reduce_poly(ring.monomial(1, i)), 0, 1) for i in range(m.deg)])
+    gamma0 = SubgroupSpec.from_matrices(ctx.group, R, gens)
+    want = sum(_unit_classes(ring, ring.gcd(d, m // d)) for d in _monic_divisors(ring, m))
+    assert cusp_count(ctx, gamma0) == want
+
+
+@pytest.mark.parametrize("q, modulus", [(2, "t^3"), (2, "t^2+t"), (2, "t^3+t"), (4, "t")])
+def test_boundary_is_the_first_columns_of_the_group(q, modulus):
+    ring = helpers.ring_of(q)
+    ctx = quotient_context(ring, ring.parse_element(modulus))
     G = ctx.group
-    B = ctx.cusp_stab
-    # triv x B double cosets are right B-cosets
-    triv = SubgroupSpec.from_matrices(G, ctx.R, [])
-    assert double_coset_count(G, triv, B) == len(G) // B.order
-    assert double_coset_count(G, B, triv) == len(G) // B.order
-    # full x B gives a single class
-    full = subgroup_from_members(G, frozenset(range(len(G))))
-    assert double_coset_count(G, full, B) == 1
+    assert len(ctx.boundary) == len(set(ctx.boundary))
+    assert set(ctx.boundary) == {(a, c) for a, _b, c, _d in G.elems}
+    # |B| = (q-1)^2 |R|: F_q* diagonal, any upper entry
+    assert len(ctx.boundary) == (q - 1) * len(G) // ((q - 1) ** 2 * ctx.R.size)
 
 
 def test_subgroup_closure_and_conjugation():

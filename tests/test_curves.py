@@ -10,6 +10,7 @@ from gl2aut.curves import (INFINITY, LPoly, WeierstrassCurve,
                            lpoly_from_count, point_add, point_mul, point_neg,
                            point_order, two_torsion_count)
 from gl2aut.ffield import field_of_order
+import helpers
 from helpers import (brute_group_structure, brute_points,
                      brute_two_torsion_count)
 
@@ -116,6 +117,14 @@ def test_curve_json_roundtrip():
     again = curve_from_json(curve_to_json(curve))
     assert enumerate_points(again) == enumerate_points(curve)
     assert again.field.q == 3
+
+
+def test_curve_json_with_an_oversized_field_fails_fast():
+    coeffs = {k: "0" for k in ("a1", "a2", "a3", "a4", "a6")}
+    for p, n in ((10 ** 18 + 3, 1), (2, 10 ** 9)):
+        with helpers.budget(1):
+            with pytest.raises(ValueError, match="exceeds 65536"):
+                curve_from_json({"p": p, "n": n, **coeffs})
 
 
 def test_group_law_basics():

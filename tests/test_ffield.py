@@ -73,6 +73,16 @@ def test_prime_power_refuses_oversized_orders():
                 prime_power(big)
 
 
+def test_field_make_refuses_oversized_fields_before_factoring():
+    # a prime near 10^18 would be trial-divided towards 10^9, and 2^(10^9)
+    # would be built, if the size were checked last
+    assert field_make(65521).q == 65521
+    for p, n in ((10 ** 18 + 3, 1), (2, 10 ** 9), (2, 17), (257, 2), (65537, 1)):
+        with helpers.budget(1):
+            with pytest.raises(ValueError, match="exceeds 65536"):
+                field_make(p, n)
+
+
 @pytest.mark.parametrize("q", _prime_powers(256))
 def test_modulus_and_generator_match_counting_oracles(q):
     field = field_of_order(q)
@@ -227,3 +237,6 @@ def test_field_make_rejects_nonprime_characteristic():
         field_make(4, 1)
     with pytest.raises(ValueError):
         field_make(2, 0)
+    for p in (-3, 0, 1):
+        with pytest.raises(ValueError, match="must be prime"):
+            field_make(p, 2)
