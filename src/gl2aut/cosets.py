@@ -13,6 +13,11 @@ F_q[t] has class number one, so one orbit of points at the boundary).  B
 is the stabilizer in G of the line through the column (1, 0), whose orbit
 under G is every unimodular column of R^2, so G/B is the set of unimodular
 columns up to F_q* and a cusp is an orbit of H and the scalars on them.
+
+A matrix over R is a 4-tuple (a, b, c, d) of residue codes, and that is
+its only representation: G is a frozenset of 4-tuples, a subgroup is a
+tuple of generator 4-tuples, and every group or subgroup is built by
+`generated`.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ class QuotRing:
     cap: that image has (q-1)|SL2(F_q[t]/m)| >= (q-1) q^d (q^2-1)^d
     elements for deg m = d, since |SL2(F_q[t]/m)| = q^(3d) times the product
     of (1 - q^(-2 deg p)) over the primes p dividing m.  Every ring that
-    passes has at most 64 residues, so addition and multiplication are
-    tables."""
+    passes has at most 64 residues, so addition, negation and multiplication
+    are tables."""
 
     def __init__(self, ring: PolyRing, modulus: Poly):
         if modulus.deg < 1:
@@ -52,12 +57,12 @@ class QuotRing:
         self.deg = d
         self.size = q ** d
         residues = [ring.from_code(c) for c in range(self.size)]
-        self._residues = residues
         self._unit = [self._coprime(p) for p in residues]
         self.one = 1
         self.zero = 0
         self._mul_tab = [[self.reduce_poly(x * y) for y in residues] for x in residues]
         self._add_tab = [[(x + y).encode() for y in residues] for x in residues]
+        self._neg = [row.index(0) for row in self._add_tab]
         self._inv = {}
         for a in range(self.size):
             if self._unit[a]:
@@ -76,14 +81,14 @@ class QuotRing:
         return self._mul_tab[a][b]
 
     def neg(self, a: int) -> int:
-        return (-self._residues[a] % self.modulus).encode()
+        return self._neg[a]
 
     def is_unit(self, a: int) -> bool:
         return self._unit[a]
 
     def inv(self, a: int) -> int:
         if a not in self._inv:
-            raise ZeroDivisionError(f"residue {self._residues[a].text()} is not a unit")
+            raise ZeroDivisionError(f"residue {self.ring.from_code(a).text()} is not a unit")
         return self._inv[a]
 
     def __repr__(self):
@@ -116,52 +121,23 @@ def reduce_mat(R: QuotRing, m: Mat2) -> tuple:
     return tuple(R.reduce_poly(e) for e in m.entries())
 
 
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """A finite matrix group over a QuotRing, elements as sorted 4-tuples."""
+    """A finite matrix group over a QuotRing, its elements as 4-tuples."""
 
-    def __init__(self, R: QuotRing, elems: list):
-        self.R = R
-        self.elems = sorted(elems)
-        self.index = {e: i for i, e in enumerate(self.elems)}
-        ident = (1, 0, 0, 1)
-        if ident not in self.index:
-            raise ValueError("group does not contain the identity")
-        self.identity_idx = self.index[ident]
-        self._inv_idx = [self.index[mat_inv_r(R, x)] for x in self.elems]
+    R: QuotRing
+    elems: frozenset
 
     def __len__(self):
         return len(self.elems)
 
-    def mul_idx(self, i: int, j: int) -> int:
-        return self.index[mat_mul_r(self.R, self.elems[i], self.elems[j])]
 
-    def inv_idx(self, i: int) -> int:
-        return self._inv_idx[i]
-
-    def conj_idx(self, g: int, h: int) -> int:
-        return self.mul_idx(self.mul_idx(g, h), self.inv_idx(g))
-
-    @classmethod
-    def generated(cls, R: QuotRing, gen_tuples) -> "FiniteGroup":
-        gens = list(dict.fromkeys(gen_tuples))
-        for g in gens:
-            if not R.is_unit(mat_det_r(R, g)):
-                raise ValueError("generator is not invertible in the quotient")
-        try:
-            elems = closure([(1, 0, 0, 1)],
-                            lambda x: [mat_mul_r(R, x, g) for g in gens],
-                            cap=_GROUP_CAP)
-        except RuntimeError:
-            raise RuntimeError(
-                f"the quotient group has more than {_GROUP_CAP} elements") from None
-        return cls(R, elems)
-
-    def closure_idx(self, gen_idx) -> frozenset:
-        """Subgroup of this group generated by the given element indices."""
-        gen_idx = list(dict.fromkeys(gen_idx))
-        mul = self.mul_idx
-        return frozenset(closure([self.identity_idx],
-                                 lambda x: [mul(x, g) for g in gen_idx]))
+def generated(R: QuotRing, gens) -> frozenset:
+    """The subgroup of GL2(R) generated by the 4-tuples gens (in a finite
+    group the closure of the identity under right multiplication)."""
+    gens = list(dict.fromkeys(gens))
+    return frozenset(closure([(1, 0, 0, 1)],
+                             lambda x: [mat_mul_r(R, x, g) for g in gens]))
 
 
 def cusp_stab_generators(R: QuotRing) -> list:
@@ -186,9 +162,31 @@ def reduction_generators(R: QuotRing) -> list:
     return stab + [(1, 0, b, 1) for _a, b, _c, _d in stab if b]
 
 
+def image_order(R: QuotRing) -> int:
+    """|G| = (q-1) |SL2(R)|, where |SL2(R)| is the product over the prime
+    powers p^e exactly dividing m of q^(3 deg p e - 2 deg p) (q^(2 deg p) - 1).
+    The primes come from trial division of m by the monic polynomials in
+    order of degree, so every divisor found is irreducible."""
+    ring, q = R.ring, R.field.q
+    m, order, k = R.modulus, q - 1, 1
+    while m.deg > 0:
+        for code in range(q ** k):
+            p = ring.from_code(code) + ring.monomial(1, k)
+            e = 0
+            while (m % p).is_zero():
+                m, e = m // p, e + 1
+            if e:
+                order *= q ** (3 * k * e - 2 * k) * (q ** (2 * k) - 1)
+        k += 1
+    return order
+
+
 def reduction_image(R: QuotRing) -> FiniteGroup:
-    """The image of GL2(F_q[t]) in GL2(F_q[t]/m)."""
-    return FiniteGroup.generated(R, reduction_generators(R))
+    """The image of GL2(F_q[t]) in GL2(F_q[t]/m), refused by its order
+    before anything is generated when it exceeds the group cap."""
+    if image_order(R) > _GROUP_CAP:
+        raise RuntimeError(f"the quotient group has more than {_GROUP_CAP} elements")
+    return FiniteGroup(R, generated(R, reduction_generators(R)))
 
 
 def column_orbit(R: QuotRing, gens, v: tuple) -> list:
@@ -203,7 +201,7 @@ def column_orbit(R: QuotRing, gens, v: tuple) -> list:
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """A subgroup of a FiniteGroup: generator indices plus the closed set,
+    """A subgroup of a FiniteGroup: generator 4-tuples plus the closed set,
     which is found on first use (a cusp count needs only the generators)."""
 
     group: FiniteGroup
@@ -211,7 +209,7 @@ class SubgroupSpec:
 
     @cached_property
     def members(self) -> frozenset:
-        return self.group.closure_idx(self.gens)
+        return generated(self.group.R, self.gens)
 
     @property
     def order(self) -> int:
@@ -219,16 +217,17 @@ class SubgroupSpec:
 
     @classmethod
     def from_matrices(cls, group: FiniteGroup, R: QuotRing, mats) -> "SubgroupSpec":
-        idxs = []
-        for m in mats:
-            tup = reduce_mat(R, m) if isinstance(m, Mat2) else tuple(m)
-            if tup not in group.index:
-                raise ValueError(f"generator {tup} lies outside the ambient group")
-            idxs.append(group.index[tup])
-        return cls(group, tuple(idxs))
+        gens = tuple(reduce_mat(R, m) if isinstance(m, Mat2) else tuple(m) for m in mats)
+        for g in gens:
+            if g not in group.elems:
+                raise ValueError(f"generator {g} lies outside the ambient group")
+        return cls(group, gens)
 
-    def conjugate(self, g: int) -> "SubgroupSpec":
-        return SubgroupSpec(self.group, tuple(self.group.conj_idx(g, h)
+    def conjugate(self, g: tuple) -> "SubgroupSpec":
+        """The subgroup g H g^-1, generated by the conjugated generators."""
+        R = self.group.R
+        g_inv = mat_inv_r(R, g)
+        return SubgroupSpec(self.group, tuple(mat_mul_r(R, mat_mul_r(R, g, h), g_inv)
                                               for h in self.gens))
 
 
@@ -261,8 +260,7 @@ def cusp_count(ctx: QuotientContext, hbar: SubgroupSpec) -> int:
     """Number of cusps of the subgroup with reduction hbar: the orbits of
     its generators and the scalars F_q* on the boundary columns."""
     R = ctx.R
-    gens = ([hbar.group.elems[i] for i in hbar.gens]
-            + [(a, 0, 0, a) for a in range(2, R.field.q)])
+    gens = list(hbar.gens) + [(a, 0, 0, a) for a in range(2, R.field.q)]
     orbits = 0
     seen = set()
     for v in ctx.boundary:
@@ -282,8 +280,7 @@ def conj_invariance_check(ctx: QuotientContext, hbar: SubgroupSpec) -> bool:
 
     The conjugacy class of hbar is its orbit under conjugation by the
     generators of the ambient group."""
-    G = ctx.group
-    gens = [G.index[g] for g in reduction_generators(ctx.R)]
+    gens = reduction_generators(ctx.R)
     base = cusp_count(ctx, hbar)
     conjugates = closure([hbar], lambda h: [h.conjugate(g) for g in gens],
                          key=lambda h: h.members)
@@ -291,13 +288,13 @@ def conj_invariance_check(ctx: QuotientContext, hbar: SubgroupSpec) -> bool:
 
 
 def all_subgroups(G: FiniteGroup) -> list[frozenset]:
-    """Every subgroup of G (as member-index frozensets), found by closing
+    """Every subgroup of G (as frozensets of 4-tuples), found by closing
     each known subgroup with one extra element until the lattice stabilizes."""
     def extend(sub):
         gens, members = sub
-        return [(gens + (g,), G.closure_idx(gens + (g,)))
-                for g in range(len(G)) if g not in members]
+        return [(gens + (g,), generated(G.R, gens + (g,)))
+                for g in G.elems if g not in members]
 
-    subs = closure([((), frozenset({G.identity_idx}))], extend, key=lambda s: s[1])
+    subs = closure([((), frozenset({(1, 0, 0, 1)}))], extend, key=lambda s: s[1])
     return sorted((members for _gens, members in subs),
                   key=lambda s: (len(s), sorted(s)))

@@ -4,6 +4,7 @@ Everything random takes an explicit random.Random so each test controls its
 seed and stays reproducible.
 """
 
+import functools
 import itertools
 import operator
 import os
@@ -11,7 +12,8 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from gl2aut.cosets import FiniteGroup, QuotRing, SubgroupSpec, mat_det_r
+from gl2aut.cosets import (FiniteGroup, QuotRing, SubgroupSpec, all_subgroups,
+                           mat_det_r, mat_inv_r, mat_mul_r, quotient_context)
 from gl2aut.curves import INFINITY, AffinePoint, point_mul, point_order
 from gl2aut.ffield import field_of_order
 from gl2aut.matgroup import Mat2, mat_parse
@@ -31,7 +33,7 @@ def budget(seconds):
     start = time.perf_counter()
     yield
     elapsed = time.perf_counter() - start
-    assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds:.0f}s"
+    assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds:g}s"
 
 
 def src_first_env():
@@ -318,42 +320,51 @@ def full_gl2(R: QuotRing) -> FiniteGroup:
                 for d in range(n):
                     if R.is_unit(mat_det_r(R, (a, b, c, d))):
                         elems.append((a, b, c, d))
-    return FiniteGroup(R, elems)
+    return FiniteGroup(R, frozenset(elems))
 
 
 def subgroup_from_members(G: FiniteGroup, members: frozenset) -> SubgroupSpec:
-    """The subgroup with the given member indices, every member a generator."""
+    """The subgroup with the given member 4-tuples, every member a generator."""
     return SubgroupSpec(G, tuple(sorted(members)))
+
+
+@functools.cache
+def subgroup_lattice(q: int, modulus: tuple) -> tuple:
+    """all_subgroups of the reduction image mod the modulus with the given
+    coefficient codes, computed once per (q, modulus)."""
+    ring = ring_of(q)
+    return tuple(all_subgroups(quotient_context(ring, ring.poly(modulus)).group))
 
 
 def double_coset_count(G: FiniteGroup, H: SubgroupSpec, K: SubgroupSpec) -> int:
     """|H \\ G / K| by orbit sweeping; the class sizes always sum to |G|."""
     if H.group is not G or K.group is not G:
         raise ValueError("subgroups must live in the ambient group")
-    hgens = [g for g in H.gens] + [G.inv_idx(g) for g in H.gens]
-    kgens = [g for g in K.gens] + [G.inv_idx(g) for g in K.gens]
-    visited = bytearray(len(G))
+    R = G.R
+    hgens = [g for g in H.gens] + [mat_inv_r(R, g) for g in H.gens]
+    kgens = [g for g in K.gens] + [mat_inv_r(R, g) for g in K.gens]
+    visited = set()
     classes = 0
     total = 0
-    for start in range(len(G)):
-        if visited[start]:
+    for start in sorted(G.elems):
+        if start in visited:
             continue
         classes += 1
         stack = [start]
-        visited[start] = 1
+        visited.add(start)
         size = 0
         while stack:
             x = stack.pop()
             size += 1
             for h in hgens:
-                y = G.mul_idx(h, x)
-                if not visited[y]:
-                    visited[y] = 1
+                y = mat_mul_r(R, h, x)
+                if y not in visited:
+                    visited.add(y)
                     stack.append(y)
             for k in kgens:
-                y = G.mul_idx(x, k)
-                if not visited[y]:
-                    visited[y] = 1
+                y = mat_mul_r(R, x, k)
+                if y not in visited:
+                    visited.add(y)
                     stack.append(y)
         total += size
     assert total == len(G)

@@ -2,9 +2,9 @@ import pytest
 
 import helpers
 from gl2aut import cosets
-from gl2aut.cosets import (QuotRing, SubgroupSpec, all_subgroups,
-                           conj_invariance_check, cusp_count,
-                           cusp_count_from_matrices, quotient_context)
+from gl2aut.cosets import (QuotRing, SubgroupSpec, conj_invariance_check,
+                           cusp_count, cusp_count_from_matrices, image_order,
+                           mat_mul_r, quotient_context, reduction_image)
 from gl2aut.matgroup import mat_parse
 from helpers import full_gl2, subgroup_from_members
 
@@ -77,7 +77,7 @@ def test_benchmark_cusp_counts_mod_t():
     triv = SubgroupSpec.from_matrices(G, ctx.R, [])
     assert cusp_count(ctx, triv) == 3
     assert cusp_count(ctx, ctx.cusp_stab) == 2
-    full = subgroup_from_members(G, frozenset(range(len(G))))
+    full = subgroup_from_members(G, G.elems)
     assert cusp_count(ctx, full) == 1
 
 
@@ -96,13 +96,13 @@ def test_cusp_count_matches_the_double_coset_sweep_on_every_subgroup():
         ctx = quotient_context(ring, ring.poly(modulus))
         G = ctx.group
         B = ctx.cusp_stab
-        for members in all_subgroups(G):
+        for members in helpers.subgroup_lattice(q, modulus):
             hbar = subgroup_from_members(G, members)
             assert cusp_count(ctx, hbar) == helpers.double_coset_count(G, hbar, B), \
                 (q, modulus, len(members))
         # trivial x B double cosets are right B-cosets; full x B is one class
         triv = SubgroupSpec.from_matrices(G, ctx.R, [])
-        full = subgroup_from_members(G, frozenset(range(len(G))))
+        full = subgroup_from_members(G, G.elems)
         assert cusp_count(ctx, triv) == helpers.double_coset_count(G, triv, B) \
             == len(G) // B.order
         assert helpers.double_coset_count(G, B, triv) == len(G) // B.order
@@ -129,10 +129,30 @@ def _unit_classes(ring, g) -> int:
     return units // (ring.field.q - 1)
 
 
-@pytest.mark.parametrize("q, modulus", [
+GAMMA0_MODULI = [
     (2, "t"), (2, "t^2"), (2, "t^3"), (2, "t^4"), (2, "t^2+t"), (2, "t^2+t+1"),
     (2, "t^3+t"), (3, "t"), (3, "t^2"), (3, "t^3"), (3, "t^2+1"), (3, "t^2+t"),
-    (4, "t"), (5, "t"), (7, "t")])
+    (4, "t"), (5, "t"), (7, "t")]
+
+
+@pytest.mark.parametrize("q, modulus", GAMMA0_MODULI)
+def test_image_order_formula_matches_the_generated_group(q, modulus):
+    ring = helpers.ring_of(q)
+    ctx = quotient_context(ring, ring.parse_element(modulus))
+    assert image_order(ctx.R) == len(ctx.group)
+
+
+def test_reduction_image_refuses_by_exact_order_before_generating():
+    # QuotRing admits t^6 over F_2 by its degree bound 6^6 = 46 656, but
+    # |G| = 2^16 * 3 = 196 608 is past the cap
+    ring = helpers.ring_of(2)
+    R = QuotRing(ring, ring.monomial(1, 6))
+    assert image_order(R) == 196_608
+    with helpers.budget(0.2), pytest.raises(RuntimeError, match="more than 100000"):
+        reduction_image(R)
+
+
+@pytest.mark.parametrize("q, modulus", GAMMA0_MODULI)
 def test_gamma0_cusp_count_matches_gekeler_formula(q, modulus):
     """Gamma_0(m), the matrices upper triangular mod m, has
     sum over monic d | m of |(A / gcd(d, m/d))* / F_q*| cusps, A = F_q[t]
@@ -169,7 +189,7 @@ def test_subgroup_closure_and_conjugation():
     flip = mat_parse(helpers.ring_of(2), "[[0,1],[1,0]]")
     sub = SubgroupSpec.from_matrices(ctx.group, R2, [flip])
     assert sub.order == 2
-    for g in range(len(ctx.group)):
+    for g in ctx.group.elems:
         conj = sub.conjugate(g)
         assert conj.order == 2
         assert cusp_count(ctx, conj) == cusp_count(ctx, sub)
@@ -196,7 +216,7 @@ def test_subgroup_generator_outside_ambient_group_is_rejected():
 
 def test_all_subgroups_mod_t():
     ctx = ctx_mod_t()
-    subs = all_subgroups(ctx.group)
+    subs = helpers.subgroup_lattice(2, (0, 1))
     assert len(subs) == 6
     assert sorted(len(s) for s in subs) == [1, 2, 2, 2, 3, 6]
     for members in subs:
@@ -206,7 +226,7 @@ def test_all_subgroups_mod_t():
 
 def test_subgroup_count_mod_tsq():
     ctx = ctx_mod_tsq()
-    subs = all_subgroups(ctx.group)
+    subs = helpers.subgroup_lattice(2, (0, 0, 1))
     assert len(subs) == 98
     orders = {len(s) for s in subs}
     assert orders <= {1, 2, 3, 4, 6, 8, 12, 16, 24, 48}
@@ -216,10 +236,29 @@ def test_subgroup_count_mod_tsq():
 def test_cusp_count_monotone_under_inclusion():
     # a larger subgroup can only merge classes
     ctx = ctx_mod_tsq()
-    subs = all_subgroups(ctx.group)
+    subs = helpers.subgroup_lattice(2, (0, 0, 1))
     counts = {members: cusp_count(ctx, subgroup_from_members(ctx.group, members))
               for members in subs}
     for a in subs:
         for b in subs:
             if a < b:
                 assert counts[a] >= counts[b]
+
+
+@pytest.mark.parametrize("q, modulus", [(2, (0, 1)), (2, (0, 0, 1)), (3, (0, 1))])
+def test_tuple_subgroups_are_closed_and_conjugate_by_brute_force(q, modulus):
+    ring = helpers.ring_of(q)
+    ctx = quotient_context(ring, ring.poly(modulus))
+    G, R = ctx.group, ctx.R
+    ident = (1, 0, 0, 1)
+    # inverses found by search, not by the adjugate formula
+    inverse = {g: next(x for x in G.elems if mat_mul_r(R, g, x) == ident)
+               for g in G.elems}
+    for members in helpers.subgroup_lattice(q, modulus):
+        assert ident in members
+        assert all(mat_mul_r(R, x, y) in members for x in members for y in members)
+        sub = subgroup_from_members(G, members)
+        assert sub.members == members
+        for g in G.elems:
+            want = {mat_mul_r(R, mat_mul_r(R, g, h), inverse[g]) for h in members}
+            assert sub.conjugate(g).members == want

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -33,3 +34,18 @@ def test_quotient_graphs_runs():
                           env=helpers.src_first_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "  isolated cyclic stabilizers: v(1), v(0)" in proc.stdout.splitlines()
+
+
+def test_cusp_benchmark_runs_against_the_library():
+    # the benchmark drives cosets through its public names; a rename breaks
+    # this short run before a full one
+    root = helpers.SRC.parent
+    proc = subprocess.run([sys.executable, str(root / "bench" / "run.py"),
+                           "--workload", "cusp", "--seed", "1",
+                           "--seconds", "0.2", "--trace", "0"],
+                          capture_output=True, text=True, cwd=root,
+                          env=helpers.src_first_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
