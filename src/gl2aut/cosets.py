@@ -285,16 +285,3 @@ def conj_invariance_check(ctx: QuotientContext, hbar: SubgroupSpec) -> bool:
     conjugates = closure([hbar], lambda h: [h.conjugate(g) for g in gens],
                          key=lambda h: h.members)
     return all(cusp_count(ctx, conj) == base for conj in conjugates)
-
-
-def all_subgroups(G: FiniteGroup) -> list[frozenset]:
-    """Every subgroup of G (as frozensets of 4-tuples), found by closing
-    each known subgroup with one extra element until the lattice stabilizes."""
-    def extend(sub):
-        gens, members = sub
-        return [(gens + (g,), generated(G.R, gens + (g,)))
-                for g in G.elems if g not in members]
-
-    subs = closure([((), frozenset({(1, 0, 0, 1)}))], extend, key=lambda s: s[1])
-    return sorted((members for _gens, members in subs),
-                  key=lambda s: (len(s), sorted(s)))

@@ -6,20 +6,23 @@ seed and stays reproducible.
 
 import functools
 import itertools
+import math
 import operator
 import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from gl2aut.cosets import (FiniteGroup, QuotRing, SubgroupSpec, all_subgroups,
-                           mat_det_r, mat_inv_r, mat_mul_r, quotient_context)
+from gl2aut.closure import closure
+from gl2aut.cosets import (FiniteGroup, QuotRing, SubgroupSpec, mat_det_r,
+                           mat_inv_r, mat_mul_r, quotient_context)
 from gl2aut.curves import INFINITY, AffinePoint, point_mul, point_order
 from gl2aut.ffield import field_of_order
 from gl2aut.matgroup import Mat2, mat_parse
 from gl2aut.nagao import B_SIDE, G_SIDE, Letter
 from gl2aut.polyring import PolyRing, poly_ring
-from gl2aut.words import FiniteCyclic, MatrixBacked, VectorFactor, word_reduce
+from gl2aut.words import (DIHEDRAL_A, DIHEDRAL_B, FiniteCyclic, MatrixBacked,
+                          VectorFactor, isom_mul, word_reduce)
 from gl2aut import nagao
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -125,12 +128,10 @@ def rand_elem(kind, rng, mat_deg=2):
                 return m
     if isinstance(kind, VectorFactor):
         while True:
-            tup = tuple(rng.randrange(kind.field.q)
-                        for _ in range(rng.randint(1, 3)))
-            while tup and tup[-1] == 0:
-                tup = tup[:-1]
-            if tup:
-                return tup
+            v = kind.ring.poly([0] + [rng.randrange(kind.ring.field.q)
+                                      for _ in range(rng.randint(1, 3))])
+            if not v.is_zero():
+                return v
     raise TypeError(f"no random element for {kind!r}")
 
 
@@ -328,6 +329,37 @@ def subgroup_from_members(G: FiniteGroup, members: frozenset) -> SubgroupSpec:
     return SubgroupSpec(G, tuple(sorted(members)))
 
 
+def all_subgroups(G: FiniteGroup) -> list[frozenset]:
+    """Every subgroup of G (as frozensets of 4-tuples), found by closing
+    each known subgroup H with one extra element g until the lattice
+    stabilizes.
+
+    <H, g> = <H, h g h'> for h, h' in H, so one g per double coset HgH is
+    tried.  <H, g> is closed from the members of H: they are already closed
+    under H's generators, so only g moves them, and only the new elements
+    need every generator."""
+    R = G.R
+
+    def extend(sub):
+        gens, members = sub
+        out = []
+        tried = set(members)
+        for g in G.elems - members:
+            if g in tried:
+                continue
+            tried.update(closure([g], lambda x: [mat_mul_r(R, h, x) for h in gens]
+                                 + [mat_mul_r(R, x, h) for h in gens]))
+            more = gens + (g,)
+            out.append((more, frozenset(closure(
+                members, lambda x: [mat_mul_r(R, x, g)] if x in members
+                else [mat_mul_r(R, x, h) for h in more]))))
+        return out
+
+    subs = closure([((), frozenset({(1, 0, 0, 1)}))], extend, key=lambda s: s[1])
+    return sorted((members for _gens, members in subs),
+                  key=lambda s: (len(s), sorted(s)))
+
+
 @functools.cache
 def subgroup_lattice(q: int, modulus: tuple) -> tuple:
     """all_subgroups of the reduction image mod the modulus with the given
@@ -369,3 +401,36 @@ def double_coset_count(G: FiniteGroup, H: SubgroupSpec, K: SubgroupSpec) -> int:
         total += size
     assert total == len(G)
     return classes
+
+
+# ---- dihedral coset-search oracle ----
+
+def dihedral_coset_search(gen_isoms, cap) -> int:
+    """Index in D_inf = <DIHEDRAL_A, DIHEDRAL_B> of the subgroup generated by
+    the integer isometries gen_isoms, by closing its right cosets under A
+    and B; raises RuntimeError past cap cosets (no finite index found).
+
+    A coset is keyed by a normal form of the subgroup: a translation step
+    plus an optional reflection residue."""
+    gens = list(gen_isoms)
+    trans = [o for s, o in gens if s == 1 and o != 0]
+    refl = [o for s, o in gens if s == -1]
+    diffs = trans + [o - refl[0] for o in refl[1:]]
+    step = 0
+    for d in diffs:
+        step = math.gcd(step, d)
+
+    def norm(v):
+        return v % step if step else v
+
+    def coset_key(g):
+        s, o = g
+        cands = [(s, norm(o))]
+        if refl:
+            cands.append((-s, norm(refl[0] - o)))
+        return min(cands)
+
+    cosets = closure([(1, 0)],
+                     lambda g: [isom_mul(g, DIHEDRAL_A), isom_mul(g, DIHEDRAL_B)],
+                     key=coset_key, cap=cap)
+    return len(cosets)

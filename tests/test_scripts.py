@@ -36,12 +36,10 @@ def test_quotient_graphs_runs():
     assert "  isolated cyclic stabilizers: v(1), v(0)" in proc.stdout.splitlines()
 
 
-def test_cusp_benchmark_runs_against_the_library():
-    # the benchmark drives cosets through its public names; a rename breaks
-    # this short run before a full one
+def _short_benchmark_run(workload):
     root = helpers.SRC.parent
     proc = subprocess.run([sys.executable, str(root / "bench" / "run.py"),
-                           "--workload", "cusp", "--seed", "1",
+                           "--workload", workload, "--seed", "1",
                            "--seconds", "0.2", "--trace", "0"],
                           capture_output=True, text=True, cwd=root,
                           env=helpers.src_first_env(), timeout=60)
@@ -49,3 +47,15 @@ def test_cusp_benchmark_runs_against_the_library():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_cusp_benchmark_runs_against_the_library():
+    # the benchmark drives cosets through its public names; a rename breaks
+    # this short run before a full one
+    _short_benchmark_run("cusp")
+
+
+def test_normal_form_benchmark_runs_against_the_library():
+    # the same for words: build_ex1cusp, word_reduce, compose_autos,
+    # PartialConj, ComposedAuto.apply and the matrix factor's kind.ring
+    _short_benchmark_run("normal_form")

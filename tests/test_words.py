@@ -1,17 +1,18 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from gl2aut.cli import main as cli_main
 from gl2aut.ffield import aut_rel_enumerate
 from gl2aut.matgroup import Mat2, mat_parse
 from gl2aut.reiner import LinearAutoSpec
 from gl2aut.words import (DIHEDRAL_A, DIHEDRAL_B, EMPTY_WORD,
-                          CentralAmalgamDecl, ComposedAuto, ConjugateBy,
-                          ExponentMap, FactorDecl, FiniteCyclic, FreeWord,
-                          LinearTwist, MatrixBacked, PartialConj, Swap,
-                          Type1, VectorFactor, apply_gen, apply_substitution,
+                          CentralAmalgamDecl, ComposedAuto, FactorDecl,
+                          FiniteCyclic, FreeWord, MatrixBacked, PartialConj,
+                          Swap, Type1, VectorFactor, apply_gen, apply_substitution,
                           aut_cusp_orbit_report, build_ex1cusp, build_ex3cusps,
                           compose_autos, cs_wreath_check, decl_by_name,
                           dihedral_cohopf_demo, dihedral_coset_index,
@@ -164,7 +165,7 @@ def test_decl_by_name_contents():
 # ------------------------------------------------------------- generators
 
 def test_exponent_map_on_cyclic_letters(ex1):
-    gen = Type1(1, ExponentMap(2))
+    gen = Type1(1, 2)
     w = word_reduce(ex1, [(1, 1), (2, 1)])
     img = apply_gen(ex1, gen, w)
     assert img.letters == ((1, 2), (2, 1))
@@ -175,13 +176,13 @@ def test_exponent_map_on_cyclic_letters(ex1):
 
 def test_exponent_map_must_be_coprime(ex1):
     with pytest.raises(ValueError):
-        validate_gen(ex1, Type1(1, ExponentMap(3)))  # order 3, exponent 3
+        validate_gen(ex1, Type1(1, 3))  # order 3, exponent 3
 
 
 def test_conjugate_by_on_matrix_letters(ex1, rng):
     ring = ex1.factors[0].kind.ring
     c = mat_parse(ring, "[[1,t],[0,1]]")
-    gen = Type1(0, ConjugateBy(c))
+    gen = Type1(0, c)
     for _ in range(10):
         w = helpers.rand_word(ex1, rng, 6)
         img = apply_gen(ex1, gen, w)
@@ -230,24 +231,25 @@ def test_validate_gen_rejects_mismatches(ex1, ex3):
     with pytest.raises(ValueError):
         validate_gen(ex3, Swap(1, 2))  # cyclic vs vector factor
     with pytest.raises(ValueError):
-        validate_gen(ex1, Type1(0, ExponentMap(2)))  # exponent on matrices
+        validate_gen(ex1, Type1(0, 2))  # exponent on matrices
     with pytest.raises(ValueError):
-        validate_gen(ex1, Type1(1, ConjugateBy(Mat2.identity(
-            ex1.factors[0].kind.ring))))  # conjugation on a cyclic factor
+        validate_gen(ex1, Type1(1, Mat2.identity(
+            ex1.factors[0].kind.ring)))  # conjugation on a cyclic factor
     with pytest.raises(ValueError):
         validate_gen(ex1, PartialConj(1, 1, 1))  # source equals target
 
 
 def test_linear_twist_on_vector_letters(ex3):
-    field = ex3.factors[2].kind.field
-    ring = ex3.factors[0].kind.ring
+    ring = ex3.factors[2].kind.ring
+    assert ring is ex3.factors[0].kind.ring
     spec = LinearAutoSpec.from_pairs(ring, {1: "t^2", 2: "t"},
                                      {1: "t^2", 2: "t"})
-    gen = Type1(2, LinearTwist(spec))
-    w = word_reduce(ex3, [(2, (1,)), (3, (1,))])
+    gen = Type1(2, spec)
+    w = word_parse(ex3, "f2:(1).f3:(1)")
     img = apply_gen(ex3, gen, w)
-    # (1,) encodes t, carried to t^2 = (0,1); the factor-3 letter is fixed
-    assert img.letters == ((2, (0, 1)), (3, (1,)))
+    # (1) is t, carried to t^2 = (0,1); the factor-3 letter is fixed
+    assert word_text(ex3, img) == "f2:(0,1)·f3:(1)"
+    assert img.letters == ((2, ring.t * ring.t), (3, ring.t))
     assert apply_gen(ex3, gen_inverse(ex3, gen), img) == w
 
 
@@ -287,7 +289,7 @@ def test_inner_automorphism_is_global_conjugation(ex1, rng):
 def test_composed_auto_inverse(ex1, rng):
     ring = ex1.factors[0].kind.ring
     h = mat_parse(ring, "[[1,t],[0,1]]")
-    comp = compose_autos(ex1, [Type1(1, ExponentMap(2)), PartialConj(0, 2, h),
+    comp = compose_autos(ex1, [Type1(1, 2), PartialConj(0, 2, h),
                                Swap(1, 2)])
     inv = comp.inverse()
     for _ in range(15):
@@ -302,9 +304,9 @@ def test_gen_json_roundtrip(ex1, ex3):
     spec = LinearAutoSpec.from_pairs(ring, {1: "t^2", 2: "t"},
                                      {1: "t^2", 2: "t"})
     cases = [
-        (ex1, Type1(1, ExponentMap(2))),
-        (ex1, Type1(0, ConjugateBy(h))),
-        (ex3, Type1(2, LinearTwist(spec))),
+        (ex1, Type1(1, 2)),
+        (ex1, Type1(0, h)),
+        (ex3, Type1(2, spec)),
         (ex1, PartialConj(0, 1, h)),
         (ex1, Swap(1, 2, exponent=2)),
     ]
@@ -314,6 +316,39 @@ def test_gen_json_roundtrip(ex1, ex3):
         w = word_reduce(decl, [(1, 1)])
         assert apply_gen(decl, again, w) == apply_gen(decl, gen, w)
         assert gen_to_json(decl, again) == rec
+
+
+GRID_WORD = "f0:[[1,t],[0,1]].f1:1.f2:(1,1).f3:(1)"
+SPEC_JSON = {"map": {"1": [0, 0, 1], "2": [0, 1]},
+             "inverse": {"1": [0, 0, 1], "2": [0, 1]}}
+# one value per type1 key and factor kind that the kind would parse if it
+# took the key: ex3cusps factor 0 is matrix-backed, 1 cyclic, 2 a vector
+GRID_VALUES = {"exponent": {0: 2, 1: 2, 2: 2},
+               "conjugate_by": {0: "[[1,t],[0,1]]", 1: "2", 2: "(1)"},
+               "linear": {0: SPEC_JSON, 1: SPEC_JSON, 2: SPEC_JSON}}
+GRID_VALID = {("exponent", 1), ("conjugate_by", 0), ("linear", 0), ("linear", 2)}
+
+
+@pytest.mark.parametrize("key", sorted(GRID_VALUES))
+@pytest.mark.parametrize("factor", [0, 1, 2])
+def test_type1_key_on_each_factor_kind(ex3, key, factor, capsys):
+    record = {"type": "type1", "factor": factor, key: GRID_VALUES[key][factor]}
+    argv = ["aut-apply", "--decl", "ex3cusps", "--script", json.dumps([record]),
+            "--word", GRID_WORD]
+    code = cli_main(argv)
+    out, err = capsys.readouterr()
+    if (key, factor) in GRID_VALID:
+        gen = gen_from_json(ex3, record)
+        again = gen_from_json(ex3, gen_to_json(ex3, gen))
+        assert gen_to_json(ex3, again) == gen_to_json(ex3, gen)
+        w = word_parse(ex3, GRID_WORD)
+        assert apply_gen(ex3, again, w) == apply_gen(ex3, gen, w)
+        assert apply_gen(ex3, gen_inverse(ex3, gen), apply_gen(ex3, gen, w)) == w
+        assert code == 0 and out.strip() == word_text(ex3, apply_gen(ex3, gen, w))
+    else:
+        with pytest.raises(ValueError):
+            gen_from_json(ex3, record)
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_gens_from_json_spike_records(ex1):
@@ -382,8 +417,27 @@ def test_dihedral_coset_indices():
     bab = isom_mul(b, isom_mul(a, b))
     assert dihedral_coset_index([bab, b]) == 1
     # one reflection generates a subgroup of infinite index
-    with pytest.raises(RuntimeError):
-        dihedral_coset_index([b], cap=50)
+    with pytest.raises(ValueError):
+        dihedral_coset_index([b])
+
+
+def test_dihedral_index_closed_form_matches_coset_search():
+    rng = random.Random(20261)
+    infinite = 0
+    for _ in range(3000):
+        gens = [(rng.choice((1, -1)), rng.randint(-8, 8))
+                for _ in range(rng.randint(0, 3))]
+        # finite indices are at most 2 * 16, so a cap of 64 only cuts
+        # infinite-index subgroups
+        try:
+            want = helpers.dihedral_coset_search(gens, cap=64)
+        except RuntimeError:
+            infinite += 1
+            with pytest.raises(ValueError):
+                dihedral_coset_index(gens)
+        else:
+            assert dihedral_coset_index(gens) == want, gens
+    assert 0 < infinite < 3000
 
 
 def test_dihedral_demo_report():
