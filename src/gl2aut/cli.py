@@ -4,30 +4,21 @@ Every computation is exposed as a subcommand with deterministic output:
 scalars and words print bare, structured reports print as single-line JSON,
 and graph-export prints a DOT or JSON document.  Exit code 0 on success and
 2 on any input error (malformed curve, matrix, spec, or flag).
-"""
 
-from __future__ import annotations
+A subcommand loads only the library modules it runs: each handler imports
+what it calls inside its body, so `aut-count` loads `ffield` alone and only
+the free-product commands (cs-wreath-check, dihedral-demo, aut-apply) load
+`words` and the modules under it.
+"""
 
 import argparse
 import json
 import sys
 
-from .cosets import (SubgroupSpec, cusp_count, quotient_context,
-                     reduction_generators)
-from .curves import (class_data, cs_order, curve_from_text, ell_count,
-                     enumerate_points, lpoly_from_count)
-from .ffield import aut_rel_count, aut_rel_enumerate, field_of_order, prime_power
-from .graphs import export_dot, export_json, graph_by_name
-from .matgroup import mat_parse
-from .nagao import decompose
-from .nagao import word_text as nagao_word_text
-from .polyring import poly_ring
-from .reiner import LinearAutoSpec, reiner_apply, reiner_inverse, unipotent_fiber
-from .words import (cs_wreath_check, decl_by_name, dihedral_cohopf_demo,
-                    gens_from_json, word_parse, word_text)
-
 
 def _ring_for(q: int):
+    from .ffield import field_of_order
+    from .polyring import poly_ring
     return poly_ring(field_of_order(q))
 
 
@@ -45,6 +36,7 @@ def _load_json_arg(text: str):
 
 
 def _curve_report(curve_text: str):
+    from .curves import curve_from_text, enumerate_points, lpoly_from_count
     curve = curve_from_text(curve_text)
     q = curve.field.q
     points = enumerate_points(curve)
@@ -57,17 +49,20 @@ def _curve_report(curve_text: str):
 
 
 def cmd_aut_count(args) -> str:
+    from .ffield import aut_rel_count, aut_rel_enumerate, prime_power
     prime_power(args.q)
     return json.dumps({"q": args.q, "count": aut_rel_count(args.q),
                        "classes": aut_rel_enumerate(args.q)})
 
 
 def cmd_ell_count(args) -> str:
+    from .curves import ell_count
     _curve, _q, _points, lp = _curve_report(args.curve)
     return str(ell_count(lp))
 
 
 def cmd_class_data(args) -> str:
+    from .curves import class_data
     curve, q, points, lp = _curve_report(args.curve)
     data = class_data(lp, curve, points)
     return json.dumps({"q": q, "points": len(points),
@@ -77,6 +72,7 @@ def cmd_class_data(args) -> str:
 
 
 def cmd_cs_order(args) -> str:
+    from .curves import class_data, cs_order
     if args.curve is not None:
         curve, q, points, lp = _curve_report(args.curve)
         r = class_data(lp, curve, points).r
@@ -88,12 +84,16 @@ def cmd_cs_order(args) -> str:
 
 
 def cmd_nagao_decompose(args) -> str:
+    from .matgroup import mat_parse
+    from .nagao import decompose, word_text
     ring = _ring_for(args.q)
     word = decompose(mat_parse(ring, args.matrix))
-    return nagao_word_text(word)
+    return word_text(word)
 
 
 def cmd_reiner_image(args) -> str:
+    from .matgroup import mat_parse
+    from .reiner import LinearAutoSpec, reiner_apply, reiner_inverse
     ring = _ring_for(args.q)
     spec = LinearAutoSpec.from_json(ring, _load_json_arg(args.spec))
     mat = mat_parse(ring, args.matrix)
@@ -102,6 +102,7 @@ def cmd_reiner_image(args) -> str:
 
 
 def cmd_unipotent_fiber(args) -> str:
+    from .reiner import LinearAutoSpec, unipotent_fiber
     ring = _ring_for(args.q)
     spec = LinearAutoSpec.from_json(ring, _load_json_arg(args.spec))
     modulus = ring.parse_element(args.modulus)
@@ -112,6 +113,8 @@ def cmd_unipotent_fiber(args) -> str:
 
 
 def _subgroup_for(ctx, ring, name, gens_text):
+    from .cosets import SubgroupSpec, reduction_generators
+    from .matgroup import mat_parse
     if gens_text is not None:
         mats = [mat_parse(ring, part) for part in gens_text.split(";") if part.strip()]
     elif name == "borel":
@@ -124,6 +127,7 @@ def _subgroup_for(ctx, ring, name, gens_text):
 
 
 def cmd_cusp_count(args) -> str:
+    from .cosets import cusp_count, quotient_context
     ring = _ring_for(args.q)
     modulus = ring.parse_element(args.modulus)
     ctx = quotient_context(ring, modulus)
@@ -132,6 +136,7 @@ def cmd_cusp_count(args) -> str:
 
 
 def cmd_cs_wreath_check(args) -> str:
+    from .words import cs_wreath_check
     rep = cs_wreath_check(args.r, args.q)
     return json.dumps({"r": rep.r, "q": rep.q,
                        "classes": list(rep.exponent_classes),
@@ -140,6 +145,7 @@ def cmd_cs_wreath_check(args) -> str:
 
 
 def cmd_dihedral_demo(_args) -> str:
+    from .words import dihedral_cohopf_demo
     rep = dihedral_cohopf_demo()
     return json.dumps({"index": rep.index, "injective_up_to": rep.injective_up_to,
                        "inner_index": rep.inner_index,
@@ -147,12 +153,14 @@ def cmd_dihedral_demo(_args) -> str:
 
 
 def cmd_graph_export(args) -> str:
+    from .graphs import export_dot, export_json, graph_by_name
     g = graph_by_name(args.graph, args.depth)
     text = export_dot(g) if args.format == "dot" else export_json(g)
     return text.rstrip("\n")
 
 
 def cmd_aut_apply(args) -> str:
+    from .words import decl_by_name, gens_from_json, word_parse, word_text
     decl = decl_by_name(args.decl)
     auto = gens_from_json(decl, _load_json_arg(args.script))
     word = word_parse(decl, args.word)

@@ -94,13 +94,24 @@ class LinearAutoSpec:
 
     @classmethod
     def from_json(cls, ring: PolyRing, data: dict) -> "LinearAutoSpec":
-        def load(images):
+        if not isinstance(data, dict):
+            raise ValueError("spec JSON must be an object with 'map' and 'inverse'")
+
+        def load(key):
+            if key not in data:
+                raise ValueError(f"spec JSON missing key {key!r}")
+            images = data[key]
+            if not isinstance(images, dict):
+                raise ValueError(f"spec {key!r} must be an object from index "
+                                 "to coefficient list")
+            for i, coeffs in images.items():
+                if not (isinstance(coeffs, list)
+                        and all(isinstance(c, int) for c in coeffs)):
+                    raise ValueError(f"spec {key!r} image of t^{i} must be a "
+                                     f"list of integer codes, not {coeffs!r}")
             return {int(i): ring.poly(coeffs) for i, coeffs in images.items()}
 
-        try:
-            return cls(ring, load(data["map"]), load(data["inverse"]))
-        except KeyError as exc:
-            raise ValueError(f"spec JSON missing key {exc}")
+        return cls(ring, load("map"), load("inverse"))
 
     @classmethod
     def from_pairs(cls, ring: PolyRing, pairs: dict[int, str],

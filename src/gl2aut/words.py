@@ -40,6 +40,16 @@ from .matgroup import Mat2, mat_parse
 from .polyring import Poly, PolyRing, poly_ring
 from .reiner import LinearAutoSpec, reiner_apply
 
+
+def _json_int(value, field: str) -> int:
+    """int(value) for a JSON record field; a list, object or null is a
+    ValueError, not a TypeError."""
+    try:
+        return int(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{field} must be an integer, not {value!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # factor kinds and their automorphisms
 
@@ -103,7 +113,7 @@ class FiniteCyclic:
     def auto_from_json(self, key: str, value):
         if key != "exponent":
             raise ValueError(f"cyclic factors take an exponent, not {key}")
-        return int(value)
+        return _json_int(value, "exponent")
 
 
 @dataclass(frozen=True)
@@ -782,7 +792,7 @@ def gen_from_json(decl: CentralAmalgamDecl, record: dict):
     name = record["type"]
     try:
         if name == "type1":
-            i = int(record["factor"])
+            i = _json_int(record["factor"], "factor")
             kind = decl.factor(i).kind
             key = next((k for k in ("exponent", "conjugate_by", "linear") if k in record),
                        None)
@@ -790,18 +800,22 @@ def gen_from_json(decl: CentralAmalgamDecl, record: dict):
                 raise ValueError("type1 record needs exponent, conjugate_by, or linear")
             gen = Type1(i, kind.auto_from_json(key, record[key]))
         elif name == "partial_conj":
-            i = int(record["source"])
-            gen = PartialConj(i, int(record["target"]),
+            i = _json_int(record["source"], "source")
+            gen = PartialConj(i, _json_int(record["target"], "target"),
                               decl.factor(i).kind.parse_elem(record["conjugator"]))
         elif name == "swap":
-            gen = Swap(int(record["left"]), int(record["right"]),
-                       int(record.get("exponent", 1)))
+            gen = Swap(_json_int(record["left"], "left"),
+                       _json_int(record["right"], "right"),
+                       _json_int(record.get("exponent", 1), "exponent"))
         elif name == "spike":
-            gen = spike_power(decl, int(record["factor"]), int(record["exponent"]),
-                              int(record["q"]))
+            gen = spike_power(decl, _json_int(record["factor"], "factor"),
+                              _json_int(record["exponent"], "exponent"),
+                              _json_int(record["q"], "q"))
         elif name == "spike_swap":
-            gen = spike_swap(decl, int(record["left"]), int(record["right"]),
-                             int(record["exponent"]), int(record["q"]))
+            gen = spike_swap(decl, _json_int(record["left"], "left"),
+                             _json_int(record["right"], "right"),
+                             _json_int(record["exponent"], "exponent"),
+                             _json_int(record["q"], "q"))
         else:
             raise ValueError(f"unknown generator type {name!r}")
     except KeyError as missing:

@@ -262,6 +262,36 @@ def test_error_paths_exit_2(capsys):
                      "--subgroup", "full"])
 
 
+_VALID_INVERSE = {"1": [0, 1]}
+_WRONG_SHAPED_SPECS = [
+    [1], None, "abc", {"map": 3},
+    {"map": {"1": 5}, "inverse": _VALID_INVERSE},
+    {"map": {"1": [0, "a"]}, "inverse": _VALID_INVERSE},
+    {"map": {"1": [0, 1]}, "inverse": {"1": [0, None]}},
+]
+
+
+@pytest.mark.parametrize("spec", [json.dumps(s) for s in _WRONG_SHAPED_SPECS],
+                         ids=["list", "null", "string", "map-int", "image-int",
+                              "image-str-code", "inverse-null-code"])
+@pytest.mark.parametrize("command", [
+    ["reiner-image", "--q", "2", "--matrix", "[[1,t],[0,1]]"],
+    ["unipotent-fiber", "--q", "2", "--modulus", "t", "--bound", "2"],
+], ids=["reiner-image", "unipotent-fiber"])
+def test_wrong_shaped_spec_exits_2(capsys, command, spec):
+    run_err(capsys, command + ["--spec", spec])
+
+
+@pytest.mark.parametrize("record", [
+    {"type": "type1", "factor": 1, "exponent": [2]},
+    {"type": "type1", "factor": None, "exponent": 2},
+    {"type": "type1", "factor": 0, "linear": [1]},
+], ids=["exponent-list", "factor-null", "linear-list"])
+def test_wrong_shaped_script_exits_2(capsys, record):
+    run_err(capsys, ["aut-apply", "--decl", "ex1cusp",
+                     "--script", json.dumps([record]), "--word", "f1:1"])
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -313,3 +343,60 @@ def test_module_invocation_runs():
                           capture_output=True, text=True, env=helpers.src_first_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "48"
+
+
+# Which gl2aut modules a fresh interpreter holds after importing the CLI and
+# running one command.  None as argv means the import alone.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+import gl2aut.cli
+argv = json.loads(sys.argv[1])
+code = None
+if argv is not None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = gl2aut.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gl2aut"))]))
+"""
+
+_CURVES = ["curves", "ffield"]
+_NAGAO = ["ffield", "matgroup", "nagao", "polyring"]
+_WORDS = ["closure", "ffield", "matgroup", "nagao", "polyring", "reiner", "words"]
+_SPEC = json.dumps({"map": {"2": [0, 1, 1]}, "inverse": {"2": [0, 1, 1]}})
+
+
+_FOOTPRINTS = [
+    (None, []),
+    (["--help"], []),
+    (["aut-count", "--q", "5"], ["ffield"]),
+    (["ell-count", "--curve", "q=2;y2+y=x3"], _CURVES),
+    (["class-data", "--curve", "q=2;y2+y=x3"], _CURVES),
+    (["cs-order", "--r", "1", "--q", "2"], _CURVES),
+    (["nagao-decompose", "--q", "2", "--matrix", "[[1,0],[t,1]]"], _NAGAO),
+    (["reiner-image", "--q", "2", "--spec", _SPEC, "--matrix", "[[1,t],[0,1]]"],
+     _NAGAO + ["reiner"]),
+    (["unipotent-fiber", "--q", "2", "--spec", _SPEC, "--modulus", "t^2",
+      "--bound", "3"], _NAGAO + ["reiner"]),
+    (["cusp-count", "--q", "2", "--modulus", "t", "--subgroup", "borel"],
+     ["closure", "cosets", "ffield", "matgroup", "polyring"]),
+    (["graph-export", "--graph", "ex1"], ["closure", "ffield", "graphs"]),
+    (["cs-wreath-check", "--r", "2", "--q", "2"], _WORDS),
+    (["dihedral-demo"], _WORDS),
+    (["aut-apply", "--decl", "ex1cusp", "--script", "[]", "--word", "f1:1"],
+     _WORDS),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", _FOOTPRINTS,
+                         ids=["import" if a is None else a[0] for a, _ in _FOOTPRINTS])
+def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(argv)],
+                          capture_output=True, text=True,
+                          env=helpers.src_first_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == (None if argv is None else 0)
+    assert modules == sorted(["gl2aut", "gl2aut.cli"]
+                             + [f"gl2aut.{m}" for m in loaded])

@@ -59,3 +59,8 @@ def test_normal_form_benchmark_runs_against_the_library():
     # the same for words: build_ex1cusp, word_reduce, compose_autos,
     # PartialConj, ComposedAuto.apply and the matrix factor's kind.ring
     _short_benchmark_run("normal_form")
+
+
+def test_cli_benchmark_runs_against_the_library():
+    # every subcommand in a fresh process, checked by the workload's oracles
+    _short_benchmark_run("cli")
