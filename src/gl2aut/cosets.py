@@ -22,12 +22,12 @@ tuple of generator 4-tuples, and every group or subgroup is built by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .closure import closure
 from .matgroup import Mat2
 from .polyring import Poly, PolyRing
+from .record import Record
 
 # largest quotient group built; past it a count fails fast instead of
 # exhausting time and memory
@@ -121,12 +121,13 @@ def reduce_mat(R: QuotRing, m: Mat2) -> tuple:
     return tuple(R.reduce_poly(e) for e in m.entries())
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteGroup:
-    """A finite matrix group over a QuotRing, its elements as 4-tuples."""
+class FiniteGroup(Record):
+    """A finite matrix group over a QuotRing, its elements as 4-tuples.
+    Two groups are equal only when they are the same object."""
 
-    R: QuotRing
-    elems: frozenset
+    __slots__ = ("R", "elems")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __len__(self):
         return len(self.elems)
@@ -199,13 +200,12 @@ def column_orbit(R: QuotRing, gens, v: tuple) -> list:
     return closure([v], step)
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(Record):
     """A subgroup of a FiniteGroup: generator 4-tuples plus the closed set,
     which is found on first use (a cusp count needs only the generators)."""
 
-    group: FiniteGroup
-    gens: tuple
+    # __dict__ holds the cached members
+    __slots__ = ("group", "gens", "__dict__")
 
     @cached_property
     def members(self) -> frozenset:
@@ -231,15 +231,15 @@ class SubgroupSpec:
                                               for h in self.gens))
 
 
-@dataclass
-class QuotientContext:
-    """Ambient data for cusp counting mod a fixed modulus."""
+class QuotientContext(Record):
+    """Ambient data for cusp counting mod a fixed modulus; mutable, so it
+    has no hash."""
 
-    R: QuotRing
-    group: FiniteGroup
-    cusp_stab: SubgroupSpec
-    # the unimodular columns of R^2: the orbit of (1, 0) under the group
-    boundary: list
+    # boundary: the unimodular columns of R^2, the orbit of (1, 0) under the group
+    __slots__ = ("R", "group", "cusp_stab", "boundary")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
 
 _CTX_CACHE: dict[tuple, QuotientContext] = {}

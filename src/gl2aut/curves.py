@@ -11,15 +11,26 @@ class group contributions: L(-1) = cl2 + 2 r with cl2 the number of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .ffield import FieldElem, FieldSpec, aut_rel_count, factorize
+from .record import Record
 
 
-@dataclass(frozen=True)
-class AffinePoint:
-    x: FieldElem
-    y: FieldElem
+class AffinePoint(Record):
+    # point enumeration builds, hashes and compares these by the thousand
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: FieldElem, y: FieldElem):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def __eq__(self, other):
+        if other.__class__ is AffinePoint:
+            return (self.x, self.y) == (other.x, other.y)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     def text(self) -> str:
         return f"({self.x.text()},{self.y.text()})"
@@ -246,15 +257,15 @@ def two_torsion_count(curve: WeierstrassCurve, points=None) -> int:
     return sum(1 for pt in points if point_neg(curve, pt) == pt)
 
 
-@dataclass(frozen=True)
-class LPoly:
+class LPoly(Record):
     """Zeta numerator with coefficient tuple (1, ...), degree 2*genus."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[0] != 1:
+    def __init__(self, coeffs: tuple):
+        if not coeffs or coeffs[0] != 1:
             raise ValueError("L-polynomial must have constant coefficient 1")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def genus(self) -> int:
@@ -282,16 +293,11 @@ def ell_count(lpoly: LPoly) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(Record):
     """Counting data attached to a curve: h = L(1), cl2 two-torsion size,
     r conjugate pairs, and the split of L(-1) = ell_eq + ell_neq."""
 
-    h: int
-    cl2: int
-    r: int
-    ell_eq: int
-    ell_neq: int
+    __slots__ = ("h", "cl2", "r", "ell_eq", "ell_neq")
 
 
 def class_data(lpoly: LPoly, curve: WeierstrassCurve = None, points=None) -> ClassData:

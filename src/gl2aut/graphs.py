@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 from .closure import closure
 from .ffield import prime_power
+from .record import Record
 
 # ---------------------------------------------------------------------------
 # stabilizer descriptors
@@ -39,8 +39,7 @@ _STAB_NAMES = {"trivial": "Trivial", "gl2": "GL2", "cyclic": "CyclicQsqMinus1",
                "unipotent": "UnipotentDim", "btype": "BType"}
 
 
-@dataclass(frozen=True)
-class StabDescriptor:
+class StabDescriptor(Record):
     """Conjugacy-class label for a vertex or edge stabilizer.
 
     kinds: "trivial" (order 1); "gl2" (all invertible constant matrices,
@@ -50,23 +49,24 @@ class StabDescriptor:
     dim-dimensional unipotent part, order (q-1)^2 * q^dim).
     """
 
-    kind: str
-    q: int = 0
-    dim: int = 0
+    __slots__ = ("kind", "q", "dim")
 
-    def __post_init__(self):
-        if self.kind not in _STAB_NAMES:
-            raise ValueError(f"unknown stabilizer kind {self.kind!r}")
-        if self.kind == "trivial":
-            if self.q != 0 or self.dim != 0:
+    def __init__(self, kind: str, q: int = 0, dim: int = 0):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "dim", dim)
+        if kind not in _STAB_NAMES:
+            raise ValueError(f"unknown stabilizer kind {kind!r}")
+        if kind == "trivial":
+            if q != 0 or dim != 0:
                 raise ValueError("the trivial descriptor takes no parameters")
             return
-        prime_power(self.q)
-        if self.kind in ("unipotent", "btype"):
-            if self.dim < 1:
+        prime_power(q)
+        if kind in ("unipotent", "btype"):
+            if dim < 1:
                 raise ValueError("dimension must be at least 1")
-        elif self.dim != 0:
-            raise ValueError(f"{self.kind} takes no dimension")
+        elif dim != 0:
+            raise ValueError(f"{kind} takes no dimension")
 
     def order(self) -> int:
         q = self.q
@@ -127,35 +127,28 @@ def stab_parse(s: str) -> StabDescriptor:
 # graph data model
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    label: str
-    stab: StabDescriptor
+class Vertex(Record):
+    __slots__ = ("id", "label", "stab")
 
 
-@dataclass(frozen=True)
-class Edge:
-    u: int
-    v: int
-    stab: StabDescriptor
+class Edge(Record):
+    __slots__ = ("u", "v", "stab")
 
 
-@dataclass(frozen=True)
-class RayMarker:
+class RayMarker(Record):
     """Truncation record for one infinite cusp ray: its label, how many ray
     vertices were kept, and the vertex where the graph was cut."""
 
-    cusp: str
-    depth: int
-    at: int
+    __slots__ = ("cusp", "depth", "at")
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
-    vertices: tuple = ()
-    edges: tuple = ()
-    rays: tuple = ()
+class QuotientGraph(Record):
+    __slots__ = ("vertices", "edges", "rays")
+
+    def __init__(self, vertices: tuple = (), edges: tuple = (), rays: tuple = ()):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "rays", rays)
 
     def vertex(self, vid: int) -> Vertex:
         for v in self.vertices:
@@ -205,12 +198,11 @@ def validate_graph(g: QuotientGraph) -> None:
             raise ValueError("ray depth must be at least 1")
 
 
-@dataclass(frozen=True)
-class SerreParts:
+class SerreParts(Record):
     """Finite core plus one truncated valency-2 tail per cusp ray."""
 
-    core: tuple
-    rays: tuple  # (cusp label, tuple of tail vertex ids from the cut inward)
+    # rays: (cusp label, tuple of tail vertex ids from the cut inward)
+    __slots__ = ("core", "rays")
 
 
 def validate_serre(g: QuotientGraph) -> SerreParts:

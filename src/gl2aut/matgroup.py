@@ -14,10 +14,9 @@ triangular group and c is taken to be the upper-right entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ffield import FieldElem, FieldSpec, QuadExt, QuadExtElem, order_dividing
 from .polyring import FracField, Poly, PolyRing, frac_field, poly_ring
+from .record import Record
 
 
 class Mat2:
@@ -217,13 +216,10 @@ def _elem_code(field, x) -> int:
     raise TypeError(f"no code order for {x!r}")
 
 
-@dataclass(frozen=True)
-class StabParam:
+class StabParam(Record):
     """(alpha, beta, c) pinning down a matrix fixing the point s."""
 
-    alpha: FieldElem
-    beta: FieldElem
-    c: Poly
+    __slots__ = ("alpha", "beta", "c")
 
 
 def conjugator_to_upper(s: ProjPoint) -> Mat2:
@@ -293,14 +289,10 @@ def unipotent_stab(ring: PolyRing, s: ProjPoint, c: Poly) -> Mat2:
     return stab_reconstruct(ring, StabParam(ring.field.one, ring.field.one, c), s)
 
 
-@dataclass(frozen=True)
-class IdealQs:
+class IdealQs(Record):
     """Polynomials c with c*s and c*s^2 integral, listed up to a degree bound."""
 
-    s_text: str
-    bound: int
-    generator: Poly | None
-    members: tuple
+    __slots__ = ("s_text", "bound", "generator", "members")
 
 
 def qs_basis(s: ProjPoint, bound: int, ring: PolyRing) -> IdealQs:
@@ -331,14 +323,10 @@ def qs_basis(s: ProjPoint, bound: int, ring: PolyRing) -> IdealQs:
     return IdealQs(s.text(), bound, gen, tuple(members))
 
 
-@dataclass(frozen=True)
-class EllipticStab:
+class EllipticStab(Record):
     """Generators of the stabilizer of a quadratic point eps and its conjugate."""
 
-    g: Mat2
-    g_swap: Mat2
-    lam: FieldElem
-    mu: FieldElem
+    __slots__ = ("g", "g_swap", "lam", "mu")
 
 
 def elliptic_stab(field: FieldSpec, eps: QuadExtElem) -> EllipticStab:

@@ -21,19 +21,21 @@ is `decompose` of its product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .matgroup import Mat2, mat_parse
 from .polyring import PolyRing
+from .record import Record
 
 G_SIDE = "G"
 B_SIDE = "B"
 
 
-@dataclass(frozen=True)
-class Letter:
-    side: str
-    mat: Mat2
+class Letter(Record):
+    # decompose builds one per peeled letter, so the fields are stored directly
+    __slots__ = ("side", "mat")
+
+    def __init__(self, side: str, mat: Mat2):
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "mat", mat)
 
     def text(self) -> str:
         return f"{self.side}:{self.mat.text()}"

@@ -105,8 +105,9 @@ class LinearAutoSpec:
                 raise ValueError(f"spec {key!r} must be an object from index "
                                  "to coefficient list")
             for i, coeffs in images.items():
+                # type, not isinstance: a JSON true or false is no code
                 if not (isinstance(coeffs, list)
-                        and all(isinstance(c, int) for c in coeffs)):
+                        and all(type(c) is int for c in coeffs)):
                     raise ValueError(f"spec {key!r} image of t^{i} must be a "
                                      f"list of integer codes, not {coeffs!r}")
             return {int(i): ring.poly(coeffs) for i, coeffs in images.items()}

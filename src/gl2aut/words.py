@@ -32,38 +32,37 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .closure import closure
 from .ffield import aut_rel_enumerate, field_make
 from .matgroup import Mat2, mat_parse
 from .polyring import Poly, PolyRing, poly_ring
+from .record import Record
 from .reiner import LinearAutoSpec, reiner_apply
 
 
 def _json_int(value, field: str) -> int:
-    """int(value) for a JSON record field; a list, object or null is a
-    ValueError, not a TypeError."""
-    try:
-        return int(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"{field} must be an integer, not {value!r}") from None
+    """A JSON record field that must be an integer; anything else (a float,
+    string, boolean, list, object or null) is a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, not {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
 # factor kinds and their automorphisms
 
 
-@dataclass(frozen=True)
-class FiniteCyclic:
+class FiniteCyclic(Record):
     """Cyclic factor of finite order; elements are exponents 0..order-1.
     Its automorphisms are the exponents coprime to the order."""
 
-    order: int
+    __slots__ = ("order",)
 
-    def __post_init__(self):
-        if self.order < 2:
+    def __init__(self, order: int):
+        if order < 2:
             raise ValueError("cyclic factor order must be at least 2")
+        object.__setattr__(self, "order", order)
 
     def identity(self):
         return 0
@@ -116,8 +115,7 @@ class FiniteCyclic:
         return _json_int(value, "exponent")
 
 
-@dataclass(frozen=True)
-class MatrixBacked:
+class MatrixBacked(Record):
     """Factor whose elements are invertible 2x2 matrices over a fixed ring.
 
     The ring is a polynomial ring (matrices with unit, i.e. constant nonzero,
@@ -126,7 +124,7 @@ class MatrixBacked:
     Reiner twist of a LinearAutoSpec over the same ring.
     """
 
-    ring: object
+    __slots__ = ("ring",)
 
     def identity(self):
         return Mat2.identity(self.ring)
@@ -192,8 +190,7 @@ class MatrixBacked:
         raise ValueError(f"matrix factors take conjugate_by or linear, not {key}")
 
 
-@dataclass(frozen=True)
-class VectorFactor:
+class VectorFactor(Record):
     """The additive group tF_q[t], a vector group over F_q on the countable
     basis t, t^2, ...
 
@@ -202,7 +199,7 @@ class VectorFactor:
     the linear substitutions, LinearAutoSpec over the same ring.
     """
 
-    ring: PolyRing
+    __slots__ = ("ring",)
 
     def identity(self):
         return self.ring.zero
@@ -259,30 +256,28 @@ class VectorFactor:
 # declarations and words
 
 
-@dataclass(frozen=True)
-class FactorDecl:
+class FactorDecl(Record):
     """One free factor: its position index plus its element arithmetic."""
 
-    index: int
-    kind: object
+    __slots__ = ("index", "kind")
 
 
-@dataclass(frozen=True)
-class CentralAmalgamDecl:
+class CentralAmalgamDecl(Record):
     """Free product of declared factors.
 
     ``cusps`` records which factor carries the stabilizer of each labelled
     boundary point, for the orbit report.
     """
 
-    factors: tuple
-    cusps: tuple = ()
+    __slots__ = ("factors", "cusps")
 
-    def __post_init__(self):
-        for pos, fac in enumerate(self.factors):
+    def __init__(self, factors: tuple, cusps: tuple = ()):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "cusps", cusps)
+        for pos, fac in enumerate(factors):
             if not isinstance(fac, FactorDecl) or fac.index != pos:
                 raise ValueError("factor indices must run 0..k-1 in order")
-        for _label, idx in self.cusps:
+        for _label, idx in cusps:
             self.factor(idx)
 
     def factor(self, i: int) -> FactorDecl:
@@ -291,12 +286,14 @@ class CentralAmalgamDecl:
         return self.factors[i]
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(Record):
     """Reduced word: (factor index, nonidentity element) letters, adjacent
     letters in distinct factors.  Build through word_reduce."""
 
-    letters: tuple = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple = ()):
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self):
         return len(self.letters)
@@ -392,34 +389,31 @@ def word_eval_matrix(decl: CentralAmalgamDecl, w: FreeWord, factor_index: int) -
 # generator automorphisms
 
 
-@dataclass(frozen=True)
-class Type1:
+class Type1(Record):
     """Automorphism of one factor, extended by the identity elsewhere; auto
     is a value the factor's kind accepts (see its check_auto)."""
 
-    factor: int
-    auto: object
+    __slots__ = ("factor", "auto")
 
 
-@dataclass(frozen=True)
-class PartialConj:
+class PartialConj(Record):
     """Conjugate every letter of the target factor by a fixed element of the
     source factor; all other letters are fixed."""
 
-    source: int
-    target: int
-    conjugator: object
+    __slots__ = ("source", "target", "conjugator")
 
 
-@dataclass(frozen=True)
-class Swap:
+class Swap(Record):
     """Exchange two isomorphic factors.  Going left to right applies the
     identification (exponent map on cyclic factors), going right to left its
     inverse, so a swap is always an involution."""
 
-    left: int
-    right: int
-    exponent: int = 1
+    __slots__ = ("left", "right", "exponent")
+
+    def __init__(self, left: int, right: int, exponent: int = 1):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "exponent", exponent)
 
 
 def validate_gen(decl: CentralAmalgamDecl, gen) -> None:
@@ -485,12 +479,14 @@ def gen_inverse(decl: CentralAmalgamDecl, gen):
     return gen
 
 
-@dataclass(frozen=True)
-class ComposedAuto:
+class ComposedAuto(Record):
     """Composite of generator automorphisms, applied left to right."""
 
-    decl: CentralAmalgamDecl
-    gens: tuple = ()
+    __slots__ = ("decl", "gens")
+
+    def __init__(self, decl: CentralAmalgamDecl, gens: tuple = ()):
+        object.__setattr__(self, "decl", decl)
+        object.__setattr__(self, "gens", gens)
 
     def apply(self, w: FreeWord) -> FreeWord:
         for g in self.gens:
@@ -554,19 +550,13 @@ def spike_swap(decl: CentralAmalgamDecl, i: int, j: int, exponent: int, q: int) 
     return Swap(i, j, _spike_exponent(decl, (i, j), exponent, q))
 
 
-@dataclass(frozen=True)
-class WreathReport:
+class WreathReport(Record):
     """Closure data for the group generated by all spike generators on r
     order q^2-1 factors: it should be the wreath product of the admissible
     unit-class group by the symmetric group on the factors."""
 
-    r: int
-    q: int
-    exponent_classes: tuple
-    order: int
-    expected_order: int
-    permutations_full: bool
-    ok: bool
+    __slots__ = ("r", "q", "exponent_classes", "order", "expected_order",
+                 "permutations_full", "ok")
 
 
 def cs_wreath_check(r: int, q: int) -> WreathReport:
@@ -677,15 +667,11 @@ def _alternating_words(max_len: int):
     return words
 
 
-@dataclass(frozen=True)
-class DihedralReport:
+class DihedralReport(Record):
     """Indices from the infinite dihedral demonstration: conjugating one
     order-2 factor by the translation gives a proper isomorphic copy."""
 
-    index: int
-    injective_up_to: int
-    inner_index: int
-    single_factor_index: int
+    __slots__ = ("index", "injective_up_to", "inner_index", "single_factor_index")
 
 
 def dihedral_cohopf_demo(max_len: int = 12) -> DihedralReport:
@@ -744,11 +730,10 @@ def build_ex3cusps() -> CentralAmalgamDecl:
     return CentralAmalgamDecl(factors, cusps=(("inf", 0), ("(0,0)", 2), ("(0,1)", 3)))
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(Record):
     """Partition of the declared cusps under the generator automorphisms."""
 
-    orbits: tuple
+    __slots__ = ("orbits",)
 
 
 def aut_cusp_orbit_report(decl: CentralAmalgamDecl) -> OrbitReport:

@@ -268,12 +268,13 @@ _WRONG_SHAPED_SPECS = [
     {"map": {"1": 5}, "inverse": _VALID_INVERSE},
     {"map": {"1": [0, "a"]}, "inverse": _VALID_INVERSE},
     {"map": {"1": [0, 1]}, "inverse": {"1": [0, None]}},
+    {"map": {"1": [False, True]}, "inverse": {"1": [False, True]}},
 ]
 
 
 @pytest.mark.parametrize("spec", [json.dumps(s) for s in _WRONG_SHAPED_SPECS],
                          ids=["list", "null", "string", "map-int", "image-int",
-                              "image-str-code", "inverse-null-code"])
+                              "image-str-code", "inverse-null-code", "image-bool-codes"])
 @pytest.mark.parametrize("command", [
     ["reiner-image", "--q", "2", "--matrix", "[[1,t],[0,1]]"],
     ["unipotent-fiber", "--q", "2", "--modulus", "t", "--bound", "2"],
@@ -286,7 +287,13 @@ def test_wrong_shaped_spec_exits_2(capsys, command, spec):
     {"type": "type1", "factor": 1, "exponent": [2]},
     {"type": "type1", "factor": None, "exponent": 2},
     {"type": "type1", "factor": 0, "linear": [1]},
-], ids=["exponent-list", "factor-null", "linear-list"])
+    {"type": "spike", "factor": 1, "exponent": 1.9, "q": 2},
+    {"type": "type1", "factor": 1, "exponent": 2.0},
+    {"type": "type1", "factor": "1", "exponent": 2},
+    {"type": "type1", "factor": True, "exponent": 2},
+    {"type": "swap", "left": 1, "right": 2, "exponent": "1"},
+], ids=["exponent-list", "factor-null", "linear-list", "spike-exponent-float",
+        "exponent-float", "factor-str", "factor-bool", "swap-exponent-str"])
 def test_wrong_shaped_script_exits_2(capsys, record):
     run_err(capsys, ["aut-apply", "--decl", "ex1cusp",
                      "--script", json.dumps([record]), "--word", "f1:1"])
@@ -346,7 +353,8 @@ def test_module_invocation_runs():
 
 
 # Which gl2aut modules a fresh interpreter holds after importing the CLI and
-# running one command.  None as argv means the import alone.
+# running one command, and which of the slow-to-import standard modules
+# `dataclasses` and `inspect` it holds.  None as argv means the import alone.
 _FOOTPRINT = """
 import contextlib, io, json, sys
 import gl2aut.cli
@@ -358,12 +366,14 @@ if argv is not None:
             code = gl2aut.cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gl2aut"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gl2aut")),
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
 
-_CURVES = ["curves", "ffield"]
-_NAGAO = ["ffield", "matgroup", "nagao", "polyring"]
-_WORDS = ["closure", "ffield", "matgroup", "nagao", "polyring", "reiner", "words"]
+_CURVES = ["curves", "ffield", "record"]
+_NAGAO = ["ffield", "matgroup", "nagao", "polyring", "record"]
+_WORDS = ["closure", "ffield", "matgroup", "nagao", "polyring", "record", "reiner",
+          "words"]
 _SPEC = json.dumps({"map": {"2": [0, 1, 1]}, "inverse": {"2": [0, 1, 1]}})
 
 
@@ -380,8 +390,8 @@ _FOOTPRINTS = [
     (["unipotent-fiber", "--q", "2", "--spec", _SPEC, "--modulus", "t^2",
       "--bound", "3"], _NAGAO + ["reiner"]),
     (["cusp-count", "--q", "2", "--modulus", "t", "--subgroup", "borel"],
-     ["closure", "cosets", "ffield", "matgroup", "polyring"]),
-    (["graph-export", "--graph", "ex1"], ["closure", "ffield", "graphs"]),
+     ["closure", "cosets", "ffield", "matgroup", "polyring", "record"]),
+    (["graph-export", "--graph", "ex1"], ["closure", "ffield", "graphs", "record"]),
     (["cs-wreath-check", "--r", "2", "--q", "2"], _WORDS),
     (["dihedral-demo"], _WORDS),
     (["aut-apply", "--decl", "ex1cusp", "--script", "[]", "--word", "f1:1"],
@@ -396,7 +406,8 @@ def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
                           capture_output=True, text=True,
                           env=helpers.src_first_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
+    code, modules, slow = json.loads(proc.stdout)
     assert code == (None if argv is None else 0)
     assert modules == sorted(["gl2aut", "gl2aut.cli"]
                              + [f"gl2aut.{m}" for m in loaded])
+    assert slow == []
