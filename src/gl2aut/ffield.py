@@ -201,6 +201,7 @@ class FieldSpec:
         self.n = n
         self.q = q
         self.modulus = self._find_modulus()
+        self._modulus_code = self._encode(self.modulus)
         # the log tables need the generator first, so test on _raw_mul
         g = first_of_order(range(1, q), q - 1, self._raw_pow, 1)
         self._build_arithmetic(g)
@@ -216,6 +217,19 @@ class FieldSpec:
         raise AssertionError("no irreducible polynomial found")
 
     def _raw_mul(self, a: int, b: int) -> int:
+        if self.p == 2:
+            # bit i of a code is the coefficient of x^i: shift and xor, and
+            # reduce by the modulus each time a carries into bit n
+            top, m = 1 << self.n, self._modulus_code
+            out = 0
+            while a:
+                if a & 1:
+                    out ^= b
+                a >>= 1
+                b <<= 1
+                if b & top:
+                    b ^= m
+            return out
         da = _digits(a, self.p, self.n)
         db = _digits(b, self.p, self.n)
         prod = _pmod(_pmul(da, db, self.p), self.modulus, self.p)
@@ -264,7 +278,7 @@ class FieldSpec:
         # discrete-log tables over the generator give O(1) mul/inv
         exp = [1] * (q - 1)
         for i in range(1, q - 1):
-            exp[i] = self._raw_mul(g, exp[i - 1])  # g first: _pmul skips its zero digits
+            exp[i] = self._raw_mul(g, exp[i - 1])  # g first: both products loop over its digits
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i

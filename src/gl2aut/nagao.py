@@ -17,6 +17,12 @@ Since the expression is unique, any alternating factorization is the
 canonical one.  `decompose` finds it in one Euclidean pass on the bottom
 row, peeling letters off the right, and `normalize` of a letter sequence
 is `decompose` of its product.
+
+`decompose` works on the four entries by column operations: right
+multiplication by a unipotent [[1, v], [0, 1]] adds v times the first
+column to the second, and by [[0, 1], [1, x]] (x constant) swaps the
+columns and adds x times the new first column to the second.  A 2x2
+product is formed only to fold j into the first letter.
 """
 
 from __future__ import annotations
@@ -82,13 +88,17 @@ def decompose(m: Mat2) -> tuple[Letter, ...]:
     """Canonical word of m in GL2(F_q[t]); evaluate(decompose(m)) == m exactly.
 
     Transversal letters are peeled off the right of m by the Euclidean
-    algorithm on its bottom row (c, d).  When deg d > deg c the last letter
-    is [[1, v], [0, 1]] with v the quotient d div c less its constant term;
-    otherwise it is [[0, 1], [1, x]] with x the coefficient of t^deg(c) in d
-    over the leading coefficient of c.  Each peel lowers the bottom row, and
-    the letters alternate because after a B letter deg d <= deg c and after
-    a G letter deg d > deg c.  Once c = 0 the upper triangular remainder is
-    j * [[1, v], [0, 1]] with j in J, and j folds into the first letter.
+    algorithm on its bottom row (c, d), with the entries a, b, c, d kept as
+    locals.  When deg d > deg c the last letter is [[1, v], [0, 1]] with v
+    the quotient d div c less its constant term, and peeling it is the
+    column operation b -= a*v, d -= c*v.  Otherwise it is [[0, 1], [1, x]]
+    with x the coefficient of t^deg(c) in d over the leading coefficient of
+    c; peeling it (right multiplication by [[-x, 1], [1, 0]]) sets
+    (a, b, c, d) to (b - x*a, a, d - x*c, c).  Each peel lowers the bottom
+    row, and the letters alternate because after a B letter deg d <= deg c
+    and after a G letter deg d > deg c.  Once c = 0 the upper triangular
+    remainder is j * [[1, v], [0, 1]] with j in J, and j folds into the
+    first letter, the one 2x2 product made.
     """
     ring: PolyRing = m.ring
     if not isinstance(ring, PolyRing):
@@ -96,25 +106,25 @@ def decompose(m: Mat2) -> tuple[Letter, ...]:
     if not _unit_det(m):
         raise ValueError(f"{m.text()} is not invertible over F_q[t]")
     field = ring.field
+    one, zero = ring.one, ring.zero
+    a, b, c, d = m.a, m.b, m.c, m.d
     peeled: list[Letter] = []  # rightmost letter first
-    cur = m
-    while not cur.c.is_zero():
-        c, d = cur.c, cur.d
+    while not c.is_zero():
         if d.deg > c.deg:
             v = d // c
             v = v - ring.const(v.constant_code())
-            peeled.append(Letter(B_SIDE, Mat2(ring, ring.one, v, ring.zero, ring.one)))
-            cur = cur * Mat2(ring, ring.one, -v, ring.zero, ring.one)
+            peeled.append(Letter(B_SIDE, Mat2(ring, one, v, zero, one)))
+            b, d = b - a * v, d - c * v
         else:
-            x = ring.const(field.mul_i(d.coeff_code(c.deg), field.inv_i(c.lead_code())))
-            peeled.append(Letter(G_SIDE, Mat2(ring, ring.zero, ring.one, ring.one, x)))
-            cur = cur * Mat2(ring, -x, ring.one, ring.one, ring.zero)
+            x = field.mul_i(d.coeff_code(c.deg), field.inv_i(c.lead_code()))
+            peeled.append(Letter(G_SIDE, Mat2(ring, zero, one, one, ring.const(x))))
+            a, b, c, d = b - a.scale(x), a, d - c.scale(x), c
     # [[alpha, b], [0, beta]] = [[alpha, b0], [0, beta]] * [[1, (b-b0)/alpha], [0, 1]]
-    b0 = ring.const(cur.b.constant_code())
-    j = Mat2(ring, cur.a, b0, ring.zero, cur.d)
-    v = (cur.b - b0).scale(field.inv_i(cur.a.constant_code()))
+    b0 = ring.const(b.constant_code())
+    j = Mat2(ring, a, b0, zero, d)
+    v = (b - b0).scale(field.inv_i(a.constant_code()))
     if not v.is_zero():
-        peeled.append(Letter(B_SIDE, Mat2(ring, ring.one, v, ring.zero, ring.one)))
+        peeled.append(Letter(B_SIDE, Mat2(ring, one, v, zero, one)))
     if not peeled:
         return () if j.is_identity() else (Letter(G_SIDE, j),)
     first = peeled.pop()

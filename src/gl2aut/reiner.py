@@ -10,10 +10,15 @@ a.  General elements go through the amalgam normal form letterwise.
 from __future__ import annotations
 
 import json
+import re
 
 from .matgroup import Mat2
 from .nagao import B_SIDE, Letter, decompose, evaluate
 from .polyring import Poly, PolyRing
+
+# a spec key names the exponent i of t^i in plain decimal, so no two keys
+# ("1", "01", " +1 ") can name the same monomial
+_INDEX_RE = re.compile(r"[1-9][0-9]*")
 
 
 class LinearAutoSpec:
@@ -105,6 +110,9 @@ class LinearAutoSpec:
                 raise ValueError(f"spec {key!r} must be an object from index "
                                  "to coefficient list")
             for i, coeffs in images.items():
+                if not (isinstance(i, str) and _INDEX_RE.fullmatch(i)):
+                    raise ValueError(f"spec {key!r} index {i!r} is not a positive "
+                                     "decimal exponent")
                 # type, not isinstance: a JSON true or false is no code
                 if not (isinstance(coeffs, list)
                         and all(type(c) is int for c in coeffs)):

@@ -283,6 +283,15 @@ def test_wrong_shaped_spec_exits_2(capsys, command, spec):
     run_err(capsys, command + ["--spec", spec])
 
 
+@pytest.mark.parametrize("key", ["01", "0_1", " +1 ", "x"])
+def test_spec_keys_must_be_plain_decimal_exponents(capsys, key):
+    # int() would read the first three as 1, so two images of t would collide
+    spec = {"map": {"1": [0, 1], key: [0, 1]}, "inverse": {"1": [0, 1]}}
+    err = run_err(capsys, ["reiner-image", "--q", "2", "--matrix", "[[1,t],[0,1]]",
+                           "--spec", json.dumps(spec)])
+    assert repr(key) in err
+
+
 @pytest.mark.parametrize("record", [
     {"type": "type1", "factor": 1, "exponent": [2]},
     {"type": "type1", "factor": None, "exponent": 2},

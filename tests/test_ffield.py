@@ -1,12 +1,13 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from gl2aut.ffield import (aut_rel_count, aut_rel_enumerate, euler_phi, factorize,
-                           field_make, field_of_order, frobenius, is_prime,
-                           prime_power, quad_ext)
+from gl2aut.ffield import (_digits, _pmod, _pmul, aut_rel_count, aut_rel_enumerate,
+                           euler_phi, factorize, field_make, field_of_order,
+                           frobenius, is_prime, prime_power, quad_ext)
 
 
 def _prime_powers(limit):
@@ -129,6 +130,17 @@ def test_largest_odd_extension_field_builds_fast():
     # q - 1 = 2^3 * 11^2 * 61
     assert g ** (q - 1) == field.one
     assert all(g ** ((q - 1) // ell) != field.one for ell in (2, 11, 61))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_characteristic_two_product_matches_the_digit_product(n):
+    # _raw_mul builds the exp tables; for p = 2 it works on the integer code
+    field = field_make(2, n)
+    rng = random.Random(n)
+    for _ in range(200):
+        a, b = rng.randrange(field.q), rng.randrange(field.q)
+        digits = _pmod(_pmul(_digits(a, 2, n), _digits(b, 2, n), 2), field.modulus, 2)
+        assert field._raw_mul(a, b) == sum(d << i for i, d in enumerate(digits))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])

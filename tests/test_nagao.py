@@ -32,7 +32,11 @@ def test_constant_matrix_is_a_single_letter():
     assert nagao.evaluate(R, w) == m
 
 
-@pytest.mark.parametrize("q", [2, 3])
+# q = 4, 8 and 9 exercise non-prime coefficient codes
+ORACLE_QS = [2, 3, 4, 5, 7, 8, 9]
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
 def test_roundtrip_on_random_matrices(q):
     R = helpers.ring_of(q)
     rng = random.Random(100 + q)
@@ -43,8 +47,63 @@ def test_roundtrip_on_random_matrices(q):
         assert nagao.is_canonical(R, w)
 
 
-# q = 4, 8 and 9 exercise non-prime coefficient codes
-ORACLE_QS = [2, 3, 4, 5, 7, 8, 9]
+def _rand_letter_of_any_shape(R, rng):
+    """A valid letter of one of five shapes: transversal unipotents and
+    swaps, and the B and G letters that are neither."""
+    q = R.field.q
+    kind = rng.randrange(5)
+    if kind == 0:  # B transversal [[1, v], [0, 1]], v in t F_q[t]
+        v = helpers.rand_poly(R, rng, 3).shift(1)
+        return nagao.letter("B", Mat2(R, R.one, v, R.zero, R.one))
+    if kind == 1:  # unipotent with a constant term
+        return nagao.letter("B", Mat2(R, R.one, helpers.rand_poly(R, rng, 3), R.zero, R.one))
+    if kind == 2:  # upper triangular, diagonal other than 1 where F_q allows
+        unit = (lambda: R.const(rng.randrange(2, q))) if q > 2 else (lambda: R.one)
+        return nagao.letter("B", Mat2(R, unit(), helpers.rand_poly(R, rng, 3), R.zero, unit()))
+    if kind == 3:  # G transversal [[0, 1], [1, x]]
+        x = R.const(rng.randrange(q))
+        return nagao.letter("G", Mat2(R, R.zero, R.one, R.one, x))
+    return nagao.letter("G", helpers.rand_gl2_const(R, rng))
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_evaluate_is_the_left_to_right_product(q):
+    R = helpers.ring_of(q)
+    rng = random.Random(400 + q)
+    for _ in range(100):
+        letters = [_rand_letter_of_any_shape(R, rng) for _ in range(rng.randint(0, 10))]
+        want = Mat2.identity(R)
+        for lt in letters:
+            want = want * lt.mat
+        assert nagao.evaluate(R, letters) == want
+    # a bare Letter in neither factor is multiplied in as it stands
+    odd = nagao.Letter("G", Mat2(R, R.zero, R.one, R.one, R.t))
+    assert nagao.evaluate(R, [odd, odd]) == odd.mat * odd.mat
+
+
+def test_decompose_makes_at_most_one_matrix_product(monkeypatch):
+    # peeling is a column operation; only the remainder j meets the first
+    # letter in a 2x2 product, so a per-letter product fails here
+    rng = random.Random(500)
+    cases = []
+    for q in (2, 3, 4):
+        R = helpers.ring_of(q)
+        for _ in range(20):
+            m = helpers.rand_gl2_poly(R, rng, 8)
+            cases.append((m, nagao.decompose(m)))
+    assert max(len(w) for _m, w in cases) >= 6
+    calls = []
+    product = Mat2.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Mat2, "__mul__", counted)
+    for m, w in cases:
+        calls.clear()
+        assert nagao.decompose(m) == w
+        assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -82,6 +83,49 @@ def test_homomorphism_and_inverse_composition(rng):
             assert lhs == rhs
             assert reiner_inverse(spec, reiner_apply(spec, m1)) == m1
             assert reiner_apply(spec, reiner_inverse(spec, m2)) == m2
+
+
+# fields past F_2 and F_3, non-prime codes included
+WIDER_QS = [4, 7, 8, 9]
+
+
+def wider_specs(ring):
+    """Swap t <-> t^2, the shear t^2 -> t^2 + t, and t -> g t for g the
+    field generator, each with its inverse."""
+    field = ring.field
+    g = field.generator.code
+    minus_one = field.neg_i(1)
+    return [swap_spec(ring, 1, 2),
+            LinearAutoSpec(ring, {2: ring.poly((0, 1, 1))},
+                           {2: ring.poly((0, minus_one, 1))}),
+            LinearAutoSpec(ring, {1: ring.poly((0, g))},
+                           {1: ring.poly((0, field.inv_i(g)))})]
+
+
+@pytest.mark.parametrize("q", WIDER_QS)
+def test_homomorphism_and_inverse_composition_over_wider_fields(q):
+    R = helpers.ring_of(q)
+    rng = random.Random(600 + q)
+    for spec in wider_specs(R):
+        for _ in range(25):
+            m1 = helpers.rand_gl2_poly(R, rng, 5)
+            m2 = helpers.rand_gl2_poly(R, rng, 5)
+            assert reiner_apply(spec, m1 * m2) == reiner_apply(spec, m1) * reiner_apply(spec, m2)
+            assert reiner_inverse(spec, reiner_apply(spec, m1)) == m1
+            assert reiner_apply(spec, reiner_inverse(spec, m2)) == m2
+
+
+@pytest.mark.parametrize("q", WIDER_QS)
+def test_triangular_matrices_stay_triangular_over_wider_fields(q):
+    R = helpers.ring_of(q)
+    rng = random.Random(700 + q)
+    for spec in wider_specs(R):
+        for _ in range(20):
+            m = helpers.rand_upper_triangular(R, rng, 5)
+            img = reiner_apply(spec, m)
+            assert img.is_upper_triangular()
+            assert img == reiner_on_cuspstab(spec, m)
+            assert img.a == m.a and img.d == m.d
 
 
 def test_constant_matrices_are_fixed():
