@@ -15,6 +15,7 @@ non-square (odd q), or with c1 != 0 and Tr(c0/c1^2) = 1 (even q)
 
 from __future__ import annotations
 
+import itertools
 import math
 
 _FIELD_CACHE: dict[tuple[int, int], "FieldSpec"] = {}
@@ -202,8 +203,9 @@ class FieldSpec:
         self.q = q
         self.modulus = self._find_modulus()
         self._modulus_code = self._encode(self.modulus)
-        # the log tables need the generator first, so test on _raw_mul
-        g = first_of_order(range(1, q), q - 1, self._raw_pow, 1)
+        # the log tables need the generator first, so test on _raw_mul; for
+        # n > 1 the codes below p are F_p, whose orders divide p - 1
+        g = first_of_order(range(1 if n == 1 else p, q), q - 1, self._raw_pow, 1)
         self._build_arithmetic(g)
         self.generator = FieldElem(self, g)
 
@@ -271,14 +273,12 @@ class FieldSpec:
             self.add_i = lambda a, b: a ^ b
             self.neg_i = lambda a: a
         else:
-            digs = [_digits(k, p, n) for k in range(q)]
+            digs = [d[::-1] for d in itertools.product(range(p), repeat=n)]
             enc = self._encode
             self.add_i = lambda a, b: enc([(x + y) % p for x, y in zip(digs[a], digs[b])])
             self.neg_i = lambda a: enc([(-x) % p for x in digs[a]])
         # discrete-log tables over the generator give O(1) mul/inv
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = self._raw_mul(g, exp[i - 1])  # g first: both products loop over its digits
+        exp = self._powers(g)
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
@@ -301,6 +301,36 @@ class FieldSpec:
             return exp[(log[a] * k) % (q - 1)]
 
         self.mul_i, self.inv_i, self.pow_i = mul_i, inv_i, pow_i
+
+    def _powers(self, g: int) -> list:
+        """The codes of g^0, ..., g^(q-2), a few int operations each.
+
+        Multiplying by g is F_p-linear, so on a digit vector it is the sum of
+        its values on the low and on the high digits, read from two tables of
+        about sqrt(q) products.  Vectors are packed w bits a digit, w one more
+        than the bit length of p, so two reduced vectors add without a carry
+        between digits; adding 2^(w-1) - p to every digit then sets a digit's
+        top bit exactly where it is p or more, which is where p comes off.
+        """
+        p, n = self.p, self.n
+        w, h = p.bit_length() + 1, n // 2
+        cut, mask = p ** h, (1 << w * h) - 1
+        bias = sum(((1 << w - 1) - p) << w * i for i in range(n))
+        tops = sum(1 << w * i + w - 1 for i in range(n))
+
+        def pack(code):
+            return sum(d << w * i for i, d in enumerate(_digits(code, p, n)))
+
+        low = {pack(c): (pack(self._raw_mul(g, c)), c) for c in range(cut)}
+        high = {pack(c): (pack(self._raw_mul(g, c * cut)), c * cut)
+                for c in range(p ** (n - h))}
+        out = [1] * (self.q - 1)
+        v = 1
+        for i in range(1, self.q - 1):
+            s = low[v & mask][0] + high[v >> w * h][0]
+            v = s - (((s + bias) & tops) >> w - 1) * p
+            out[i] = low[v & mask][1] + high[v >> w * h][1]
+        return out
 
     def _inv_prime(self, a: int) -> int:
         if a == 0:

@@ -1,13 +1,16 @@
 """Polynomials F_q[t] and the rational function field F_q(t).
 
-Poly keeps its coefficients as integer codes of the base field (constant
-term first, trailing zeros stripped) and does arithmetic through the
-FieldSpec int hooks, which keeps matrix work over F_2[t] / F_3[t] cheap.
+A Poly's coefficients are a normalized tuple of integer codes of the base
+field: constant term first, no trailing zero, so the zero polynomial is ().
+Arithmetic makes one pass over the tuples through the FieldSpec int hooks,
+which keeps matrix work over F_2[t] / F_3[t] cheap.  Both operands of +, -,
+* and divmod must come from one ring; mixed rings raise TypeError.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import repeat
 
 from .ffield import FieldElem, FieldSpec
 
@@ -54,60 +57,72 @@ class Poly:
     def coeff_code(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
+    def _common_ring(self, other) -> "PolyRing":
+        if other.ring is not self.ring:
+            raise TypeError("polynomial rings differ")
+        return self.ring
+
     def __add__(self, other):
-        return self.ring._make([*self._padded_zip(other, self.ring.field.add_i)])
+        ring = self._common_ring(other)
+        a, b = self.coeffs, other.coeffs
+        out = [*map(ring.field.add_i, a, b)]
+        if len(a) != len(b):  # the longer tail passes through; only equal lengths cancel
+            return Poly(ring, (*out, *a[len(b):], *b[len(a):]))
+        return ring._make(out)
 
     def __sub__(self, other):
-        f = self.ring.field
-        return self.ring._make([*self._padded_zip(other, lambda a, b: f.add_i(a, f.neg_i(b)))])
-
-    def _padded_zip(self, other, op):
+        ring = self._common_ring(other)
+        neg = ring.field.neg_i
         a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        for i in range(n):
-            yield op(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
+        out = [*map(ring.field.add_i, a, map(neg, b))]
+        if len(a) != len(b):
+            return Poly(ring, (*out, *a[len(b):], *map(neg, b[len(a):])))
+        return ring._make(out)
 
     def __neg__(self):
-        neg = self.ring.field.neg_i
-        return Poly(self.ring, tuple(neg(c) for c in self.coeffs))
+        return Poly(self.ring, (*map(self.ring.field.neg_i, self.coeffs),))
 
     def __mul__(self, other):
+        ring = self._common_ring(other)
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return self.ring.zero
-        f = self.ring.field
-        out = [0] * (len(a) + len(b) - 1)
+        if len(a) <= 1:
+            return other.scale(a[0]) if a else ring.zero
+        if len(b) <= 1:
+            return self.scale(b[0]) if b else ring.zero
+        # over a field the leading product is nonzero, so nothing to strip
+        add, mul = ring.field.add_i, ring.field.mul_i
+        nb = len(b)
+        out = [0] * (len(a) + nb - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = f.add_i(out[i + j], f.mul_i(ai, bj))
-        return self.ring._make(out)
+                out[i:i + nb] = map(add, out[i:i + nb], map(mul, repeat(ai), b))
+        return Poly(ring, (*out,))
 
     def scale(self, code: int) -> "Poly":
-        mul = self.ring.field.mul_i
-        return self.ring._make([mul(code, c) for c in self.coeffs])
+        if not code:
+            return self.ring.zero
+        return Poly(self.ring, (*map(self.ring.field.mul_i, repeat(code), self.coeffs),))
 
     def __divmod__(self, other):
-        if other.is_zero():
+        ring = self._common_ring(other)
+        a, b = self.coeffs, other.coeffs
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        f = self.ring.field
-        rem = list(self.coeffs)
-        dq = len(other.coeffs) - 1
-        inv_lead = f.inv_i(other.coeffs[-1])
-        quo = [0] * max(len(rem) - dq, 0)
-        while len(rem) - 1 >= dq and rem:
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            c = f.mul_i(rem[-1], inv_lead)
-            shift = len(rem) - 1 - dq
-            quo[shift] = c
-            for i, oc in enumerate(other.coeffs):
-                rem[shift + i] = f.add_i(rem[shift + i], f.neg_i(f.mul_i(c, oc)))
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return self.ring._make(quo), self.ring._make(rem)
+        if len(a) < len(b):
+            return ring.zero, self
+        f = ring.field
+        add, mul, db = f.add_i, f.mul_i, len(b) - 1
+        # subtract c t^k b from the top down: the top entry cancels, so only the
+        # db below it change, and quo's lead is self's lead over b's, nonzero
+        rem, low = [*a], [*map(f.neg_i, b[:db])]
+        inv_lead = f.inv_i(b[-1])
+        quo = [0] * (len(a) - db)
+        for k in reversed(range(len(quo))):
+            c = rem[k + db]
+            if c:
+                c = quo[k] = mul(c, inv_lead)
+                rem[k:k + db] = map(add, rem[k:k + db], map(mul, repeat(c), low))
+        return Poly(ring, (*quo,)), ring._make(rem[:db])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -125,15 +140,11 @@ class Poly:
         return bool(self.coeffs)
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(self.ring.field.inv_i(self.coeffs[-1]))
+        return self.scale(self.ring.field.inv_i(self.coeffs[-1])) if self.coeffs else self
 
     def shift(self, k: int) -> "Poly":
         """Multiply by t**k."""
-        if self.is_zero():
-            return self
-        return Poly(self.ring, (0,) * k + self.coeffs)
+        return Poly(self.ring, (0,) * k + self.coeffs) if self.coeffs else self
 
     def evaluate(self, x: FieldElem) -> FieldElem:
         f = self.ring.field
@@ -219,24 +230,14 @@ class PolyRing:
     def element_str(self, x: Poly) -> str:
         if x.is_zero():
             return "0"
-        field = self.field
         terms = []
         for i in range(x.deg, -1, -1):
-            c = x.coeff_code(i)
-            if c == 0:
-                continue
-            if field.n == 1:
-                head = "" if (c == 1 and i > 0) else str(c)
-            else:
-                head = "" if (c == 1 and i > 0) else "(" + ",".join(
-                    str(d) for d in field.el(c).coeffs) + ")"
-            if i == 0:
-                body = head if head else "1"
-            elif i == 1:
-                body = head + "t"
-            else:
-                body = f"{head}t^{i}"
-            terms.append(body)
+            c = x.coeffs[i]
+            if c == 1 and i > 0:
+                terms.append("t" if i == 1 else f"t^{i}")
+            elif c:
+                head = str(c) if self.field.n == 1 else f"({self.field.el(c).text()})"
+                terms.append(head + ("" if i == 0 else "t" if i == 1 else f"t^{i}"))
         return "+".join(terms)
 
     def parse_element(self, s: str) -> Poly:
@@ -251,9 +252,7 @@ class PolyRing:
             if not m or (m.group("coeff") is None and m.group("var") is None):
                 raise ValueError(f"bad polynomial term {term!r}")
             coeff = self.field.read_coeff(m.group("coeff") or "")
-            power = 0
-            if m.group("var"):
-                power = int(m.group("pow")) if m.group("pow") else 1
+            power = int(m.group("pow") or 1) if m.group("var") else 0
             acc = acc + self.monomial(coeff.code, power)
         return acc
 

@@ -62,6 +62,70 @@ def rand_poly(ring, rng, max_deg, nonzero=False):
             return p
 
 
+# ---- the former tuple arithmetic of Poly, kept as the oracle for polyring ----
+
+def _stripped(coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _padded_zip(a, b, op):
+    n = max(len(a), len(b))
+    for i in range(n):
+        yield op(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
+
+
+def schoolbook_add(f, a: tuple, b: tuple) -> tuple:
+    return _stripped(_padded_zip(a, b, f.add_i))
+
+
+def schoolbook_sub(f, a: tuple, b: tuple) -> tuple:
+    return _stripped(_padded_zip(a, b, lambda x, y: f.add_i(x, f.neg_i(y))))
+
+
+def schoolbook_neg(f, a: tuple) -> tuple:
+    return tuple(f.neg_i(c) for c in a)
+
+
+def schoolbook_scale(f, code: int, a: tuple) -> tuple:
+    return _stripped([f.mul_i(code, c) for c in a])
+
+
+def schoolbook_mul(f, a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = f.add_i(out[i + j], f.mul_i(ai, bj))
+    return _stripped(out)
+
+
+def schoolbook_divmod(f, a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    dq = len(b) - 1
+    inv_lead = f.inv_i(b[-1])
+    quo = [0] * max(len(rem) - dq, 0)
+    while len(rem) - 1 >= dq and rem:
+        if rem[-1] == 0:
+            rem.pop()
+            continue
+        c = f.mul_i(rem[-1], inv_lead)
+        shift = len(rem) - 1 - dq
+        quo[shift] = c
+        for i, bc in enumerate(b):
+            rem[shift + i] = f.add_i(rem[shift + i], f.neg_i(f.mul_i(c, bc)))
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return _stripped(quo), _stripped(rem)
+
+
 def rand_unit_code(field, rng) -> int:
     return rng.randrange(1, field.q)
 

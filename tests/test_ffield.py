@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from gl2aut.ffield import (_digits, _pmod, _pmul, aut_rel_count, aut_rel_enumerate,
-                           euler_phi, factorize, field_make, field_of_order,
-                           frobenius, is_prime, prime_power, quad_ext)
+from gl2aut.ffield import (FieldSpec, _digits, _pmod, _pmul, aut_rel_count,
+                           aut_rel_enumerate, euler_phi, factorize, field_make,
+                           field_of_order, frobenius, is_prime, prime_power, quad_ext)
 
 
 def _prime_powers(limit):
@@ -141,6 +141,45 @@ def test_characteristic_two_product_matches_the_digit_product(n):
         a, b = rng.randrange(field.q), rng.randrange(field.q)
         digits = _pmod(_pmul(_digits(a, 2, n), _digits(b, 2, n), 2), field.modulus, 2)
         assert field._raw_mul(a, b) == sum(d << i for i, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 125, 243])
+def test_odd_extension_tables_match_the_digit_product(q):
+    # exp[i] = g^i is read back by pow_i(g, i), and mul_i(x, g) reads
+    # exp[log[x] + 1], so it equals x g only where log[x] is right
+    field = field_of_order(q)
+    p, n, g = field.p, field.n, field.generator.code
+
+    def digit_mul(a, b):
+        digits = _pmod(_pmul(_digits(a, p, n), _digits(b, p, n), p), field.modulus, p)
+        return sum(d * p ** i for i, d in enumerate(digits))
+
+    x = 1
+    for i in range(q - 1):
+        assert field.pow_i(g, i) == x
+        nxt = digit_mul(x, g)
+        assert field.mul_i(x, g) == nxt
+        x = nxt
+    assert x == 1
+
+
+@pytest.mark.parametrize("p, n", [(3, 10), (251, 2)])
+def test_odd_extension_fields_build_fast(p, n, monkeypatch):
+    # one digit product per table entry would be q - 1 of them
+    calls = []
+    raw_mul = FieldSpec._raw_mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return raw_mul(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "_raw_mul", counted)
+    with helpers.budget(0.5):
+        field = FieldSpec(p, n)
+    assert len(calls) < field.q // 10
+    g = field.generator
+    assert g ** (field.q - 1) == field.one
+    assert all(g ** ((field.q - 1) // ell) != field.one for ell in factorize(field.q - 1))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])

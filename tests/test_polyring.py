@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -183,3 +184,57 @@ def test_fraction_field_cross_multiplication(rng):
         lhs = K.coerce(a) / K.coerce(b) + K.coerce(c) / K.coerce(d)
         rhs = K.coerce(a * d + c * b) / K.coerce(b * d)
         assert lhs == rhs
+
+
+def _normalized(p):
+    return type(p.coeffs) is tuple and (not p.coeffs or p.coeffs[-1] != 0)
+
+
+def _oracle_operands(ring, rng):
+    """Random pairs, zero and constants on either side, x with itself, and
+    pairs whose leading terms cancel in the sum (and in the difference)."""
+    f = ring.field
+    polys = [helpers.rand_poly(ring, rng, rng.randrange(7)) for _ in range(30)]
+    consts = [ring.zero] + [ring.const(c) for c in range(1, f.q)]
+    pairs = [(x, y) for x, y in zip(polys, reversed(polys))]
+    pairs += [pair for x in polys[:10] for c in consts for pair in ((x, c), (c, x))]
+    pairs += [(x, x) for x in polys]
+    for x in polys:
+        if x.deg >= 1:
+            y = helpers.rand_poly(ring, rng, x.deg - 1)
+            lead = ring.monomial(x.lead_code(), x.deg)
+            pairs += [(x, y - lead), (x, y + lead)]
+    return pairs
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_arithmetic_matches_the_schoolbook_oracle(q):
+    ring = helpers.ring_of(q)
+    f = ring.field
+    rng = random.Random(q)
+    pairs = _oracle_operands(ring, rng)
+    assert any((x + y).deg < max(x.deg, y.deg) for x, y in pairs if x != -y)
+    for x, y in pairs:
+        a, b = x.coeffs, y.coeffs
+        results = [(x + y, helpers.schoolbook_add(f, a, b)),
+                   (x - y, helpers.schoolbook_sub(f, a, b)),
+                   (-x, helpers.schoolbook_neg(f, a)),
+                   (x * y, helpers.schoolbook_mul(f, a, b))]
+        results += [(x.scale(c), helpers.schoolbook_scale(f, c, a)) for c in range(f.q)]
+        if b:
+            quo, rem = divmod(x, y)
+            want_quo, want_rem = helpers.schoolbook_divmod(f, a, b)
+            results += [(quo, want_quo), (rem, want_rem)]
+        for got, want in results:
+            assert got.coeffs == want, (x, y)
+            assert got.ring is ring and _normalized(got)
+    for x, _y in pairs:
+        assert (x - x).coeffs == ()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, divmod])
+def test_mixed_rings_raise(op):
+    f3, f2 = helpers.ring_of(3).poly((2, 2)), helpers.ring_of(2).poly((1, 1))
+    for x, y in ((f3, f2), (f2, f3)):
+        with pytest.raises(TypeError, match="polynomial rings differ"):
+            op(x, y)

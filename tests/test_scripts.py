@@ -64,3 +64,9 @@ def test_normal_form_benchmark_runs_against_the_library():
 def test_cli_benchmark_runs_against_the_library():
     # every subcommand in a fresh process, checked by the workload's oracles
     _short_benchmark_run("cli")
+
+
+def test_curves_benchmark_runs_against_the_library():
+    # points, class data and group structure over the prime, characteristic-2
+    # and odd extension fields the workload builds (F_9 up to F_125)
+    _short_benchmark_run("curves")
