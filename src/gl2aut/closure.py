@@ -6,13 +6,13 @@ this module is the one worklist loop that computes them.
 """
 
 
-def closure(seeds, step, key=None, cap=None) -> list:
+def closure(seeds, step, key=None) -> list:
     """Every state reachable from the seeds under step, one per key.
 
     step(x) returns an iterable of successor states.  States with the same
     key(x) (the state itself when key is None) count as one, represented by
-    the first one found.  Raises RuntimeError as soon as more than cap
-    states are found.
+    the first one found.  step is called once per state found, so a step
+    that raises past some number of calls bounds the search.
     """
     found = {}
     work = []
@@ -23,8 +23,6 @@ def closure(seeds, step, key=None, cap=None) -> list:
             if k not in found:
                 found[k] = y
                 work.append(y)
-                if cap is not None and len(found) > cap:
-                    raise RuntimeError(f"more than {cap} states are reachable")
         if not work:
             return list(found.values())
         fresh = step(work.pop())

@@ -57,19 +57,13 @@ class QuotRing:
         self.deg = d
         self.size = q ** d
         residues = [ring.from_code(c) for c in range(self.size)]
-        self._unit = [self._coprime(p) for p in residues]
         self.one = 1
         self.zero = 0
         self._mul_tab = [[self.reduce_poly(x * y) for y in residues] for x in residues]
         self._add_tab = [[(x + y).encode() for y in residues] for x in residues]
         self._neg = [row.index(0) for row in self._add_tab]
-        self._inv = {}
-        for a in range(self.size):
-            if self._unit[a]:
-                self._inv[a] = self._mul_tab[a].index(1)
-
-    def _coprime(self, p: Poly) -> bool:
-        return self.ring.gcd(p, self.modulus).deg == 0 if not p.is_zero() else False
+        # the units are the residues with a 1 in their row of the table
+        self._inv = {a: row.index(1) for a, row in enumerate(self._mul_tab) if 1 in row}
 
     def reduce_poly(self, p: Poly) -> int:
         return (p % self.modulus).encode()
@@ -84,10 +78,10 @@ class QuotRing:
         return self._neg[a]
 
     def is_unit(self, a: int) -> bool:
-        return self._unit[a]
+        return a in self._inv
 
     def inv(self, a: int) -> int:
-        if a not in self._inv:
+        if not self.is_unit(a):
             raise ZeroDivisionError(f"residue {self.ring.from_code(a).text()} is not a unit")
         return self._inv[a]
 
@@ -232,14 +226,10 @@ class SubgroupSpec(Record):
 
 
 class QuotientContext(Record):
-    """Ambient data for cusp counting mod a fixed modulus; mutable, so it
-    has no hash."""
+    """Ambient data for cusp counting mod a fixed modulus."""
 
     # boundary: the unimodular columns of R^2, the orbit of (1, 0) under the group
     __slots__ = ("R", "group", "cusp_stab", "boundary")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
 
 _CTX_CACHE: dict[tuple, QuotientContext] = {}

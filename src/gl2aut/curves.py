@@ -178,15 +178,6 @@ def point_mul(curve: WeierstrassCurve, k: int, pt):
     return acc
 
 
-def point_order(curve: WeierstrassCurve, pt) -> int:
-    k = 1
-    acc = pt
-    while acc is not INFINITY:
-        acc = point_add(curve, acc, pt)
-        k += 1
-    return k
-
-
 def group_structure(curve: WeierstrassCurve, points=None) -> list[int]:
     """Invariant factors [d1, ..., dk] with d1 | d2 | ... (empty for trivial).
 
@@ -321,12 +312,23 @@ def class_data(lpoly: LPoly, curve: WeierstrassCurve = None, points=None) -> Cla
     return ClassData(h=h, cl2=cl2, r=r, ell_eq=cl2, ell_neq=2 * r)
 
 
+# orders from 10^4300 on have more digits than Python converts to text
+_CS_ORDER_LIMIT = 10 ** 4300
+
+
 def cs_order(r: int, q: int) -> int:
     """r! * a^r with a = aut_rel_count(q): the order of the wreath group
-    permuting r interchangeable quadratic classes."""
+    permuting r interchangeable quadratic classes.  Built as the product of
+    k * a for k = 1..r, refused as soon as it reaches 4301 digits."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    return math.factorial(r) * aut_rel_count(q) ** r
+    a = aut_rel_count(q)
+    order = 1
+    for k in range(1, r + 1):
+        order *= k * a
+        if order >= _CS_ORDER_LIMIT:
+            raise ValueError(f"r! * {a}^r has more than 4300 digits for r = {r}")
+    return order
 
 
 def curve_from_text(spec: str) -> WeierstrassCurve:
@@ -377,16 +379,3 @@ def curve_from_text(spec: str) -> WeierstrassCurve:
     if not curve.is_nonsingular():
         raise ValueError(f"curve {spec!r} is singular")
     return curve
-
-
-def curve_to_json(curve: WeierstrassCurve) -> dict:
-    return {"p": curve.field.p, "n": curve.field.n, **{
-        k: v for k, v in curve.coeff_text().items() if k != "q"}}
-
-
-def curve_from_json(data: dict) -> WeierstrassCurve:
-    from .ffield import field_make
-
-    field = field_make(int(data["p"]), int(data["n"]))
-    return WeierstrassCurve(field, *(field.parse_element(data[k])
-                                     for k in ("a1", "a2", "a3", "a4", "a6")))

@@ -589,11 +589,6 @@ def quad_ext(base: FieldSpec) -> QuadExt:
     return _QUAD_CACHE[id(base)]
 
 
-def frobenius(x: QuadExtElem) -> QuadExtElem:
-    """x -> x**q on F_{q^2}; an involution fixing exactly F_q."""
-    return x.ext.conj(x)
-
-
 # ---- the exponent group of power maps on F_{q^2}* fixing F_q* pointwise ----
 
 def aut_rel_enumerate(q: int) -> list[int]:

@@ -10,8 +10,7 @@ core-plus-rays structure, and exports DOT and JSON.
 Stabilizers are recorded as abstract descriptors, not matrix groups: the
 quotient graph only knows each stabilizer up to conjugacy, so the order and
 shape (full matrix group over the constants, cyclic of order q^2-1, vector
-group of a given dimension, triangular of a given unipotent dimension, or
-trivial) is all the graph can carry.
+group of a given dimension, or trivial) is all the graph can carry.
 
 Dimension convention on the infinity ray of the three-cusp example: the
 vertex c(inf,1) carries a one-dimensional stabilizer (a single unipotent
@@ -34,9 +33,9 @@ from .record import Record
 # ---------------------------------------------------------------------------
 # stabilizer descriptors
 
-# kind -> printed name; parsing reads it backwards
+# kind -> printed name
 _STAB_NAMES = {"trivial": "Trivial", "gl2": "GL2", "cyclic": "CyclicQsqMinus1",
-               "unipotent": "UnipotentDim", "btype": "BType"}
+               "unipotent": "UnipotentDim"}
 
 
 class StabDescriptor(Record):
@@ -45,8 +44,7 @@ class StabDescriptor(Record):
     kinds: "trivial" (order 1); "gl2" (all invertible constant matrices,
     order (q^2-1)(q^2-q)); "cyclic" (order q^2-1, the unit group of the
     quadratic extension); "unipotent" (vector group of dimension dim over
-    F_q, order q^dim); "btype" (triangular with unit diagonal pair and a
-    dim-dimensional unipotent part, order (q-1)^2 * q^dim).
+    F_q, order q^dim).
     """
 
     __slots__ = ("kind", "q", "dim")
@@ -62,7 +60,7 @@ class StabDescriptor(Record):
                 raise ValueError("the trivial descriptor takes no parameters")
             return
         prime_power(q)
-        if kind in ("unipotent", "btype"):
+        if kind == "unipotent":
             if dim < 1:
                 raise ValueError("dimension must be at least 1")
         elif dim != 0:
@@ -76,15 +74,13 @@ class StabDescriptor(Record):
             return (q * q - 1) * (q * q - q)
         if self.kind == "cyclic":
             return q * q - 1
-        if self.kind == "unipotent":
-            return q ** self.dim
-        return (q - 1) ** 2 * q ** self.dim
+        return q ** self.dim
 
     def text(self) -> str:
         name = _STAB_NAMES[self.kind]
         if self.kind == "trivial":
             return name
-        if self.kind in ("unipotent", "btype"):
+        if self.kind == "unipotent":
             return f"{name}(q={self.q},n={self.dim})"
         return f"{name}(q={self.q})"
 
@@ -103,24 +99,6 @@ def stab_cyclic(q: int) -> StabDescriptor:
 
 def stab_unipotent(q: int, dim: int) -> StabDescriptor:
     return StabDescriptor("unipotent", q, dim)
-
-
-def stab_btype(q: int, dim: int) -> StabDescriptor:
-    return StabDescriptor("btype", q, dim)
-
-
-_STAB_RE = re.compile(r"^(\w+)(?:\(q=(\d+)(?:,n=(\d+))?\))?$")
-_STAB_KINDS = {name: kind for kind, name in _STAB_NAMES.items()}
-
-
-def stab_parse(s: str) -> StabDescriptor:
-    m = _STAB_RE.match(s.strip())
-    if not m or m.group(1) not in _STAB_KINDS:
-        raise ValueError(f"bad stabilizer descriptor {s!r}")
-    kind = _STAB_KINDS[m.group(1)]
-    q = int(m.group(2)) if m.group(2) else 0
-    dim = int(m.group(3)) if m.group(3) else 0
-    return StabDescriptor(kind, q, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -150,21 +128,12 @@ class QuotientGraph(Record):
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "rays", rays)
 
-    def vertex(self, vid: int) -> Vertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise ValueError(f"no vertex with id {vid}")
-
     def adjacency(self) -> dict:
         adj: dict = {v.id: [] for v in self.vertices}
         for e in self.edges:
             adj[e.u].append(e.v)
             adj[e.v].append(e.u)
         return adj
-
-    def degree(self, vid: int) -> int:
-        return len(self.adjacency()[vid])
 
 
 def validate_graph(g: QuotientGraph) -> None:
@@ -347,7 +316,7 @@ def graph_by_name(name: str, depth: int = 3) -> QuotientGraph:
 
 
 # ---------------------------------------------------------------------------
-# export and parse
+# export
 
 
 def export_json(g: QuotientGraph) -> str:
@@ -358,22 +327,6 @@ def export_json(g: QuotientGraph) -> str:
         "rays": [{"cusp": r.cusp, "depth": r.depth, "at": r.at} for r in g.rays],
     }
     return json.dumps(doc, indent=2)
-
-
-def parse_json(text: str) -> QuotientGraph:
-    try:
-        doc = json.loads(text)
-        vertices = tuple(Vertex(int(v["id"]), str(v["label"]), stab_parse(v["stab"]))
-                         for v in doc["vertices"])
-        edges = tuple(Edge(int(e["u"]), int(e["v"]), stab_parse(e["stab"]))
-                      for e in doc["edges"])
-        rays = tuple(RayMarker(str(r["cusp"]), int(r["depth"]), int(r["at"]))
-                     for r in doc["rays"])
-    except (KeyError, TypeError, json.JSONDecodeError) as err:
-        raise ValueError(f"bad graph document: {err}")
-    g = QuotientGraph(vertices, edges, rays)
-    validate_graph(g)
-    return g
 
 
 def export_dot(g: QuotientGraph) -> str:

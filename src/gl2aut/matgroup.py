@@ -15,7 +15,7 @@ triangular group and c is taken to be the upper-right entry.
 from __future__ import annotations
 
 from .ffield import FieldElem, FieldSpec, QuadExt, QuadExtElem, order_dividing
-from .polyring import FracField, Poly, PolyRing, frac_field, poly_ring
+from .polyring import FracField, Poly, PolyRing
 from .record import Record
 
 
@@ -358,17 +358,6 @@ def matrix_order(m: Mat2) -> int:
         raise ValueError("a singular matrix has no order")
     q = m.ring.q
     return order_dividing(m, (q * q - 1) * (q * q - q), pow, Mat2.identity(m.ring))
-
-
-def gl2_elements(field: FieldSpec):
-    """All of GL2(F_q), ordered by entry codes."""
-    elems = list(field.elements())
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                for d in elems:
-                    if bool(a * d - b * c):
-                        yield Mat2(field, a, b, c, d)
 
 
 def proj_point_from_text(frac: FracField, s: str) -> ProjPoint:

@@ -138,14 +138,6 @@ def evaluate(ring: PolyRing, letters) -> Mat2:
     return out
 
 
-def word_concat(ring: PolyRing, w1, w2) -> tuple[Letter, ...]:
-    return normalize(ring, tuple(w1) + tuple(w2))
-
-
-def word_inverse(ring: PolyRing, w) -> tuple[Letter, ...]:
-    return normalize(ring, tuple(Letter(lt.side, lt.mat.inverse()) for lt in reversed(w)))
-
-
 def word_text(letters) -> str:
     return ";".join(lt.text() for lt in letters)
 
@@ -162,7 +154,3 @@ def word_parse(ring: PolyRing, s: str) -> tuple[Letter, ...]:
             raise ValueError(f"bad word chunk {chunk!r}")
         out.append(letter(side, mat_parse(ring, matstr)))
     return tuple(out)
-
-
-def is_canonical(ring: PolyRing, letters) -> bool:
-    return tuple(letters) == normalize(ring, letters)

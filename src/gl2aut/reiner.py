@@ -14,7 +14,7 @@ import re
 
 from .matgroup import Mat2
 from .nagao import B_SIDE, Letter, decompose, evaluate
-from .polyring import Poly, PolyRing
+from .polyring import MAX_DEGREE, Poly, PolyRing
 
 # a spec key names the exponent i of t^i in plain decimal, so no two keys
 # ("1", "01", " +1 ") can name the same monomial
@@ -113,11 +113,16 @@ class LinearAutoSpec:
                 if not (isinstance(i, str) and _INDEX_RE.fullmatch(i)):
                     raise ValueError(f"spec {key!r} index {i!r} is not a positive "
                                      "decimal exponent")
+                if int(i) > MAX_DEGREE:
+                    raise ValueError(f"spec {key!r} index {i} exceeds {MAX_DEGREE}")
                 # type, not isinstance: a JSON true or false is no code
                 if not (isinstance(coeffs, list)
                         and all(type(c) is int for c in coeffs)):
                     raise ValueError(f"spec {key!r} image of t^{i} must be a "
                                      f"list of integer codes, not {coeffs!r}")
+                if len(coeffs) > MAX_DEGREE + 1:
+                    raise ValueError(f"spec {key!r} image of t^{i} has degree "
+                                     f"past {MAX_DEGREE}")
             return {int(i): ring.poly(coeffs) for i, coeffs in images.items()}
 
         return cls(ring, load("map"), load("inverse"))

@@ -18,8 +18,8 @@ set for automorphism groups of free products:
     identification, applied forward one way and backward the other, so every
     swap generator is an involution.
 
-Each factor kind checks, applies, inverts and converts to and from JSON its
-own automorphisms, so no generator function branches on a Type1 factor's kind.
+Each factor kind checks, applies, inverts and reads from JSON its own
+automorphisms, so no generator function branches on a Type1 factor's kind.
 
 On top of these the module builds the cyclic-spike machinery (power and swap
 generators for order q^2-1 cyclic factors with exponents drawn from the
@@ -106,9 +106,6 @@ class FiniteCyclic(Record):
     def invert_auto(self, auto):
         return pow(auto, -1, self.order)
 
-    def auto_json(self, auto) -> dict:
-        return {"exponent": auto}
-
     def auto_from_json(self, key: str, value):
         if key != "exponent":
             raise ValueError(f"cyclic factors take an exponent, not {key}")
@@ -177,11 +174,6 @@ class MatrixBacked(Record):
     def invert_auto(self, auto):
         return auto.inverted() if isinstance(auto, LinearAutoSpec) else auto.inverse()
 
-    def auto_json(self, auto) -> dict:
-        if isinstance(auto, LinearAutoSpec):
-            return {"linear": auto.to_json()}
-        return {"conjugate_by": auto.text()}
-
     def auto_from_json(self, key: str, value):
         if key == "conjugate_by":
             return self.parse_elem(value)
@@ -242,9 +234,6 @@ class VectorFactor(Record):
 
     def invert_auto(self, auto):
         return auto.inverted()
-
-    def auto_json(self, auto) -> dict:
-        return {"linear": auto.to_json()}
 
     def auto_from_json(self, key: str, value):
         if key != "linear":
@@ -370,19 +359,6 @@ def word_parse(decl: CentralAmalgamDecl, s: str) -> FreeWord:
         idx = int(m.group(1))
         letters.append((idx, decl.factor(idx).kind.parse_elem(m.group(2))))
     return word_reduce(decl, letters)
-
-
-def word_eval_matrix(decl: CentralAmalgamDecl, w: FreeWord, factor_index: int) -> Mat2:
-    """Matrix product of a word all of whose letters lie in one matrix factor."""
-    kind = decl.factor(factor_index).kind
-    if not isinstance(kind, MatrixBacked):
-        raise ValueError(f"factor {factor_index} is not matrix backed")
-    acc = kind.identity()
-    for idx, elem in w.letters:
-        if idx != factor_index:
-            raise ValueError("word has letters outside the requested factor")
-        acc = acc * elem
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +588,6 @@ def isom_mul(x, y):
     return (x[0] * y[0], x[0] * y[1] + x[1])
 
 
-def isom_inv(x):
-    return (x[0], -x[0] * x[1])
-
-
 def dihedral_decl() -> CentralAmalgamDecl:
     """Free product of two order-2 cyclic factors (infinite dihedral)."""
     return CentralAmalgamDecl((FactorDecl(0, FiniteCyclic(2)),
@@ -756,19 +728,6 @@ def aut_cusp_orbit_report(decl: CentralAmalgamDecl) -> OrbitReport:
 
 # ---------------------------------------------------------------------------
 # JSON generator records for scripts
-
-
-def gen_to_json(decl: CentralAmalgamDecl, gen) -> dict:
-    validate_gen(decl, gen)
-    if isinstance(gen, Type1):
-        return {"type": "type1", "factor": gen.factor,
-                **decl.factor(gen.factor).kind.auto_json(gen.auto)}
-    if isinstance(gen, PartialConj):
-        kind = decl.factor(gen.source).kind
-        return {"type": "partial_conj", "source": gen.source, "target": gen.target,
-                "conjugator": kind.elem_text(gen.conjugator)}
-    return {"type": "swap", "left": gen.left, "right": gen.right,
-            "exponent": gen.exponent}
 
 
 def gen_from_json(decl: CentralAmalgamDecl, record: dict):

@@ -6,9 +6,11 @@ seed and stays reproducible.
 
 import functools
 import itertools
+import json
 import math
 import operator
 import os
+import re
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -16,8 +18,10 @@ from pathlib import Path
 from gl2aut.closure import closure
 from gl2aut.cosets import (FiniteGroup, QuotRing, SubgroupSpec, mat_det_r,
                            mat_inv_r, mat_mul_r, quotient_context)
-from gl2aut.curves import INFINITY, AffinePoint, point_mul, point_order
+from gl2aut.curves import INFINITY, AffinePoint, point_add, point_mul
 from gl2aut.ffield import field_of_order
+from gl2aut.graphs import (Edge, QuotientGraph, RayMarker, StabDescriptor, Vertex,
+                           validate_graph)
 from gl2aut.matgroup import Mat2, mat_parse
 from gl2aut.nagao import B_SIDE, G_SIDE, Letter
 from gl2aut.polyring import PolyRing, poly_ring
@@ -341,6 +345,16 @@ def brute_modulus(p, n):
 
 # ---- brute-force curve oracles ----
 
+def point_order(curve, pt) -> int:
+    """The order of pt, by adding it to itself until infinity."""
+    k = 1
+    acc = pt
+    while acc is not INFINITY:
+        acc = point_add(curve, acc, pt)
+        k += 1
+    return k
+
+
 def brute_points(curve):
     """Every rational point by testing all q^2 pairs (x, y): infinity first,
     then affine points by x code, then by y code."""
@@ -371,6 +385,16 @@ def brute_group_structure(curve, points):
 def brute_two_torsion_count(curve, points):
     """Points with 2P = infinity, by the group law."""
     return sum(1 for pt in points if point_mul(curve, 2, pt) is INFINITY)
+
+
+# ---- brute-force matrix-group oracles ----
+
+def gl2_elements(field):
+    """All of GL2(F_q), ordered by entry codes."""
+    elems = list(field.elements())
+    for a, b, c, d in itertools.product(elems, repeat=4):
+        if bool(a * d - b * c):
+            yield Mat2(field, a, b, c, d)
 
 
 # ---- brute-force quotient-group oracles ----
@@ -473,6 +497,7 @@ def dihedral_coset_search(gen_isoms, cap) -> int:
     """Index in D_inf = <DIHEDRAL_A, DIHEDRAL_B> of the subgroup generated by
     the integer isometries gen_isoms, by closing its right cosets under A
     and B; raises RuntimeError past cap cosets (no finite index found).
+    closure steps once per coset found, so the step counts them.
 
     A coset is keyed by a normal form of the subgroup: a translation step
     plus an optional reflection residue."""
@@ -494,7 +519,37 @@ def dihedral_coset_search(gen_isoms, cap) -> int:
             cands.append((-s, norm(refl[0] - o)))
         return min(cands)
 
-    cosets = closure([(1, 0)],
-                     lambda g: [isom_mul(g, DIHEDRAL_A), isom_mul(g, DIHEDRAL_B)],
-                     key=coset_key, cap=cap)
-    return len(cosets)
+    found = itertools.count(1)
+
+    def neighbours(g):
+        if next(found) > cap:
+            raise RuntimeError(f"more than {cap} cosets")
+        return [isom_mul(g, DIHEDRAL_A), isom_mul(g, DIHEDRAL_B)]
+
+    return len(closure([(1, 0)], neighbours, key=coset_key))
+
+
+# ---- quotient-graph JSON reader ----
+
+_STAB_TEXT = re.compile(r"(\w+)(?:\(q=(\d+)(?:,n=(\d+))?\))?")
+_STAB_KINDS = {"Trivial": "trivial", "GL2": "gl2", "CyclicQsqMinus1": "cyclic",
+               "UnipotentDim": "unipotent"}
+
+
+def parse_stab(text: str) -> StabDescriptor:
+    """The descriptor whose text() is text."""
+    m = _STAB_TEXT.fullmatch(text)
+    if not m or m.group(1) not in _STAB_KINDS:
+        raise ValueError(f"bad stabilizer descriptor {text!r}")
+    return StabDescriptor(_STAB_KINDS[m.group(1)], int(m.group(2) or 0), int(m.group(3) or 0))
+
+
+def parse_graph_json(text: str) -> QuotientGraph:
+    """The validated graph that export_json wrote as text."""
+    doc = json.loads(text)
+    g = QuotientGraph(
+        tuple(Vertex(v["id"], v["label"], parse_stab(v["stab"])) for v in doc["vertices"]),
+        tuple(Edge(e["u"], e["v"], parse_stab(e["stab"])) for e in doc["edges"]),
+        tuple(RayMarker(r["cusp"], r["depth"], r["at"]) for r in doc["rays"]))
+    validate_graph(g)
+    return g

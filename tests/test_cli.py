@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from gl2aut.cli import main
-from gl2aut.graphs import build_graph_ex1, export_json, parse_json
+from gl2aut.polyring import MAX_DEGREE
+from gl2aut.graphs import build_graph_ex1
 from gl2aut.reiner import LinearAutoSpec
 from gl2aut.words import build_ex1cusp
 
@@ -169,6 +170,20 @@ def test_oversized_field_fails_fast(capsys):
     assert "exceeds 65536" in err
 
 
+def test_oversized_degrees_and_orders_exit_2_fast(capsys):
+    past = MAX_DEGREE + 1
+    spec = {"map": {"1": [0, 1], str(past): [0, 1]}, "inverse": {"1": [0, 1]}}
+    for argv in (["nagao-decompose", "--q", "2", "--matrix", f"[[1,t^{past}],[0,1]]"],
+                 ["reiner-image", "--q", "2", "--matrix", "[[1,t],[0,1]]",
+                  "--spec", json.dumps(spec)],
+                 ["cusp-count", "--q", "2", "--modulus", f"t^{past}"]):
+        with helpers.budget(1):
+            assert f"exceeds {MAX_DEGREE}" in run_err(capsys, argv)
+    with helpers.budget(1):
+        assert "more than 4300 digits" in run_err(capsys, ["cs-order", "--r", "2000",
+                                                           "--q", "2"])
+
+
 def test_cusp_count_off_the_table(capsys):
     # |G| = 2016; the trivial subgroup's cusps are the q + 1 points of
     # P^1(F_7)
@@ -216,7 +231,7 @@ def test_dihedral_demo(capsys):
 
 def test_graph_export_json(capsys):
     out = run_ok(capsys, ["graph-export", "--graph", "ex1", "--format", "json"])
-    assert parse_json(out) == build_graph_ex1()
+    assert helpers.parse_graph_json(out) == build_graph_ex1()
 
 
 def test_graph_export_dot_with_depth(capsys):

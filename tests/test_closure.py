@@ -1,5 +1,3 @@
-import pytest
-
 from gl2aut.closure import closure
 
 
@@ -21,12 +19,3 @@ def test_several_seeds_and_duplicate_seeds():
     got = closure([1, 3, 1], lambda x: [2 * x % 12])
     assert sorted(got) == [0, 1, 2, 3, 4, 6, 8]
     assert closure([], lambda x: [x + 1]) == []
-
-
-def test_cap_raises_once_exceeded():
-    with pytest.raises(RuntimeError):
-        closure([0], lambda x: [x + 1], cap=100)
-    # exactly cap states is still a result
-    assert len(closure([0], lambda x: [x + 1] if x < 99 else [], cap=100)) == 100
-    with pytest.raises(RuntimeError):
-        closure([1, 2, 3], lambda x: [], cap=2)

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
 import helpers
 from gl2aut import cosets
 from gl2aut.cosets import (QuotRing, SubgroupSpec, conj_invariance_check,
                            cusp_count, cusp_count_from_matrices, image_order,
-                           mat_mul_r, quotient_context, reduction_image)
+                           mat_mul_r, quotient_context, reduction_generators,
+                           reduction_image)
 from gl2aut.matgroup import mat_parse
 from helpers import full_gl2, subgroup_from_members
 
@@ -107,6 +110,37 @@ def test_cusp_count_matches_the_double_coset_sweep_on_every_subgroup():
             == len(G) // B.order
         assert helpers.double_coset_count(G, B, triv) == len(G) // B.order
         assert cusp_count(ctx, full) == helpers.double_coset_count(G, full, B) == 1
+
+
+@pytest.mark.parametrize("q", [4, 7, 8, 9])
+def test_cusp_count_matches_the_double_coset_sweep_mod_t(q):
+    # the presets, then a random cyclic subgroup of G and one of B, each with
+    # a random conjugate.  The sweep's cost grows with the generators, so it
+    # takes B and G from a few: mod t the residues are F_q, and B is made by
+    # a generator of F_q* on either diagonal entry and the unipotents of an
+    # F_p-basis of F_q, G by those and the transposed unipotents.
+    ring = helpers.ring_of(q)
+    ctx = quotient_context(ring, ring.t)
+    G, B = ctx.group, ctx.cusp_stab
+    field, g = ring.field, ring.field.generator.code
+    basis = [field.p ** k for k in range(field.n)]
+    b_gens = ((g, 0, 0, 1), (1, 0, 0, g)) + tuple((1, c, 0, 1) for c in basis)
+    small_b = SubgroupSpec(G, b_gens)
+    small_g = SubgroupSpec(G, b_gens + tuple((1, 0, c, 1) for c in basis))
+    assert small_b.members == B.members and small_g.members == G.elems
+    trivial = SubgroupSpec(G, ())
+    cases = [(trivial, trivial), (B, small_b),
+             (SubgroupSpec(G, tuple(reduction_generators(ctx.R))), small_g)]
+    rng = random.Random(q)
+    elems = sorted(G.elems)
+    for pool in (elems, sorted(B.members)):
+        h = SubgroupSpec(G, (rng.choice(pool),))
+        cases += [(h, h), (h.conjugate(rng.choice(elems)),) * 2]
+    for h, same in cases:
+        assert cusp_count(ctx, h) == helpers.double_coset_count(G, same, small_b), \
+            (q, h.gens)
+    # mod t the boundary is P^1(F_q): q + 1 cusps for the trivial subgroup
+    assert cusp_count(ctx, trivial) == q + 1
 
 
 def _monic_divisors(ring, m):

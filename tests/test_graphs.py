@@ -2,11 +2,11 @@ import json
 
 import pytest
 
+import helpers
 from gl2aut.graphs import (_MAX_DEPTH, Edge, QuotientGraph, RayMarker,
                            StabDescriptor, Vertex, build_graph_ex1, build_graph_ex3,
                            export_dot, export_json, graph_by_name,
-                           isolated_cyclic, parse_json, stab_btype,
-                           stab_cyclic, stab_gl2, stab_parse, stab_trivial,
+                           isolated_cyclic, stab_cyclic, stab_gl2, stab_trivial,
                            stab_unipotent, validate_graph, validate_serre)
 
 
@@ -19,14 +19,13 @@ def test_stab_orders():
     assert stab_cyclic(2).order() == 3
     assert stab_cyclic(4).order() == 15
     assert stab_unipotent(2, 3).order() == 8
-    assert stab_btype(3, 2).order() == 36
 
 
 def test_stab_text_parse_roundtrip():
     descriptors = [stab_trivial(), stab_gl2(2), stab_cyclic(5),
-                   stab_unipotent(2, 4), stab_btype(3, 1)]
+                   stab_unipotent(2, 4)]
     for d in descriptors:
-        assert stab_parse(d.text()) == d
+        assert helpers.parse_stab(d.text()) == d
 
 
 def test_stab_validation():
@@ -35,7 +34,7 @@ def test_stab_validation():
     with pytest.raises(ValueError):
         stab_unipotent(2, 0)  # dimension must be positive
     with pytest.raises(ValueError):
-        stab_parse("Mystery(q=2)")
+        StabDescriptor("btype", q=3, dim=1)  # no builder makes the triangular kind
     with pytest.raises(ValueError):
         StabDescriptor("cyclic", q=0)
 
@@ -67,7 +66,7 @@ def test_three_cusp_example_shape():
     iso = isolated_cyclic(g)
     assert [v.label for v in iso] == ["v(1)"]
     # the core is independent of ray depth
-    core_labels = {g.vertex(i).label for i in parts.core}
+    core_labels = {v.label for v in g.vertices if v.id in parts.core}
     assert core_labels == {"e(inf)", "c(inf,1)", "v(inf)", "o", "v(1)", "v(0)"}
 
 
@@ -77,7 +76,7 @@ def test_examples_validate_at_other_depths(depth):
         g = graph_by_name(name, depth=depth)
         validate_graph(g)
         parts = validate_serre(g)
-        core_labels = {g.vertex(i).label for i in parts.core}
+        core_labels = {v.label for v in g.vertices if v.id in parts.core}
         assert core_labels == {"e(inf)", "c(inf,1)", "v(inf)", "o", "v(1)",
                                "v(0)"}
         for cusp, tail in parts.rays:
@@ -100,9 +99,10 @@ def test_graph_by_name_unknown():
 
 def test_edge_stabilizer_divides_endpoints():
     for g in (build_graph_ex1(), build_graph_ex3()):
+        stab = {v.id: v.stab for v in g.vertices}
         for e in g.edges:
-            eu = g.vertex(e.u).stab.order()
-            ev = g.vertex(e.v).stab.order()
+            eu = stab[e.u].order()
+            ev = stab[e.v].order()
             assert eu % e.stab.order() == 0
             assert ev % e.stab.order() == 0
 
@@ -199,17 +199,10 @@ def test_serre_rejects_overlapping_tails():
 def test_json_roundtrip():
     for g in (build_graph_ex1(), build_graph_ex3(depth=2)):
         text = export_json(g)
-        again = parse_json(text)
+        again = helpers.parse_graph_json(text)
         assert again == g
         data = json.loads(text)
         assert set(data) == {"vertices", "edges", "rays"}
-
-
-def test_parse_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        parse_json("{not json")
-    with pytest.raises(ValueError):
-        parse_json(json.dumps({"vertices": []}))
 
 
 def test_dot_export_mentions_every_vertex_and_cusp():

@@ -4,7 +4,7 @@ import helpers
 from gl2aut.ffield import field_of_order, quad_ext
 from gl2aut.matgroup import (ALL_POINTS, EllipticStab, Mat2, ProjPoint,
                              conjugator_to_upper, elliptic_stab, fixed_points,
-                             gl2_elements, mat_parse, matrix_order, mobius,
+                             mat_parse, matrix_order, mobius,
                              proj_point_from_text, qs_basis, stab_membership,
                              stab_reconstruct, unipotent_stab)
 from gl2aut.polyring import frac_field
@@ -53,7 +53,7 @@ def test_singular_matrix_has_no_inverse():
 def test_mobius_composition_law():
     field = field_of_order(5)
     mats = []
-    gen = gl2_elements(field)
+    gen = helpers.gl2_elements(field)
     for m in gen:
         mats.append(m)
         if len(mats) == 40:
@@ -86,7 +86,7 @@ def test_fixed_points_of_translation_is_infinity_only():
 def test_gl2_enumeration_counts():
     for q in (2, 3, 4):
         field = field_of_order(q)
-        elems = list(gl2_elements(field))
+        elems = list(helpers.gl2_elements(field))
         expected = (q * q - 1) * (q * q - q)
         assert len(elems) == expected
         assert len({m.text() for m in elems}) == expected
@@ -184,7 +184,7 @@ def test_matrix_order_small_cases():
 def test_matrix_order_matches_counting_on_all_of_gl2(q):
     field = field_of_order(q)
     ident = Mat2.identity(field)
-    for m in gl2_elements(field):
+    for m in helpers.gl2_elements(field):
         assert matrix_order(m) == helpers.brute_order(m, ident)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from gl2aut.ffield import field_of_order
 from gl2aut.matgroup import Mat2, mat_parse
-from gl2aut.polyring import frac_field, poly_ring
+from gl2aut.polyring import MAX_DEGREE, frac_field, poly_ring
 
 
 def test_degree_conventions():
@@ -40,6 +40,16 @@ def test_parse_rejects_garbage():
     for bad in ("x+1", "t^", "", "t^-1"):
         with pytest.raises(ValueError):
             R.parse_element(bad)
+
+
+def test_parse_refuses_degrees_past_the_cap():
+    R = helpers.ring_of(2)
+    assert R.parse_element(f"t^{MAX_DEGREE}+1").deg == MAX_DEGREE
+    for text in (f"t^{MAX_DEGREE + 1}", f"1+t^{MAX_DEGREE + 1}"):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_DEGREE}"):
+            R.parse_element(text)
+        with pytest.raises(ValueError, match=f"exceeds {MAX_DEGREE}"):
+            frac_field(R).parse_element(f"1/({text})")
 
 
 def test_bare_coefficients_are_element_codes():

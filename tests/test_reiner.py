@@ -6,6 +6,7 @@ import pytest
 import helpers
 from gl2aut import reiner
 from gl2aut.matgroup import Mat2
+from gl2aut.polyring import MAX_DEGREE
 from gl2aut.reiner import (LinearAutoSpec, congruence_member, identity_spec,
                            reiner_apply, reiner_inverse, reiner_on_cuspstab,
                            unipotent_fiber, unipotent_upper)
@@ -155,6 +156,23 @@ def test_spec_json_roundtrip():
     again = LinearAutoSpec.from_json(R, spec.to_json())
     assert again == spec
     assert again.inverted() == spec.inverted()
+
+
+def test_spec_degrees_are_capped():
+    # validation is quadratic in the largest index, so a swap of t and
+    # t^MAX_DEGREE is the slowest spec at the cap
+    R = helpers.ring_of(2)
+    top = [0] * MAX_DEGREE + [1]
+    swap = {"1": top, str(MAX_DEGREE): [0, 1]}
+    with helpers.budget(1):
+        spec = LinearAutoSpec.from_json(R, {"map": swap, "inverse": swap})
+    assert spec.apply_tail(R.t).deg == MAX_DEGREE
+    past = {"1": [0, 1], str(MAX_DEGREE + 1): [0, 1]}
+    with pytest.raises(ValueError, match=f"index {MAX_DEGREE + 1} exceeds"):
+        LinearAutoSpec.from_json(R, {"map": past, "inverse": past})
+    long = {"1": top + [1]}
+    with pytest.raises(ValueError, match=f"degree past {MAX_DEGREE}"):
+        LinearAutoSpec.from_json(R, {"map": long, "inverse": long})
 
 
 def test_unipotent_helpers():

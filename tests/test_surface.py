@@ -1,0 +1,90 @@
+"""Every public name the library defines is reached from outside the unit
+tests.
+
+A public top-level function or class, or a public method, counts as reached
+when code refers to its name somewhere besides its own definition: in
+another part of `src/gl2aut`, in `scripts/`, in `bench/` or in the
+acceptance suite.  A name that only unit tests reach is dead weight in the
+library; it is deleted, or moved to `tests/helpers.py` when a test uses it
+as an oracle.
+"""
+
+import ast
+import re
+
+import helpers
+
+ROOT = helpers.SRC.parent
+LIB = helpers.SRC / "gl2aut"
+
+# the point-stabilizer layer and frac_field, which builds the F_q(t) its
+# points lie in, kept for the Reiner image at a cusp other than infinity
+# (ROADMAP Direction 8), which will give them their callers
+WAITING = ("StabParam", "stab_membership", "stab_reconstruct", "unipotent_stab",
+           "qs_basis", "IdealQs", "conjugator_to_upper", "proj_point_from_text",
+           "frac_field")
+
+
+def _public_defs(tree):
+    """(qualified name, name, first line, last line) of each public
+    top-level function and class and each public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node.name, node.lineno, node.end_lineno
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield (f"{node.name}.{item.name}", item.name,
+                               item.lineno, item.end_lineno)
+
+
+_NAME_RE = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*\*?")
+
+
+def _references(tree):
+    """(name, line) of every name the code refers to: identifiers,
+    attributes, imported names, and the parts of a string that is one
+    dotted name (bench/tracing.py patches "Poly.__mul__" by name).
+    Docstrings, comments and messages do not count."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _NAME_RE.fullmatch(node.value)):
+            for part in node.value.rstrip("*").split("."):
+                yield part, node.lineno
+
+
+def unreached() -> list:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(LIB.glob("*.py"))}
+    uses = {mod: list(_references(tree)) for mod, tree in trees.items()}
+    outside = {name for path in [*(ROOT / "scripts").glob("*.py"),
+                                 *(ROOT / "bench").glob("*.py"),
+                                 ROOT / "tests" / "test_acceptance.py"]
+               for name, _line in _references(ast.parse(path.read_text()))}
+    found = []
+    for mod, tree in trees.items():
+        for qualname, name, first, last in _public_defs(tree):
+            if name in outside or name in WAITING:
+                continue
+            if any(used == name and not (other == mod and first <= line <= last)
+                   for other, ids in uses.items() for used, line in ids):
+                continue
+            found.append(f"{mod}.{qualname}")
+    return found
+
+
+def test_every_public_name_is_reached():
+    found = unreached()
+    assert not found, "reached only from unit tests: " + ", ".join(found)
+
+
+def test_waiting_names_are_still_defined():
+    defined = {name for path in LIB.glob("*.py")
+               for _qualname, name, _first, _last in _public_defs(ast.parse(path.read_text()))}
+    assert set(WAITING) <= defined

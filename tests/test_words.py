@@ -17,10 +17,9 @@ from gl2aut.words import (DIHEDRAL_A, DIHEDRAL_B, EMPTY_WORD,
                           compose_autos, cs_wreath_check, decl_by_name,
                           dihedral_cohopf_demo, dihedral_coset_index,
                           dihedral_decl, dihedral_isom, gen_from_json,
-                          gen_inverse, gen_to_json, gens_from_json, inner_auto,
-                          isom_inv, isom_mul, spike_power, spike_swap,
-                          validate_gen, word_eval_matrix, word_inv, word_mul,
-                          word_parse, word_pow, word_reduce, word_text)
+                          gen_inverse, gens_from_json, inner_auto, isom_mul,
+                          spike_power, spike_swap, validate_gen, word_inv,
+                          word_mul, word_parse, word_pow, word_reduce, word_text)
 
 
 @pytest.fixture
@@ -109,20 +108,6 @@ def test_word_text_and_parse(ex1, rng):
         word_parse(ex1, "f9:1")
     with pytest.raises(ValueError):
         word_parse(ex1, "nonsense")
-
-
-def test_word_eval_matrix(ex1, rng):
-    ring = ex1.factors[0].kind.ring
-    for _ in range(15):
-        m1 = helpers.rand_gl2_poly(ring, rng, 2)
-        m2 = helpers.rand_gl2_poly(ring, rng, 2)
-        w = word_reduce(ex1, [(0, m1), (0, m2)])
-        assert word_eval_matrix(ex1, w, 0) == m1 * m2
-    mixed = word_reduce(ex1, [(0, helpers.rand_gl2_poly(ring, rng, 2)), (1, 1)])
-    with pytest.raises(ValueError):
-        word_eval_matrix(ex1, mixed, 0)
-    with pytest.raises(ValueError):
-        word_eval_matrix(ex1, FreeWord(), 1)
 
 
 # ---------------------------------------------------------- declarations
@@ -304,18 +289,19 @@ def test_gen_json_roundtrip(ex1, ex3):
     spec = LinearAutoSpec.from_pairs(ring, {1: "t^2", 2: "t"},
                                      {1: "t^2", 2: "t"})
     cases = [
-        (ex1, Type1(1, 2)),
-        (ex1, Type1(0, h)),
-        (ex3, Type1(2, spec)),
-        (ex1, PartialConj(0, 1, h)),
-        (ex1, Swap(1, 2, exponent=2)),
+        (ex1, {"type": "type1", "factor": 1, "exponent": 2}, Type1(1, 2)),
+        (ex1, {"type": "type1", "factor": 0, "conjugate_by": h.text()}, Type1(0, h)),
+        (ex3, {"type": "type1", "factor": 2, "linear": spec.to_json()}, Type1(2, spec)),
+        (ex1, {"type": "partial_conj", "source": 0, "target": 1, "conjugator": h.text()},
+         PartialConj(0, 1, h)),
+        (ex1, {"type": "swap", "left": 1, "right": 2, "exponent": 2},
+         Swap(1, 2, exponent=2)),
     ]
-    for decl, gen in cases:
-        rec = gen_to_json(decl, gen)
+    for decl, rec, gen in cases:
         again = gen_from_json(decl, rec)
+        assert again == gen
         w = word_reduce(decl, [(1, 1)])
         assert apply_gen(decl, again, w) == apply_gen(decl, gen, w)
-        assert gen_to_json(decl, again) == rec
 
 
 GRID_WORD = "f0:[[1,t],[0,1]].f1:1.f2:(1,1).f3:(1)"
@@ -339,10 +325,7 @@ def test_type1_key_on_each_factor_kind(ex3, key, factor, capsys):
     out, err = capsys.readouterr()
     if (key, factor) in GRID_VALID:
         gen = gen_from_json(ex3, record)
-        again = gen_from_json(ex3, gen_to_json(ex3, gen))
-        assert gen_to_json(ex3, again) == gen_to_json(ex3, gen)
         w = word_parse(ex3, GRID_WORD)
-        assert apply_gen(ex3, again, w) == apply_gen(ex3, gen, w)
         assert apply_gen(ex3, gen_inverse(ex3, gen), apply_gen(ex3, gen, w)) == w
         assert code == 0 and out.strip() == word_text(ex3, apply_gen(ex3, gen, w))
     else:
@@ -398,8 +381,8 @@ def test_dihedral_isometry_representation():
     assert isom_mul(b, b) == (1, 0)
     ab = isom_mul(a, b)
     assert ab[0] == 1 and ab[1] != 0  # a nontrivial translation
-    for x in (a, b, ab, isom_mul(ab, ab)):
-        assert isom_mul(x, isom_inv(x)) == (1, 0)
+    # the inverse of ab is ba
+    assert isom_mul(ab, isom_mul(b, a)) == (1, 0)
 
 
 def test_dihedral_word_evaluation():
