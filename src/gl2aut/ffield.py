@@ -362,10 +362,6 @@ class FieldSpec:
         for code in range(self.q):
             yield FieldElem(self, code)
 
-    def units(self):
-        for code in range(1, self.q):
-            yield FieldElem(self, code)
-
     def invert_unit(self, x: FieldElem) -> FieldElem:
         return FieldElem(self, self.inv_i(x.code))
 
@@ -533,10 +529,6 @@ class QuadExt:
 
     def elements(self):
         for code in range(self.q * self.q):
-            yield self.el_code(code)
-
-    def units(self):
-        for code in range(1, self.q * self.q):
             yield self.el_code(code)
 
     def conj(self, x: QuadExtElem) -> QuadExtElem:

@@ -14,10 +14,8 @@ from itertools import repeat
 
 from .ffield import FieldElem, FieldSpec
 
-# largest degree read from text or JSON.  A spec that swaps t and
-# t^MAX_DEGREE loads in about 0.2 s (LinearAutoSpec checks every monomial up
-# to its largest index, work quadratic in that index; 2-vCPU Xeon, Python
-# 3.11), and with no cap a 30-byte matrix text could ask for gigabytes.
+# largest degree read from text or JSON: with no cap a 30-byte matrix text
+# could ask for gigabytes.
 MAX_DEGREE = 1000
 
 _TERM_RE = re.compile(r"^(?P<coeff>\([0-9]+(?:,[0-9]+)*\)|[0-9]+)?"
@@ -148,17 +146,6 @@ class Poly:
     def monic(self) -> "Poly":
         return self.scale(self.ring.field.inv_i(self.coeffs[-1])) if self.coeffs else self
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by t**k."""
-        return Poly(self.ring, (0,) * k + self.coeffs) if self.coeffs else self
-
-    def evaluate(self, x: FieldElem) -> FieldElem:
-        f = self.ring.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add_i(f.mul_i(acc, x.code), c)
-        return f.el(acc)
-
     def encode(self) -> int:
         """Integer code, base q, constant coefficient least significant."""
         code = 0
@@ -258,10 +245,12 @@ class PolyRing:
             if not m or (m.group("coeff") is None and m.group("var") is None):
                 raise ValueError(f"bad polynomial term {term!r}")
             coeff = self.field.read_coeff(m.group("coeff") or "")
-            power = int(m.group("pow") or 1) if m.group("var") else 0
-            if power > MAX_DEGREE:
+            power = (m.group("pow") or "1") if m.group("var") else "0"
+            power = power.lstrip("0") or "0"
+            # count digits first: int() refuses past 4300 of them
+            if len(power) > len(str(MAX_DEGREE)) or int(power) > MAX_DEGREE:
                 raise ValueError(f"degree {power} exceeds {MAX_DEGREE}")
-            acc = acc + self.monomial(coeff.code, power)
+            acc = acc + self.monomial(coeff.code, int(power))
         return acc
 
     def __repr__(self):

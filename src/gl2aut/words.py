@@ -230,7 +230,7 @@ class VectorFactor(Record):
             raise ValueError("vector factors take linear twists over the same field")
 
     def apply_auto(self, auto, e):
-        return auto.apply_tail(e)
+        return auto.apply(e)
 
     def invert_auto(self, auto):
         return auto.inverted()

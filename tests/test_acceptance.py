@@ -136,7 +136,7 @@ def test_c06_unipotent_fibers_against_direct_definition():
         moduli = [ring.t, ring.poly((0, 0, 1)), ring.poly((1, 1, 1))]
         for spec in specs:
             for modulus in moduli:
-                # unipotent_fiber cross-validates the closed form internally
+                # the closed form against the definition through reiner_apply
                 got = unipotent_fiber(spec, modulus, 4)
                 want = [a for a in ring.polys_of_degree_at_most(4)
                         if congruence_member(

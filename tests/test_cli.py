@@ -173,15 +173,33 @@ def test_oversized_field_fails_fast(capsys):
 def test_oversized_degrees_and_orders_exit_2_fast(capsys):
     past = MAX_DEGREE + 1
     spec = {"map": {"1": [0, 1], str(past): [0, 1]}, "inverse": {"1": [0, 1]}}
+    # past 4300 digits int() would refuse with its own message
+    huge = "9" * 5000
+    huge_spec = {"map": {"1": [0, 1], huge: [0, 1]}, "inverse": {"1": [0, 1]}}
     for argv in (["nagao-decompose", "--q", "2", "--matrix", f"[[1,t^{past}],[0,1]]"],
                  ["reiner-image", "--q", "2", "--matrix", "[[1,t],[0,1]]",
                   "--spec", json.dumps(spec)],
-                 ["cusp-count", "--q", "2", "--modulus", f"t^{past}"]):
+                 ["cusp-count", "--q", "2", "--modulus", f"t^{past}"],
+                 ["nagao-decompose", "--q", "2", "--matrix", f"[[1,t^{huge}],[0,1]]"],
+                 ["reiner-image", "--q", "2", "--matrix", "[[1,t],[0,1]]",
+                  "--spec", json.dumps(huge_spec)]):
         with helpers.budget(1):
             assert f"exceeds {MAX_DEGREE}" in run_err(capsys, argv)
     with helpers.budget(1):
         assert "more than 4300 digits" in run_err(capsys, ["cs-order", "--r", "2000",
                                                            "--q", "2"])
+
+
+def test_spec_past_the_check_cap_exits_2_fast(capsys):
+    # over F_2, t^i -> t^i + ... + t^400 with inverse t^i -> t^i + t^(i+1):
+    # checking it would take about 2e7 coefficient operations
+    n = 400
+    spec = {"map": {str(i): [0] * i + [1] * (n - i + 1) for i in range(1, n + 1)},
+            "inverse": {str(i): [0] * i + [1, 1][:n - i + 1] for i in range(1, n + 1)}}
+    with helpers.budget(1):
+        err = run_err(capsys, ["reiner-image", "--q", "2", "--matrix", "[[1,t],[0,1]]",
+                               "--spec", json.dumps(spec)])
+    assert "coefficient operations, more than" in err
 
 
 def test_cusp_count_off_the_table(capsys):

@@ -53,7 +53,7 @@ def _rand_letter_of_any_shape(R, rng):
     q = R.field.q
     kind = rng.randrange(5)
     if kind == 0:  # B transversal [[1, v], [0, 1]], v in t F_q[t]
-        v = helpers.rand_poly(R, rng, 3).shift(1)
+        v = helpers.rand_poly(R, rng, 3) * R.t
         return nagao.letter("B", Mat2(R, R.one, v, R.zero, R.one))
     if kind == 1:  # unipotent with a constant term
         return nagao.letter("B", Mat2(R, R.one, helpers.rand_poly(R, rng, 3), R.zero, R.one))

