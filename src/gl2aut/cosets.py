@@ -11,8 +11,10 @@ orbits on the boundary, which in the quotient are the double cosets
 with B the image of the infinity-cusp stabilizer (a single B: base ring
 F_q[t] has class number one, so one orbit of points at the boundary).  B
 is the stabilizer in G of the line through the column (1, 0), whose orbit
-under G is every unimodular column of R^2, so G/B is the set of unimodular
-columns up to F_q* and a cusp is an orbit of H and the scalars on them.
+under G is every unimodular column of R^2, so G/B is P^1(R): the unimodular
+columns up to F_q*.  The quotient context numbers those lines once, and a
+cusp count turns each generator of H into a permutation of the line
+numbers and counts the orbits of those permutations.
 
 A matrix over R is a 4-tuple (a, b, c, d) of residue codes, and that is
 its only representation: G is a frozenset of 4-tuples, a subgroup is a
@@ -226,10 +228,14 @@ class SubgroupSpec(Record):
 
 
 class QuotientContext(Record):
-    """Ambient data for cusp counting mod a fixed modulus."""
+    """Ambient data for cusp counting mod a fixed modulus.
 
-    # boundary: the unimodular columns of R^2, the orbit of (1, 0) under the group
-    __slots__ = ("R", "group", "cusp_stab", "boundary")
+    lines: one unimodular column (x, y) of R^2 per F_q*-class, in the order
+    the orbit of (1, 0) under the group first meets them; these are the
+    points of P^1(R) = G/B.  line_of: over the column codes x |R| + y, the
+    index in lines of each unimodular column's class, None for the rest."""
+
+    __slots__ = ("R", "group", "cusp_stab", "lines", "line_of")
 
 
 _CTX_CACHE: dict[tuple, QuotientContext] = {}
@@ -241,22 +247,47 @@ def quotient_context(ring: PolyRing, modulus: Poly) -> QuotientContext:
         R = QuotRing(ring, modulus)
         group = reduction_image(R)
         stab = SubgroupSpec.from_matrices(group, R, cusp_stab_generators(R))
-        boundary = column_orbit(R, reduction_generators(R), (1, 0))
-        _CTX_CACHE[key] = QuotientContext(R, group, stab, boundary)
+        n, lines = R.size, []
+        line_of = [None] * (n * n)
+        for x, y in column_orbit(R, reduction_generators(R), (1, 0)):
+            if line_of[x * n + y] is None:
+                # the constants 1, ..., q-1 are the residues with those codes
+                for a in range(1, R.field.q):
+                    line_of[R.mul(a, x) * n + R.mul(a, y)] = len(lines)
+                lines.append((x, y))
+        _CTX_CACHE[key] = QuotientContext(R, group, stab, lines, line_of)
     return _CTX_CACHE[key]
 
 
 def cusp_count(ctx: QuotientContext, hbar: SubgroupSpec) -> int:
     """Number of cusps of the subgroup with reduction hbar: the orbits of
-    its generators and the scalars F_q* on the boundary columns."""
-    R = ctx.R
-    gens = list(hbar.gens) + [(a, 0, 0, a) for a in range(2, R.field.q)]
+    its generators on the lines of the context.  The scalars F_q* fix every
+    line, so they take no part.  Each generator becomes one permutation of
+    the line indices, read off the ring's tables."""
+    if hbar.group is not ctx.group:
+        raise ValueError("the subgroup lies in another quotient context")
+    n, lines, line_of = ctx.R.size, ctx.lines, ctx.line_of
+    mul, add = ctx.R._mul_tab, ctx.R._add_tab
+    perms = []
+    for a, b, c, d in dict.fromkeys(hbar.gens):
+        ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
+        perms.append([line_of[add[ma[x]][mb[y]] * n + add[mc[x]][md[y]]]
+                      for x, y in lines])
+    seen = [0] * len(lines)
     orbits = 0
-    seen = set()
-    for v in ctx.boundary:
-        if v not in seen:
-            orbits += 1
-            seen.update(column_orbit(R, gens, v))
+    for start in range(len(lines)):
+        if seen[start]:
+            continue
+        orbits += 1
+        seen[start] = 1
+        stack = [start]
+        while stack:
+            k = stack.pop()
+            for perm in perms:
+                j = perm[k]
+                if not seen[j]:
+                    seen[j] = 1
+                    stack.append(j)
     return orbits
 
 

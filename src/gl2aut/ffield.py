@@ -23,6 +23,9 @@ _QUAD_CACHE: dict[int, "QuadExt"] = {}
 
 MAX_Q = 1 << 16
 
+# the most digits int() reads from text
+_INT_DIGITS = 4300
+
 
 def factorize(n: int) -> dict[int, int]:
     """The prime factorization {p: e} of n >= 1, primes ascending."""
@@ -380,9 +383,21 @@ class FieldSpec:
         if text == "":
             return self.one
         if text.startswith("(") and text.endswith(")"):
-            return self.from_coeffs([int(d) for d in text[1:-1].split(",")])
-        code = int(text)
-        return self.el(code % self.p if self.n == 1 else code)
+            return self.from_coeffs([_numeral_mod(d, self.p) for d in text[1:-1].split(",")])
+        if self.n == 1:
+            return self.el(_numeral_mod(text, self.p))
+        if text.isascii() and text.isdigit():
+            # more digits than q - 1 has make a code of at least q, found
+            # without int(), which refuses past _INT_DIGITS digits
+            digits = text.lstrip("0")
+            if len(digits) > len(str(self.q - 1)):
+                # the message names a short code and counts a long one's digits
+                shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
+                raise ValueError(f"element code {shown} out of range for F_{self.q}")
+            text = digits or "0"
+        elif len(text) > _INT_DIGITS:
+            raise ValueError(f"bad numeral of {len(text)} characters")
+        return self.el(int(text))
 
     def parse_element(self, s: str) -> FieldElem:
         parts = s.strip().split(",")
@@ -399,6 +414,20 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, n={self.n})"
+
+
+def _numeral_mod(text: str, p: int) -> int:
+    """int(text) % p.  A plain decimal numeral longer than int() reads is
+    reduced _INT_DIGITS digits at a time; other text that long is refused."""
+    if len(text) <= _INT_DIGITS:
+        return int(text) % p
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"bad numeral of {len(text)} characters")
+    value = 0
+    for i in range(0, len(text), _INT_DIGITS):
+        chunk = text[i:i + _INT_DIGITS]
+        value = (value * pow(10, len(chunk), p) + int(chunk)) % p
+    return value
 
 
 def field_make(p: int, n: int = 1) -> FieldSpec:

@@ -22,20 +22,21 @@ from .polyring import MAX_DEGREE, Poly, PolyRing
 _INDEX_RE = re.compile(r"[1-9][0-9]*")
 
 # most coefficient operations the inverse check of one spec may make,
-# counted from the supports before it starts.  At the cap the check takes
-# about 0.55 s over F_(3^10), whose additions are the slowest, and 0.07 s
-# over F_2 (2-vCPU Xeon, Python 3.11)
+# counted from each image's lowest term before it starts.  At the cap the
+# spec t^i -> t^i + ... + t^447 loads in about 0.43 s over F_(3^10), whose
+# additions are the slowest, and 0.22 s over F_2 (2-vCPU Xeon, Python 3.11)
 _CHECK_WORK_CAP = 300_000
 
 
 class LinearAutoSpec:
     """Finite-support invertible F_q-linear map phi on span{t, t^2, ...}.
 
-    map_images[i] is the image of t^i (a Poly with zero constant term) and
-    inverse_images[i] that of the stored inverse psi; monomials outside a
-    support are fixed.  The constructor checks the pair once, on t^i for i
-    in the union of the two supports only, since both maps fix every other
-    monomial.  It tests one composition, psi(phi(t^i)) = t^i: both maps
+    map_images[i] is the image of t^i, a polynomial with zero constant term
+    kept as (k, codes): its lowest term is t^k and codes are its coefficient
+    codes from t^k on.  inverse_images[i] is that of the stored inverse psi;
+    monomials outside a support are fixed.  The constructor checks the pair
+    once, on t^i for i in the union of the two supports only, since both
+    maps fix every other monomial.  It tests one composition, psi(phi(t^i)) = t^i: both maps
     carry span{t, ..., t^N} into itself, N the largest index or image
     degree, and on a finite-dimensional space a one-sided inverse of a
     linear map is two-sided.  `inverted()` swaps the two checked images and
@@ -45,54 +46,51 @@ class LinearAutoSpec:
     def __init__(self, ring: PolyRing, map_images: dict[int, Poly],
                  inverse_images: dict[int, Poly]):
         self.ring = ring
-        self.map_images = {int(i): p for i, p in map_images.items()}
-        self.inverse_images = {int(i): p for i, p in inverse_images.items()}
+        self.map_images = _terms(ring, map_images)
+        self.inverse_images = _terms(ring, inverse_images)
         self._check()
 
     def _check(self):
-        for images in (self.map_images, self.inverse_images):
-            for i, p in images.items():
-                if i < 1:
-                    raise ValueError("support indices must be >= 1")
-                if p.ring is not self.ring:
-                    raise ValueError("image polynomial over the wrong ring")
-                if p.is_zero() or p.constant_code() != 0:
-                    raise ValueError(f"image of t^{i} must be nonzero with zero "
-                                     "constant term")
         support = sorted(self.map_images.keys() | self.inverse_images.keys())
-        mapped = [self.map_images.get(i) or self.ring.monomial(1, i) for i in support]
-        # psi(p) touches each coefficient of p once and adds a whole image
-        # for each nonzero one in psi's support
-        sizes = {i: len(p.coeffs) for i, p in self.inverse_images.items()}
-        work = sum(len(p.coeffs) + sum(sizes.get(k, 0) for k, c in enumerate(p.coeffs) if c)
-                   for p in mapped)
+        mapped = [self.map_images.get(i) or (i, (1,)) for i in support]
+        # psi(p) touches each coefficient of p from its lowest term once and
+        # adds an image from its lowest term for each nonzero one in psi's support
+        sizes = {i: len(tail) for i, (_low, tail) in self.inverse_images.items()}
+        work = sum(len(tail) + sum(sizes.get(k, 0) for k, c in enumerate(tail, low) if c)
+                   for low, tail in mapped)
         if work > _CHECK_WORK_CAP:
             raise ValueError(f"spec check needs {work} coefficient operations, "
                              f"more than {_CHECK_WORK_CAP}")
         inverse = self.inverted()
-        for i, p in zip(support, mapped):
-            if inverse.apply(p) != self.ring.monomial(1, i):
+        for i, (low, tail) in zip(support, mapped):
+            out = inverse._substitute(low, tail)
+            if out[i:i + 1] != [1] or any(out[:i]) or any(out[i + 1:]):
                 raise ValueError(f"stored inverse does not invert the map on t^{i}")
 
     def apply(self, a: Poly) -> Poly:
         """a0 + phi(a - a0): the constant term a0 is fixed and each
         coefficient above it is substituted, in one pass over a."""
+        return self.ring._make(self._substitute(0, a.coeffs))
+
+    def _substitute(self, low: int, coeffs) -> list:
+        """The codes of a0 + phi(a - a0) for the a whose coefficient codes
+        from t^low on are coeffs, and zero below."""
         f, images = self.ring.field, self.map_images
         add, mul = f.add_i, f.mul_i
-        out = [0] * len(a.coeffs)
-        for k, c in enumerate(a.coeffs):
+        out = [0] * (low + len(coeffs))
+        for k, c in enumerate(coeffs, low):
             if not c:
                 continue
             img = images.get(k)
             if img is None:
                 out[k] = add(out[k], c)
                 continue
-            img = img.coeffs
-            n = len(img)
-            if n > len(out):
-                out += [0] * (n - len(out))
-            out[:n] = map(add, out[:n], map(mul, repeat(c), img))
-        return self.ring._make(out)
+            lo, tail = img
+            hi = lo + len(tail)
+            if hi > len(out):
+                out += [0] * (hi - len(out))
+            out[lo:hi] = map(add, out[lo:hi], map(mul, repeat(c), tail))
+        return out
 
     def inverted(self) -> "LinearAutoSpec":
         spec = object.__new__(LinearAutoSpec)
@@ -102,8 +100,8 @@ class LinearAutoSpec:
 
     def to_json(self) -> dict:
         def dump(images):
-            return {str(i): [p.coeff_code(k) for k in range(p.deg + 1)]
-                    for i, p in sorted(images.items())}
+            return {str(i): [0] * low + list(tail)
+                    for i, (low, tail) in sorted(images.items())}
 
         return {"map": dump(self.map_images), "inverse": dump(self.inverse_images)}
 
@@ -152,6 +150,23 @@ class LinearAutoSpec:
 
     def __repr__(self):
         return f"LinearAutoSpec({json.dumps(self.to_json()['map'])})"
+
+
+def _terms(ring: PolyRing, images: dict[int, Poly]) -> dict[int, tuple[int, tuple]]:
+    """Each image of t^i, checked, as (k, codes): its lowest term is t^k and
+    codes are its coefficient codes from t^k on."""
+    out = {}
+    for i, p in images.items():
+        i = int(i)
+        if i < 1:
+            raise ValueError("support indices must be >= 1")
+        if p.ring is not ring:
+            raise ValueError("image polynomial over the wrong ring")
+        if p.is_zero() or p.constant_code() != 0:
+            raise ValueError(f"image of t^{i} must be nonzero with zero constant term")
+        low = next(k for k, c in enumerate(p.coeffs) if c)
+        out[i] = (low, p.coeffs[low:])
+    return out
 
 
 def identity_spec(ring: PolyRing) -> LinearAutoSpec:

@@ -397,6 +397,16 @@ def gl2_elements(field):
             yield Mat2(field, a, b, c, d)
 
 
+def unitriangular_spec(n, dense_side):
+    """Spec JSON over F_2: t^i -> t^i + ... + t^n, whose inverse is
+    t^i -> t^i + t^(i+1) (t^n fixed), with the dense map on the given side."""
+    dense = {str(i): [0] * i + [1] * (n - i + 1) for i in range(1, n + 1)}
+    sparse = {str(i): [0] * i + [1, 1][:n - i + 1] for i in range(1, n + 1)}
+    if dense_side == "map":
+        return {"map": dense, "inverse": sparse}
+    return {"map": sparse, "inverse": dense}
+
+
 # ---- brute-force quotient-group oracles ----
 
 def full_gl2(R: QuotRing) -> FiniteGroup:

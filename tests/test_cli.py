@@ -134,7 +134,7 @@ def test_cusp_count_presets(capsys):
                            "--gens", borel_f4]) == "2"
 
 
-def test_cusp_count_full_preset_above_table_limit(capsys):
+def test_cusp_count_full_preset_passes_generators(capsys):
     # |G| = 3072 for q = 2, m = t^4: the preset passes the reduction image's
     # generators, not its members
     with helpers.budget(5):
@@ -188,18 +188,41 @@ def test_oversized_degrees_and_orders_exit_2_fast(capsys):
     with helpers.budget(1):
         assert "more than 4300 digits" in run_err(capsys, ["cs-order", "--r", "2000",
                                                            "--q", "2"])
+    # a coefficient numeral past those 4300 digits is read mod p over a prime
+    # field, and refused by its digit count as a bare code over F_4
+    with helpers.budget(1):
+        assert run_ok(capsys, ["nagao-decompose", "--q", "2", "--matrix",
+                               f"[[1,{huge}t],[0,1]]"]) == "B:[[1,t],[0,1]]"
+        assert run_ok(capsys, ["nagao-decompose", "--q", "4", "--matrix",
+                               f"[[1,({huge},1)t],[0,1]]"]) == "B:[[(1,0),(1,1)t],[0,(1,0)]]"
+        assert run_ok(capsys, ["ell-count", "--curve", f"q=5;y2=x3+{huge}x+1"]) == \
+            run_ok(capsys, ["ell-count", "--curve", "q=5;y2=x3+4x+1"])
+    for argv in (["nagao-decompose", "--q", "4", "--matrix", f"[[1,{huge}t],[0,1]]"],
+                 ["ell-count", "--curve", f"q=4;y2+xy=x3+{huge}"]):
+        with helpers.budget(1):
+            err = run_err(capsys, argv)
+        assert err == "error: element code of 5000 digits out of range for F_4\n"
 
 
 def test_spec_past_the_check_cap_exits_2_fast(capsys):
-    # over F_2, t^i -> t^i + ... + t^400 with inverse t^i -> t^i + t^(i+1):
-    # checking it would take about 2e7 coefficient operations
-    n = 400
-    spec = {"map": {str(i): [0] * i + [1] * (n - i + 1) for i in range(1, n + 1)},
-            "inverse": {str(i): [0] * i + [1, 1][:n - i + 1] for i in range(1, n + 1)}}
+    # checking the spec at n = MAX_DEGREE takes 1.5e6 coefficient operations
+    spec = json.dumps(helpers.unitriangular_spec(MAX_DEGREE, "map"))
     with helpers.budget(1):
         err = run_err(capsys, ["reiner-image", "--q", "2", "--matrix", "[[1,t],[0,1]]",
-                               "--spec", json.dumps(spec)])
+                               "--spec", spec])
     assert "coefficient operations, more than" in err
+
+
+def test_spec_under_the_check_cap_loads_fast(capsys):
+    # at n = 400 the check adds each image from its lowest term, about 2.4e5
+    # operations; counting the zeros below those terms would be 2e7
+    n = 400
+    spec = json.dumps(helpers.unitriangular_spec(n, "map"))
+    with helpers.budget(1):
+        out = run_ok(capsys, ["reiner-image", "--q", "2", "--matrix", "[[1,t],[0,1]]",
+                              "--spec", spec])
+    image = "+".join([f"t^{i}" for i in range(n, 1, -1)] + ["t"])
+    assert out == f"[[1,{image}],[0,1]]"
 
 
 def test_cusp_count_off_the_table(capsys):

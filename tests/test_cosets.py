@@ -210,11 +210,84 @@ def test_gamma0_cusp_count_matches_gekeler_formula(q, modulus):
 def test_boundary_is_the_first_columns_of_the_group(q, modulus):
     ring = helpers.ring_of(q)
     ctx = quotient_context(ring, ring.parse_element(modulus))
-    G = ctx.group
-    assert len(ctx.boundary) == len(set(ctx.boundary))
-    assert set(ctx.boundary) == {(a, c) for a, _b, c, _d in G.elems}
+    G, n = ctx.group, ctx.R.size
+    first = {(a, c) for a, _b, c, _d in G.elems}
+    assert len(ctx.lines) == len(set(ctx.lines)) and set(ctx.lines) <= first
+    assert ctx.lines[0] == (1, 0)
+    # the first columns are the lines' scalar multiples, and nothing else has a line
+    assert {ctx.line_of[a * n + c] for a, c in first} == set(range(len(ctx.lines)))
+    assert sum(k is not None for k in ctx.line_of) == len(first) == (q - 1) * len(ctx.lines)
     # |B| = (q-1)^2 |R|: F_q* diagonal, any upper entry
-    assert len(ctx.boundary) == (q - 1) * len(G) // ((q - 1) ** 2 * ctx.R.size)
+    assert len(ctx.lines) == len(G) // ((q - 1) ** 2 * n)
+
+
+LINE_MODULI = [(q, "t") for q in (2, 3, 4, 5, 7, 8, 9)] + [
+    (2, "t^2"), (2, "t^2+t"), (2, "t^2+t+1"), (3, "t^2"), (3, "t^2+1"), (3, "t^2+t"),
+    (2, "t^3"), (2, "t^3+t"), (2, "t^3+t+1"), (2, "t^3+t^2+t+1")]
+
+
+@pytest.mark.parametrize("q, modulus", LINE_MODULI)
+def test_lines_index_every_unimodular_column_once(q, modulus):
+    ring = helpers.ring_of(q)
+    m = ring.parse_element(modulus)
+    ctx = quotient_context(ring, m)
+    R, n = ctx.R, ctx.R.size
+    # (x, y) is unimodular when x, y and m have no common factor
+    for x in range(n):
+        for y in range(n):
+            unimodular = ring.gcd(ring.gcd(ring.from_code(x), ring.from_code(y)), m).deg == 0
+            assert (ctx.line_of[x * n + y] is not None) == unimodular, (x, y)
+    # each line is its representative's q - 1 multiples, and no other column
+    sizes = [0] * len(ctx.lines)
+    for k in ctx.line_of:
+        if k is not None:
+            sizes[k] += 1
+    assert sizes == [q - 1] * len(ctx.lines)
+    for k, (x, y) in enumerate(ctx.lines):
+        assert all(ctx.line_of[R.mul(a, x) * n + R.mul(a, y)] == k for a in range(1, q))
+    # G acts transitively on P^1(R) = G/B
+    assert len(ctx.lines) == image_order(R) // ctx.cusp_stab.order
+
+
+def test_cusp_count_ignores_repeated_scalar_and_identity_generators():
+    rng = random.Random(19)
+    for q, modulus in ((2, "t^3"), (3, "t^2+1"), (4, "t"), (5, "t")):
+        ring = helpers.ring_of(q)
+        ctx = quotient_context(ring, ring.parse_element(modulus))
+        G = ctx.group
+        elems = sorted(G.elems)
+        scalars = [(a, 0, 0, a) for a in range(1, q)]
+        for size in (1, 2, 3):
+            gens = tuple(rng.choice(elems) for _ in range(size))
+            want = cusp_count(ctx, SubgroupSpec(G, gens))
+            for more in (gens[:1], (rng.choice(scalars),), ((1, 0, 0, 1),)):
+                assert cusp_count(ctx, SubgroupSpec(G, gens + more)) == want, (q, gens, more)
+
+
+# the moduli of the cusp benchmark workload, as (q, modulus codes)
+CUSP_WORKLOAD_MODULI = [(2, (0, 1)), (2, (0, 0, 1)), (2, (0, 1, 1)), (2, (1, 1, 1)),
+                        (3, (0, 1)), (4, (0, 1)), (2, (0, 0, 0, 1)), (5, (0, 1)),
+                        (2, (0, 0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("q, modulus", CUSP_WORKLOAD_MODULI)
+def test_cli_presets_match_the_double_coset_sweep(q, modulus):
+    ring = helpers.ring_of(q)
+    ctx = quotient_context(ring, ring.poly(modulus))
+    G, B = ctx.group, ctx.cusp_stab
+    trivial = SubgroupSpec(G, ())
+    full = SubgroupSpec(G, tuple(reduction_generators(ctx.R)))
+    assert cusp_count(ctx, trivial) == len(G) // B.order
+    assert cusp_count(ctx, B) == helpers.double_coset_count(G, B, B)
+    assert cusp_count(ctx, full) == 1
+
+
+def test_cusp_count_refuses_a_subgroup_of_another_context():
+    ctx, other = ctx_mod_tsq(), ctx_mod_t()
+    hbar = SubgroupSpec.from_matrices(other.group, other.R,
+                                      [mat_parse(helpers.ring_of(2), "[[1,1],[0,1]]")])
+    with pytest.raises(ValueError, match="another quotient context"):
+        cusp_count(ctx, hbar)
 
 
 def test_subgroup_closure_and_conjugation():

@@ -64,6 +64,27 @@ def test_bare_coefficients_are_element_codes():
     assert helpers.ring_of(3).parse_element("5t+4") == helpers.ring_of(3).poly((1, 2))
 
 
+def test_coefficient_numerals_past_4300_digits(rng):
+    # int() reads at most 4300 digits; the lengths straddle that and twice it
+    def horner(digits, p):
+        value = 0
+        for d in digits:
+            value = (10 * value + int(d)) % p
+        return value
+
+    R3, R7, R9 = helpers.ring_of(3), helpers.ring_of(7), helpers.ring_of(9)
+    for n in (4300, 4301, 8600, 8601, 9999):
+        a = "".join(rng.choice("0123456789") for _ in range(n))
+        b = "".join(rng.choice("0123456789") for _ in range(n))
+        assert R7.parse_element(f"{a}t+{b}") == R7.poly((horner(b, 7), horner(a, 7)))
+        assert R3.parse_element(f"({a})t") == R3.poly((0, horner(a, 3)))
+        assert R9.parse_element(f"({a},{b})t") == R9.poly((0, horner(a, 3) + 3 * horner(b, 3)))
+        with pytest.raises(ValueError, match=f"element code of {len(a.lstrip('0'))} digits"):
+            R9.parse_element(f"{a}t")
+    # leading zeros do not count towards a code's digits
+    assert R9.parse_element("0" * 5000 + "8t") == R9.poly((0, 8))
+
+
 @pytest.mark.parametrize("q", [4, 8, 9])
 def test_random_matrices_over_non_prime_fields(q, rng):
     ring = helpers.ring_of(q)

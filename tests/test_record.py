@@ -95,9 +95,9 @@ def test_finite_group_compares_by_identity_and_context_is_mutable():
     assert stab == SubgroupSpec(group, stab.gens)
     assert stab.order == len(stab.members)
 
-    ctx = QuotientContext(R, group, stab, [(1, 0)])
+    ctx = QuotientContext(R, group, stab, [(1, 0)], [None, 0, 0, None])
     with pytest.raises(TypeError):
         hash(ctx)
-    assert ctx == QuotientContext(R, group, stab, [(1, 0)])
+    assert ctx == QuotientContext(R, group, stab, [(1, 0)], [None, 0, 0, None])
     with pytest.raises(AttributeError):
-        ctx.boundary = []
+        ctx.lines = []

@@ -211,22 +211,12 @@ def test_spec_check_runs_once_per_constructed_spec(monkeypatch):
     assert calls == [spec]
 
 
-def unitriangular(n, dense_side):
-    """Over F_2: t^i -> t^i + ... + t^n, whose inverse is t^i -> t^i + t^(i+1)
-    (t^n fixed), with the dense map on the given side."""
-    dense = {str(i): [0] * i + [1] * (n - i + 1) for i in range(1, n + 1)}
-    sparse = {str(i): [0] * i + [1, 1][:n - i + 1] for i in range(1, n + 1)}
-    if dense_side == "map":
-        return {"map": dense, "inverse": sparse}
-    return {"map": sparse, "inverse": dense}
-
-
 def test_spec_check_refuses_dense_specs_fast():
     R = helpers.ring_of(2)
-    assert LinearAutoSpec.from_json(R, unitriangular(40, "map")) == \
-        LinearAutoSpec.from_json(R, unitriangular(40, "inverse")).inverted()
+    assert LinearAutoSpec.from_json(R, helpers.unitriangular_spec(40, "map")) == \
+        LinearAutoSpec.from_json(R, helpers.unitriangular_spec(40, "inverse")).inverted()
     for side in ("map", "inverse"):
-        data = unitriangular(MAX_DEGREE, side)
+        data = helpers.unitriangular_spec(MAX_DEGREE, side)
         with helpers.budget(1):
             try:
                 LinearAutoSpec.from_json(R, data)
@@ -235,20 +225,16 @@ def test_spec_check_refuses_dense_specs_fast():
 
 
 def test_spec_check_refuses_work_past_the_cap():
-    # t^i -> 2t^i on t, ..., t^n over F_3: the check walks each image of
-    # length i + 1 once and adds one of that length, n^2 + 3n operations
-    R = helpers.ring_of(3)
+    # the dense map of unitriangular_spec(n): checking t^i walks its n - i + 1
+    # terms and adds a two-term inverse image (one term for t^n) for each,
+    # 3(n - i) + 2 operations from each image's lowest term, n(3n + 1)/2 in all
+    R = helpers.ring_of(2)
     cap = reiner._CHECK_WORK_CAP
-    n = (math.isqrt(9 + 4 * cap) - 3) // 2  # the largest n with n^2 + 3n <= cap
-
-    def scaling(n):
-        images = {str(i): [0] * i + [2] for i in range(1, n + 1)}
-        return {"map": images, "inverse": images}
-
-    LinearAutoSpec.from_json(R, scaling(n))
-    with pytest.raises(ValueError, match=f"needs {(n + 1) * (n + 4)} coefficient "
+    n = max(k for k in range(1, MAX_DEGREE) if k * (3 * k + 1) // 2 <= cap)
+    LinearAutoSpec.from_json(R, helpers.unitriangular_spec(n, "map"))
+    with pytest.raises(ValueError, match=f"needs {(n + 1) * (3 * n + 4) // 2} coefficient "
                                          f"operations, more than {cap}"):
-        LinearAutoSpec.from_json(R, scaling(n + 1))
+        LinearAutoSpec.from_json(R, helpers.unitriangular_spec(n + 1, "map"))
 
 
 def test_unipotent_helpers():
