@@ -59,8 +59,6 @@ class QuotRing:
         self.deg = d
         self.size = q ** d
         residues = [ring.from_code(c) for c in range(self.size)]
-        self.one = 1
-        self.zero = 0
         self._mul_tab = [[self.reduce_poly(x * y) for y in residues] for x in residues]
         self._add_tab = [[(x + y).encode() for y in residues] for x in residues]
         self._neg = [row.index(0) for row in self._add_tab]

@@ -10,8 +10,6 @@ class group contributions: L(-1) = cl2 + 2 r with cl2 the number of
 
 from __future__ import annotations
 
-import math
-
 from .ffield import FieldElem, FieldSpec, aut_rel_count, factorize
 from .record import Record
 
@@ -73,14 +71,6 @@ class WeierstrassCurve:
     def is_nonsingular(self) -> bool:
         return bool(self.discriminant())
 
-    def contains(self, pt) -> bool:
-        if pt is INFINITY:
-            return True
-        x, y = pt.x, pt.y
-        lhs = y * y + self.a1 * x * y + self.a3 * y
-        rhs = x * x * x + self.a2 * x * x + self.a4 * x + self.a6
-        return lhs == rhs
-
     def coeff_text(self) -> dict:
         return {"q": self.field.q,
                 "a1": self.a1.text(), "a2": self.a2.text(), "a3": self.a3.text(),
@@ -141,7 +131,9 @@ def point_neg(curve: WeierstrassCurve, pt):
 
 
 def point_add(curve: WeierstrassCurve, p, r):
-    """Chord-tangent addition in the full Weierstrass form."""
+    """Chord-tangent addition in the full Weierstrass form (Silverman,
+    AEC III.2.3): the line y = lam x + nu through p and r, tangent when
+    p = r, passes through p, so nu = y1 - lam x1 in both cases."""
     if p is INFINITY:
         return r
     if r is INFINITY:
@@ -154,14 +146,11 @@ def point_add(curve: WeierstrassCurve, p, r):
     if p == r:
         two = curve.field.one + curve.field.one
         three = two + curve.field.one
-        denom = two * y1 + a1 * x1 + a3
-        lam = (three * x1 * x1 + two * a2 * x1 + a4 - a1 * y1) / denom
-        nu = (-x1 * x1 * x1 + a4 * x1 + two * curve.a6 - a3 * y1) / denom
+        lam = (three * x1 * x1 + two * a2 * x1 + a4 - a1 * y1) / (two * y1 + a1 * x1 + a3)
     else:
         lam = (y2 - y1) / (x2 - x1)
-        nu = (y1 * x2 - y2 * x1) / (x2 - x1)
     x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
+    y3 = -(lam + a1) * x3 - (y1 - lam * x1) - a3
     return AffinePoint(x3, y3)
 
 
@@ -179,66 +168,31 @@ def point_mul(curve: WeierstrassCurve, k: int, pt):
 
 
 def group_structure(curve: WeierstrassCurve, points=None) -> list[int]:
-    """Invariant factors [d1, ..., dk] with d1 | d2 | ... (empty for trivial).
+    """Invariant factors [d1, d2] with d1 | d2, the trivial ones left out.
 
-    Determined from the counts of p^k-torsion points, which fix the
-    partition of exponents for each prime dividing the group order.  A
-    prime p with p^2 not dividing the order gives the factor Z/p outright;
-    otherwise the map P -> pP is built once over all points, and the
-    p^k-torsion counts come from iterating it as an index table.
+    E(F_q) is Z/d1 x Z/d2 with d1 | d2 (Silverman, AEC III.6.4), so its
+    p-part is Z/p^a x Z/p^b with a <= b, and the p^k-torsion has exactly
+    p^(2k) points for k <= a and fewer from k = a + 1 on.  So d1 is the
+    product of the p^a.  A prime p with p^2 not dividing the order has
+    a = 0; for the others the map P -> pP is built once over all points as
+    an index table, and iterated while the count is p^(2k).
     """
     if points is None:
         points = enumerate_points(curve)
     n = len(points)
-    if n == 1:
-        return []
-    index = {pt: i for i, pt in enumerate(points)}
-    zero = index[INFINITY]
-    by_prime: dict[int, list[int]] = {}
+    d1 = 1
     for p in factorize(n):
         if n % (p * p):
-            by_prime[p] = [1]
             continue
-        times_p = [index[point_mul(curve, p, pt)] for pt in points]
-        # m_k = log_p #{x : p^k x = 0}; parts-with-size >= k = m_k - m_{k-1}
-        images = list(range(n))
-        prev = 0
-        parts = []
-        while True:
+        index = {pt: i for i, pt in enumerate(points)}
+        zero = index[INFINITY]
+        times_p = images = [index[point_mul(curve, p, pt)] for pt in points]
+        full = p * p
+        while images.count(zero) == full:
+            d1 *= p
+            full *= p * p
             images = [times_p[i] for i in images]
-            mk = _prime_power_exponent(images.count(zero), p)
-            width = mk - prev
-            if width == 0:
-                break
-            parts.append(width)
-            prev = mk
-        # parts[k-1] = number of cyclic factors of order >= p^k
-        exps = []
-        for i, w in enumerate(parts):
-            exps.extend([i + 1] * (w - (parts[i + 1] if i + 1 < len(parts) else 0)))
-        exps.sort(reverse=True)
-        by_prime[p] = exps
-    width = max(len(v) for v in by_prime.values())
-    factors = []
-    for i in range(width):
-        d = 1
-        for p, exps in by_prime.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        factors.append(d)
-    factors.sort()
-    assert math.prod(factors) == n
-    return factors
-
-
-def _prime_power_exponent(n: int, p: int) -> int:
-    """The exact e with p**e == n, by repeated division."""
-    e = 0
-    while n > 1 and n % p == 0:
-        n //= p
-        e += 1
-    assert n == 1, "torsion count is not a prime power"
-    return e
+    return [d for d in (d1, n // d1) if d > 1]
 
 
 def two_torsion_count(curve: WeierstrassCurve, points=None) -> int:

@@ -225,7 +225,7 @@ def test_spec_under_the_check_cap_loads_fast(capsys):
     assert out == f"[[1,{image}],[0,1]]"
 
 
-def test_cusp_count_off_the_table(capsys):
+def test_cusp_count_mod_t_over_f7_counts_the_points_of_p1(capsys):
     # |G| = 2016; the trivial subgroup's cusps are the q + 1 points of
     # P^1(F_7)
     with helpers.budget(2):

@@ -3,11 +3,11 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gl2aut.curves import (INFINITY, LPoly, WeierstrassCurve,
-                           _prime_power_exponent, class_data, cs_order,
-                           curve_from_text, ell_count, enumerate_points,
-                           group_structure, lpoly_from_count, point_add,
-                           point_mul, point_neg, two_torsion_count)
+from gl2aut.curves import (INFINITY, LPoly, WeierstrassCurve, class_data,
+                           cs_order, curve_from_text, ell_count,
+                           enumerate_points, group_structure,
+                           lpoly_from_count, point_add, point_mul, point_neg,
+                           two_torsion_count)
 from gl2aut.ffield import field_of_order
 import helpers
 from helpers import (brute_group_structure, brute_points,
@@ -79,17 +79,6 @@ def test_two_torsion_count_matches_the_group_law(curve):
     assert two_torsion_count(curve, pts) == brute_two_torsion_count(curve, pts)
 
 
-def test_prime_power_exponent_is_exact():
-    assert _prime_power_exponent(1, 7) == 0
-    assert _prime_power_exponent(2 ** 16, 2) == 16
-    assert _prime_power_exponent(251 ** 2, 251) == 2
-    # math.log(243, 3) evaluates to 4.999..., which int() would truncate to 4
-    assert _prime_power_exponent(243, 3) == 5
-    for n, p in ((12, 2), (10, 5), (2 ** 16 + 2, 2), (3, 2), (0, 3)):
-        with pytest.raises(AssertionError, match="not a prime power"):
-            _prime_power_exponent(n, p)
-
-
 def test_singular_curves_are_rejected():
     for bad in ("q=2;y2=x3", "q=3;y2=x3", "q=5;y2=x3+x2"):
         with pytest.raises(ValueError):
@@ -144,7 +133,23 @@ def test_two_torsion_counts():
     assert two_torsion_count(curve_from_text(ANISOTROPIC_F2)) == 1
     # y^2 = x^3 + x over F_5 has full two-torsion: x^3 + x splits
     assert two_torsion_count(curve_from_text("q=5;y2=x3+x")) == 4
-    assert group_structure(curve_from_text("q=5;y2=x3+x")) == [2, 2]
+
+
+@pytest.mark.parametrize("spec,factors", [
+    ("q=5;y2=x3+x", [2, 2]),        # 2-part Z/2 x Z/2
+    ("q=9;y2=x3+x", [4, 4]),        # a = b = 2
+    ("q=25;y2=x3+x", [4, 8]),       # a = 2 < b = 3: the count drops at k = 3
+    ("q=4;y2+y=x3", [3, 3]),        # an odd p with a = 1
+    ("q=13;y2=x3+x", [2, 10]),      # a = 1 at p = 2 beside a cyclic 5-part
+    ("q=7;y2=x3+x", [8]),           # 4 | #E but cyclic: a = 0 at p = 2
+    ("q=2;y2+y=x3", [3]),           # no p^2 divides #E
+    ("q=2;y2+y=x3+x+1", []),        # the trivial group
+])
+def test_group_structure_on_each_shape_of_p_part(spec, factors):
+    curve = curve_from_text(spec)
+    pts = enumerate_points(curve)
+    assert group_structure(curve, pts) == factors
+    assert brute_group_structure(curve, pts) == factors
 
 
 def test_lpoly_construction_and_hasse_bound():
