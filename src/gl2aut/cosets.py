@@ -37,14 +37,23 @@ _GROUP_CAP = 100_000
 
 
 class QuotRing:
-    """F_q[t]/(m) with residues encoded as ints (base-q coefficient codes).
+    """F_q[t]/(m) with residues encoded as ints: the base-q code of the
+    remainder's coefficient codes, constant digit least significant, so the
+    constants of F_q are the residues 0, ..., q-1.
 
     Refused at once when the image of GL2(F_q[t]) would exceed the group
     cap: that image has (q-1)|SL2(F_q[t]/m)| >= (q-1) q^d (q^2-1)^d
     elements for deg m = d, since |SL2(F_q[t]/m)| = q^(3d) times the product
     of (1 - q^(-2 deg p)) over the primes p dividing m.  Every ring that
     passes has at most 64 residues, so addition, negation and multiplication
-    are tables."""
+    are tables.
+
+    The tables come from the field's int hooks, with no polynomial division.
+    Sums and negatives go digit by digit.  Multiplying by t shifts the digits
+    up, and since m is monic the carried c t^d is -c (m_0 + ... +
+    m_(d-1) t^(d-1)).  A product is Horner's rule: x y = t (x' y) + x_0 y for
+    x = x_0 + t x', so each row of the product table comes from two earlier
+    rows.  A polynomial reduces by the same rule over its coefficients."""
 
     def __init__(self, ring: PolyRing, modulus: Poly):
         if modulus.deg < 1:
@@ -54,19 +63,39 @@ class QuotRing:
         if d >= _GROUP_CAP.bit_length() or (q - 1) * q ** d * (q * q - 1) ** d > _GROUP_CAP:
             raise RuntimeError(f"the quotient group has more than {_GROUP_CAP} elements")
         self.ring = ring
-        self.field = ring.field
+        self.field = f = ring.field
         self.modulus = modulus.monic()
         self.deg = d
-        self.size = q ** d
-        residues = [ring.from_code(c) for c in range(self.size)]
-        self._mul_tab = [[self.reduce_poly(x * y) for y in residues] for x in residues]
-        self._add_tab = [[(x + y).encode() for y in residues] for x in residues]
-        self._neg = [row.index(0) for row in self._add_tab]
+        self.size = n = q ** d
+        # over the codes, x // q is the residue x' and x % q its constant x_0
+        add = [list(range(n))]
+        for x in range(1, n):
+            hi, lo = add[x // q], x % q
+            add.append([q * hi[y // q] + f.add_i(lo, y % q) for y in range(n)])
+        neg = [0] * n
+        mul = [[0] * n for _c in range(q)]
+        for y in range(1, n):
+            neg[y] = q * neg[y // q] + f.neg_i(y % q)
+            for c in range(1, q):
+                mul[c][y] = q * mul[c][y // q] + f.mul_i(c, y % q)
+        low = 0
+        for c in reversed(self.modulus.coeffs[:d]):
+            low = low * q + c
+        top = n // q
+        # x t = (x mod t^(d-1)) t + x_(d-1) t^d
+        mul_t = [add[x % top * q][mul[x // top][neg[low]]] for x in range(n)]
+        for x in range(q, n):
+            hi, lo = mul[x // q], mul[x % q]
+            mul.append([add[mul_t[hi[y]]][lo[y]] for y in range(n)])
+        self._add_tab, self._mul_tab, self._neg, self._mul_t = add, mul, neg, mul_t
         # the units are the residues with a 1 in their row of the table
-        self._inv = {a: row.index(1) for a, row in enumerate(self._mul_tab) if 1 in row}
+        self._inv = {a: row.index(1) for a, row in enumerate(mul) if 1 in row}
 
     def reduce_poly(self, p: Poly) -> int:
-        return (p % self.modulus).encode()
+        add, mul_t, r = self._add_tab, self._mul_t, 0
+        for c in reversed(p.coeffs):
+            r = add[mul_t[r]][c]
+        return r
 
     def add(self, a: int, b: int) -> int:
         return self._add_tab[a][b]
@@ -112,7 +141,7 @@ def reduce_mat(R: QuotRing, m: Mat2) -> tuple:
     det = m.det()
     if not det.is_constant() or det.is_zero():
         raise ValueError(f"{m.text()} is not invertible over F_q[t]")
-    return tuple(R.reduce_poly(e) for e in m.entries())
+    return tuple(map(R.reduce_poly, m.entries()))
 
 
 class FiniteGroup(Record):
@@ -158,22 +187,19 @@ def reduction_generators(R: QuotRing) -> list:
 
 
 def image_order(R: QuotRing) -> int:
-    """|G| = (q-1) |SL2(R)|, where |SL2(R)| is the product over the prime
-    powers p^e exactly dividing m of q^(3 deg p e - 2 deg p) (q^(2 deg p) - 1).
-    The primes come from trial division of m by the monic polynomials in
-    order of degree, so every divisor found is irreducible."""
-    ring, q = R.ring, R.field.q
-    m, order, k = R.modulus, q - 1, 1
-    while m.deg > 0:
-        for code in range(q ** k):
-            p = ring.from_code(code) + ring.monomial(1, k)
-            e = 0
-            while (m % p).is_zero():
-                m, e = m // p, e + 1
-            if e:
-                order *= q ** (3 * k * e - 2 * k) * (q ** (2 * k) - 1)
-        k += 1
-    return order
+    """|G| = (q-1) |SL2(R)|, and |SL2(R)| = |R|^3 times the product of
+    (1 - |R/M|^-2) over the maximal ideals M of R, one for each prime
+    dividing m.  Every ideal of R is principal, so the ideals are the sets
+    xR, the rows of the product table as sets, and the maximal ones are the
+    proper ideals that lie in no other proper ideal."""
+    n = R.size
+    proper = {frozenset(row) for row in R._mul_tab} - {frozenset(range(n))}
+    order, denominator = (R.field.q - 1) * n ** 3, 1
+    for ideal in proper:
+        if not any(ideal < other for other in proper):
+            s = (n // len(ideal)) ** 2
+            order, denominator = order * (s - 1), denominator * s
+    return order // denominator
 
 
 def reduction_image(R: QuotRing) -> FiniteGroup:

@@ -20,6 +20,7 @@ MAX_DEGREE = 1000
 
 _TERM_RE = re.compile(r"^(?P<coeff>\([0-9]+(?:,[0-9]+)*\)|[0-9]+)?"
                       r"(?P<var>t(?:\^(?P<pow>[0-9]+))?)?$")
+_SIGN_RE = re.compile(r"([+-])")
 
 
 class Poly:
@@ -146,13 +147,6 @@ class Poly:
     def monic(self) -> "Poly":
         return self.scale(self.ring.field.inv_i(self.coeffs[-1])) if self.coeffs else self
 
-    def encode(self) -> int:
-        """Integer code, base q, constant coefficient least significant."""
-        code = 0
-        for c in reversed(self.coeffs):
-            code = code * self.ring.field.q + c
-        return code
-
     def text(self) -> str:
         return self.ring.element_str(self)
 
@@ -240,7 +234,10 @@ class PolyRing:
         if s == "0":
             return self.zero
         acc = self.zero
-        for term in s.split("+"):
+        # ["", sign, term, sign, term, ...]: a term follows "+" or "-", the
+        # first one "-" or nothing
+        pieces = _SIGN_RE.split(s if s.startswith("-") else "+" + s)
+        for sign, term in zip(pieces[1::2], pieces[2::2]):
             m = _TERM_RE.match(term)
             if not m or (m.group("coeff") is None and m.group("var") is None):
                 raise ValueError(f"bad polynomial term {term!r}")
@@ -250,7 +247,8 @@ class PolyRing:
             # count digits first: int() refuses past 4300 of them
             if len(power) > len(str(MAX_DEGREE)) or int(power) > MAX_DEGREE:
                 raise ValueError(f"degree {power} exceeds {MAX_DEGREE}")
-            acc = acc + self.monomial(coeff.code, int(power))
+            mono = self.monomial(coeff.code, int(power))
+            acc = acc - mono if sign == "-" else acc + mono
         return acc
 
     def __repr__(self):

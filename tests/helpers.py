@@ -345,14 +345,11 @@ def brute_modulus(p, n):
 
 # ---- brute-force curve oracles ----
 
-def point_order(curve, pt) -> int:
-    """The order of pt, by adding it to itself until infinity."""
-    k = 1
-    acc = pt
-    while acc is not INFINITY:
-        acc = point_add(curve, acc, pt)
-        k += 1
-    return k
+def point_order(curve, pt, count) -> int:
+    """The order of pt on a curve of `count` points, by adding it to itself
+    until infinity; AssertionError past `count` steps, so a broken group law
+    fails instead of looping."""
+    return brute_order(pt, INFINITY, functools.partial(point_add, curve), limit=count)
 
 
 def brute_points(curve):
@@ -374,7 +371,7 @@ def brute_group_structure(curve, points):
     E(F_q) is Z/d1 x Z/d2 with d1 | d2, so d2 is the largest point order
     and d1 = #E / d2; the d1-torsion then has exactly d1^2 points.
     """
-    orders = [point_order(curve, pt) for pt in points]
+    orders = [point_order(curve, pt, len(points)) for pt in points]
     d2 = max(orders)
     d1, rem = divmod(len(points), d2)
     assert rem == 0 and d2 % d1 == 0
@@ -408,6 +405,32 @@ def unitriangular_spec(n, dense_side):
 
 
 # ---- brute-force quotient-group oracles ----
+
+def poly_code(p) -> int:
+    """The base-q code of p's coefficient codes, constant digit least
+    significant: the residue code QuotRing uses."""
+    code = 0
+    for c in reversed(p.coeffs):
+        code = code * p.ring.field.q + c
+    return code
+
+
+class DivisionQuotRing:
+    """The tables of F_q[t]/(m) by polynomial division: every sum and product
+    of two residues, each reduced mod m and encoded (QuotRing's former
+    build, kept as the oracle for its division-free tables)."""
+
+    def __init__(self, ring: PolyRing, modulus):
+        self.modulus = modulus.monic()
+        residues = [ring.from_code(c) for c in range(ring.field.q ** modulus.deg)]
+        self.mul_tab = [[self.reduce_poly(x * y) for y in residues] for x in residues]
+        self.add_tab = [[poly_code(x + y) for y in residues] for x in residues]
+        self.neg = [row.index(0) for row in self.add_tab]
+        self.inv = {a: row.index(1) for a, row in enumerate(self.mul_tab) if 1 in row}
+
+    def reduce_poly(self, p) -> int:
+        return poly_code(p % self.modulus)
+
 
 def full_gl2(R: QuotRing) -> FiniteGroup:
     """All of GL2(F_q[t]/m), by scanning entry tuples (small moduli only)."""

@@ -307,6 +307,13 @@ def test_aut_apply_script_from_file(tmp_path, capsys):
     assert out == "f2:1·f1:2"
 
 
+def test_polynomial_text_may_subtract(capsys):
+    # the output never prints a minus sign: t - 1 is t + 2 over F_3
+    want = "B:[[1,t+2],[0,1]]"
+    assert run_ok(capsys, ["nagao-decompose", "--q", "3", "--matrix", "[[1,t+2],[0,1]]"]) == want
+    assert run_ok(capsys, ["nagao-decompose", "--q", "3", "--matrix", "[[1,t-1],[0,1]]"]) == want
+
+
 def test_error_paths_exit_2(capsys):
     run_err(capsys, ["ell-count", "--curve", "q=2;y2=x3"])  # singular
     run_err(capsys, ["aut-count", "--q", "6"])  # not a prime power
@@ -316,6 +323,10 @@ def test_error_paths_exit_2(capsys):
                      "--modulus", "t", "--bound", "2"])
     run_err(capsys, ["cusp-count", "--q", "2", "--modulus", "1",
                      "--subgroup", "full"])
+    # the determinant t^2 + 1 is 1 mod t^2 but no unit of F_2[t]
+    err = run_err(capsys, ["cusp-count", "--q", "2", "--modulus", "t^2",
+                           "--gens", "[[1,0],[0,t^2+1]]"])
+    assert err == "error: [[1,0],[0,t^2+1]] is not invertible over F_q[t]\n"
 
 
 _VALID_INVERSE = {"1": [0, 1]}

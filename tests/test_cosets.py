@@ -51,6 +51,46 @@ def test_quotient_ring_refuses_groups_above_the_cap_before_building():
             QuotRing(R, modulus)
 
 
+def _oracle_moduli(q):
+    """Over F_2, ..., F_5 every monic modulus with at most 32 residues, and
+    over F_2 also t^6 and t^6+t+1, rings of 64 residues, the largest the
+    cap admits; over the larger fields t + alpha for every alpha."""
+    ring = helpers.ring_of(q)
+    if q > 5:
+        return [ring.t + ring.const(a) for a in range(q)]
+    moduli = [ring.from_code(code) + ring.monomial(1, d)
+              for d in range(1, 6) if q ** d <= 32 for code in range(q ** d)]
+    if q == 2:
+        moduli += [ring.monomial(1, 6), ring.poly((1, 1, 0, 0, 0, 0, 1))]
+    return moduli
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 17])
+def test_quot_ring_tables_match_the_division_oracle(q):
+    ring = helpers.ring_of(q)
+    rng = random.Random(q)
+    for m in _oracle_moduli(q):
+        R, want = QuotRing(ring, m), helpers.DivisionQuotRing(ring, m)
+        assert R._add_tab == want.add_tab, m
+        assert R._mul_tab == want.mul_tab, m
+        assert R._neg == want.neg, m
+        assert R._inv == want.inv, m
+        polys = [ring.zero] + [helpers.rand_poly(ring, rng, rng.randrange(3 * m.deg + 1))
+                               for _ in range(20)]
+        assert [R.reduce_poly(p) for p in polys] == [want.reduce_poly(p) for p in polys], m
+
+
+def test_quot_ring_tables_build_within_budget_on_the_largest_rings():
+    # 64 residues over F_2 is the most the cap admits; 25 and 17 are the
+    # most over F_5 and F_17
+    for q, modulus, size in ((2, "t^6", 64), (2, "t^6+t+1", 64), (5, "t^2+2", 25),
+                             (17, "t+3", 17)):
+        ring = helpers.ring_of(q)
+        with helpers.budget(1):
+            R = QuotRing(ring, ring.parse_element(modulus))
+        assert R.size == size
+
+
 def test_reduction_image_orders():
     ctx = ctx_mod_t()
     assert len(ctx.group) == 6  # all of GL2(F_2)
@@ -318,6 +358,14 @@ def test_subgroup_generator_outside_ambient_group_is_rejected():
     # determinant reduces to the unit 1 + t, which is outside the image
     bad = mat_parse(R, "[[1,0],[0,t+1]]")
     with pytest.raises(ValueError):
+        SubgroupSpec.from_matrices(ctx.group, ctx.R, [bad])
+
+
+def test_generator_is_checked_over_f_q_t_not_on_its_residues():
+    # det = t^2 + 1 reduces to 1 mod t^2, but is no unit of F_2[t]
+    ctx = ctx_mod_tsq()
+    bad = mat_parse(helpers.ring_of(2), "[[1,0],[0,t^2+1]]")
+    with pytest.raises(ValueError, match="not invertible over F_q\\[t\\]"):
         SubgroupSpec.from_matrices(ctx.group, ctx.R, [bad])
 
 

@@ -42,6 +42,19 @@ def test_parse_rejects_garbage():
             R.parse_element(bad)
 
 
+def test_minus_signs_subtract_their_term():
+    R3, R9 = helpers.ring_of(3), helpers.ring_of(9)
+    assert R3.parse_element("t-1") == R3.poly((2, 1))
+    assert R3.parse_element("-t") == R3.poly((0, 2))
+    assert R3.parse_element("2t^2-t+1") == R3.poly((1, 2, 2))
+    assert R3.parse_element("-t+t") == R3.zero
+    # -(1,1) in F_9 has the digits (2,2), code 2 + 3 * 2
+    assert R9.parse_element("t-(1,1)") == R9.poly((8, 1))
+    for bad in ("+t", "t--1", "t+-1", "t-", "-", "t^-1", "-t^-2"):
+        with pytest.raises(ValueError):
+            R3.parse_element(bad)
+
+
 def test_parse_refuses_degrees_past_the_cap():
     R = helpers.ring_of(2)
     assert R.parse_element(f"t^{MAX_DEGREE}+1").deg == MAX_DEGREE
