@@ -1,18 +1,25 @@
 """Command-line front end.
 
+    gl2aut <command> [--flag value | --flag=value | --switch]...
+
 Every computation is exposed as a subcommand with deterministic output:
 scalars and words print bare, structured reports print as single-line JSON,
 and graph-export prints a DOT or JSON document.  Exit code 0 on success and
 2 on any input error (malformed curve, matrix, spec, or flag).
 
+One table, `_COMMANDS`, drives parsing, help and dispatch.  The last
+occurrence of a flag wins, a unique prefix names its flag (`--mod t`), a
+value may start with `-`, and int flags are read with int().  A usage error
+prints `error:` and a usage line to stderr and exits 2; `-h` or `--help`
+prints the commands, or after a command its flags, and exits 0.
+
 A subcommand loads only the library modules it runs: each handler imports
 what it calls inside its body, so `aut-count` loads `ffield` alone and only
 the free-product commands (cs-wreath-check, dihedral-demo, aut-apply) load
-`words` and the modules under it.
+`words` and the modules under it.  `json` is imported the same way, by the
+handlers that read or print it.
 """
 
-import argparse
-import json
 import sys
 
 
@@ -24,6 +31,7 @@ def _ring_for(q: int):
 
 def _load_json_arg(text: str):
     """Accept a path to a JSON file or an inline JSON string."""
+    import json
     try:
         with open(text) as fh:
             return json.load(fh)
@@ -49,6 +57,7 @@ def _curve_report(curve_text: str):
 
 
 def cmd_aut_count(args) -> str:
+    import json
     from .ffield import aut_rel_count, aut_rel_enumerate, prime_power
     prime_power(args.q)
     return json.dumps({"q": args.q, "count": aut_rel_count(args.q),
@@ -62,6 +71,7 @@ def cmd_ell_count(args) -> str:
 
 
 def cmd_class_data(args) -> str:
+    import json
     from .curves import class_data
     curve, q, points, lp = _curve_report(args.curve)
     data = class_data(lp, curve, points)
@@ -102,6 +112,7 @@ def cmd_reiner_image(args) -> str:
 
 
 def cmd_unipotent_fiber(args) -> str:
+    import json
     from .reiner import LinearAutoSpec, unipotent_fiber
     ring = _ring_for(args.q)
     spec = LinearAutoSpec.from_json(ring, _load_json_arg(args.spec))
@@ -136,6 +147,7 @@ def cmd_cusp_count(args) -> str:
 
 
 def cmd_cs_wreath_check(args) -> str:
+    import json
     from .words import cs_wreath_check
     rep = cs_wreath_check(args.r, args.q)
     return json.dumps({"r": rep.r, "q": rep.q,
@@ -145,6 +157,7 @@ def cmd_cs_wreath_check(args) -> str:
 
 
 def cmd_dihedral_demo(_args) -> str:
+    import json
     from .words import dihedral_cohopf_demo
     rep = dihedral_cohopf_demo()
     return json.dumps({"index": rep.index, "injective_up_to": rep.injective_up_to,
@@ -168,115 +181,190 @@ def cmd_aut_apply(args) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gl2aut",
-        description="Exact computations for GL2(F_q[t]): normal forms, "
-                    "automorphisms, cusp counts, curve class data, and "
-                    "quotient graphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _flag(kind=str, required=False, default=None, choices=None, help=""):
+    """A flag's (kind, required, default, choices, help).  The kind is int,
+    str (text) or bool (a switch, False unless given)."""
+    return kind, required, default, choices, help
 
-    p = sub.add_parser("aut-count",
-                       help="admissible unit classes mod q^2-1 (count and list)")
-    p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=cmd_aut_count)
 
-    p = sub.add_parser("ell-count",
-                       help="number of elliptic points for a curve (L(-1))")
-    p.add_argument("--curve", required=True,
-                   help='curve text, e.g. "q=2;y2+y=x3"')
-    p.set_defaults(func=cmd_ell_count)
+_COMMANDS = {
+    "aut-count": (
+        "admissible unit classes mod q^2-1 (count and list)",
+        {"q": _flag(int, required=True, help="field size")}),
+    "ell-count": (
+        "number of elliptic points for a curve (L(-1))",
+        {"curve": _flag(required=True, help='curve text, e.g. "q=2;y2+y=x3"')}),
+    "class-data": (
+        "class number, 2-torsion, and spike count for a curve",
+        {"curve": _flag(required=True, help='curve text, e.g. "q=2;y2+y=x3"')}),
+    "cs-order": (
+        "order r! * |classes|^r of the spike wreath group",
+        {"curve": _flag(help="curve text, in place of --r and --q"),
+         "r": _flag(int, help="number of spikes"),
+         "q": _flag(int, help="field size")}),
+    "nagao-decompose": (
+        "canonical amalgam word of a matrix over F_q[t]",
+        {"q": _flag(int, required=True, help="field size"),
+         "matrix": _flag(required=True, help='e.g. "[[1,0],[t,1]]"')}),
+    "reiner-image": (
+        "image of a matrix under a Reiner automorphism",
+        {"q": _flag(int, required=True, help="field size"),
+         "spec": _flag(required=True,
+                       help="linear spec as a JSON file path or inline JSON"),
+         "matrix": _flag(required=True, help='e.g. "[[1,t],[0,1]]"'),
+         "inverse": _flag(bool, help="apply the inverse automorphism")}),
+    "unipotent-fiber": (
+        "unipotents carried into a congruence subgroup by the inverse Reiner "
+        "automorphism",
+        {"q": _flag(int, required=True, help="field size"),
+         "spec": _flag(required=True,
+                       help="linear spec as a JSON file path or inline JSON"),
+         "modulus": _flag(required=True, help='e.g. "t^2"'),
+         "bound": _flag(int, required=True, help="degree bound for the enumeration")}),
+    "cusp-count": (
+        "cusp count of a subgroup image modulo a polynomial: its orbits on the "
+        "boundary",
+        {"q": _flag(int, required=True, help="field size"),
+         "modulus": _flag(required=True, help='e.g. "t^2"'),
+         "subgroup": _flag(default="trivial", choices=("trivial", "borel", "full"),
+                           help="preset subgroup"),
+         "gens": _flag(help='explicit generators "[[..],[..]];[[..],[..]]" '
+                            "(overrides --subgroup)")}),
+    "cs-wreath-check": (
+        "closure check: spike generators give the wreath product of unit "
+        "classes by the symmetric group",
+        {"r": _flag(int, required=True, help="number of spikes"),
+         "q": _flag(int, required=True, help="field size")}),
+    "dihedral-demo": (
+        "infinite dihedral subgroup-index demonstration",
+        {}),
+    "graph-export": (
+        "quotient graph of a built-in example as DOT or JSON",
+        {"graph": _flag(required=True, choices=("ex1", "ex3"), help="built-in example"),
+         "format": _flag(default="json", choices=("dot", "json"), help="output format"),
+         "depth": _flag(int, default=3, help="ray depth at which the graph is cut")}),
+    "aut-apply": (
+        "apply a generator-automorphism script to a word",
+        {"decl": _flag(required=True,
+                       help="declaration name: ex1cusp, ex3cusps, or dihedral"),
+         "script": _flag(required=True,
+                         help="JSON array of generator records (file path or inline)"),
+         "word": _flag(required=True,
+                       help='word text "f0:[[1,t],[0,1]].f1:2" ("." or the '
+                            "middle dot separate letters)")}),
+}
 
-    p = sub.add_parser("class-data",
-                       help="class number, 2-torsion, and spike count for a curve")
-    p.add_argument("--curve", required=True)
-    p.set_defaults(func=cmd_class_data)
+_DESCRIPTION = ("Exact computations for GL2(F_q[t]): normal forms, automorphisms, "
+                "cusp counts, curve class data, and quotient graphs.")
 
-    p = sub.add_parser("cs-order",
-                       help="order r! * |classes|^r of the spike wreath group")
-    p.add_argument("--curve")
-    p.add_argument("--r", type=int)
-    p.add_argument("--q", type=int)
-    p.set_defaults(func=cmd_cs_order)
 
-    p = sub.add_parser("nagao-decompose",
-                       help="canonical amalgam word of a matrix over F_q[t]")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--matrix", required=True, help='e.g. "[[1,0],[t,1]]"')
-    p.set_defaults(func=cmd_nagao_decompose)
+def _flag_usage(name, spec) -> str:
+    kind, required, _default, choices, _text = spec
+    if kind is bool:
+        return f"[--{name}]"
+    value = "{" + ",".join(choices) + "}" if choices else "N" if kind is int else "TEXT"
+    return f"--{name} {value}" if required else f"[--{name} {value}]"
 
-    p = sub.add_parser("reiner-image",
-                       help="image of a matrix under a Reiner automorphism")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--spec", required=True,
-                   help="linear spec as a JSON file path or inline JSON")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--inverse", action="store_true",
-                   help="apply the inverse automorphism")
-    p.set_defaults(func=cmd_reiner_image)
 
-    p = sub.add_parser("unipotent-fiber",
-                       help="unipotents carried into a congruence subgroup "
-                            "by the inverse Reiner automorphism")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--modulus", required=True, help='e.g. "t^2"')
-    p.add_argument("--bound", type=int, required=True,
-                   help="degree bound for the enumeration")
-    p.set_defaults(func=cmd_unipotent_fiber)
+def _usage(command) -> str:
+    if command is None:
+        return "usage: gl2aut <command> [--flag value]...  (gl2aut --help lists them)"
+    return " ".join(["usage: gl2aut", command]
+                    + [_flag_usage(n, s) for n, s in _COMMANDS[command][1].items()])
 
-    p = sub.add_parser("cusp-count",
-                       help="cusp count of a subgroup image modulo a "
-                            "polynomial: its orbits on the boundary")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--modulus", required=True)
-    p.add_argument("--subgroup", choices=["trivial", "borel", "full"],
-                   default="trivial")
-    p.add_argument("--gens",
-                   help='explicit generators "[[..],[..]];[[..],[..]]" '
-                        "(overrides --subgroup)")
-    p.set_defaults(func=cmd_cusp_count)
 
-    p = sub.add_parser("cs-wreath-check",
-                       help="closure check: spike generators give the wreath "
-                            "product of unit classes by the symmetric group")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=cmd_cs_wreath_check)
+def _usage_error(command, what):
+    print(f"error: {what}\n{_usage(command)}", file=sys.stderr)
+    raise SystemExit(2)
 
-    p = sub.add_parser("dihedral-demo",
-                       help="infinite dihedral subgroup-index demonstration")
-    p.set_defaults(func=cmd_dihedral_demo)
 
-    p = sub.add_parser("graph-export",
-                       help="quotient graph of a built-in example as DOT or JSON")
-    p.add_argument("--graph", choices=["ex1", "ex3"], required=True)
-    p.add_argument("--format", choices=["dot", "json"], default="json")
-    p.add_argument("--depth", type=int, default=3)
-    p.set_defaults(func=cmd_graph_export)
+def _help(command):
+    if command is None:
+        width = max(map(len, _COMMANDS))
+        lines = [_usage(None), "", _DESCRIPTION, "", "commands:"]
+        lines += [f"  {n:<{width}}  {h}" for n, (h, _flags) in _COMMANDS.items()]
+    else:
+        summary, flags = _COMMANDS[command]
+        lines = [_usage(command), "", summary]
+        if flags:
+            lines += ["", "flags:"]
+        for name, (kind, _required, default, _choices, text) in flags.items():
+            note = f" (default {default})" if default is not None and kind is not bool else ""
+            lines.append(f"  --{name:<10} {text}{note}")
+    print("\n".join(lines))
+    raise SystemExit(0)
 
-    p = sub.add_parser("aut-apply",
-                       help="apply a generator-automorphism script to a word")
-    p.add_argument("--decl", required=True,
-                   help="declaration name: ex1cusp, ex3cusps, or dihedral")
-    p.add_argument("--script", required=True,
-                   help="JSON array of generator records (file path or inline)")
-    p.add_argument("--word", required=True,
-                   help='word text "f0:[[1,t],[0,1]].f1:2" ("." or the '
-                        "middle dot separate letters)")
-    p.set_defaults(func=cmd_aut_apply)
 
-    return parser
+def _parse(argv):
+    """The command name and its flag values (missing ones at their defaults)
+    read from argv by `_COMMANDS`.  A usage error or a help request raises
+    SystemExit."""
+    from types import SimpleNamespace
+    if not argv:
+        _usage_error(None, "no command given")
+    command, rest = argv[0], argv[1:]
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in _COMMANDS:
+        _usage_error(None, f"unknown command {command!r}")
+    flags = _COMMANDS[command][1]
+    values = {}
+    i = 0
+    while i < len(rest):
+        arg = rest[i]
+        i += 1
+        if arg == "-h":
+            _help(command)
+        if not arg.startswith("--") or arg == "--":
+            _usage_error(command, f"unexpected argument {arg!r}")
+        key, eq, value = arg[2:].partition("=")
+        names = [key] if key in flags else \
+            [n for n in (*flags, "help") if n.startswith(key)]
+        if len(names) != 1:
+            _usage_error(command, f"unknown flag --{key}" if not names else
+                         f"--{key} is ambiguous: " + ", ".join(f"--{n}" for n in names))
+        key = names[0]
+        if key == "help":
+            _help(command)
+        kind, _required, _default, choices, _text = flags[key]
+        if kind is bool:
+            if eq:
+                _usage_error(command, f"--{key} takes no value")
+            values[key] = True
+            continue
+        if not eq:
+            if i == len(rest):
+                _usage_error(command, f"--{key} needs a value")
+            value = rest[i]
+            i += 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                shown = repr(value) if len(value) <= 40 else f"{len(value)} characters"
+                _usage_error(command, f"--{key} takes an integer, not {shown}")
+        if choices and value not in choices:
+            _usage_error(command, f"--{key} takes one of {', '.join(choices)}, "
+                                  f"not {value!r}")
+        values[key] = value
+    missing = [f"--{n}" for n, spec in flags.items() if spec[1] and n not in values]
+    if missing:
+        _usage_error(command, "missing " + ", ".join(missing))
+    for name, (kind, _required, default, _choices, _text) in flags.items():
+        values.setdefault(name, False if kind is bool else default)
+    return command, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    command, args = _parse(sys.argv[1:] if argv is None else argv)
+    # looked up by name on each call, so a wrapper set on the module after
+    # import is the function that runs
+    handler = globals()["cmd_" + command.replace("-", "_")]
     try:
-        out = args.func(args)
+        out = handler(args)
     except (ValueError, RuntimeError, ZeroDivisionError, AssertionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -4,6 +4,7 @@ Everything random takes an explicit random.Random so each test controls its
 seed and stays reproducible.
 """
 
+import argparse
 import functools
 import itertools
 import json
@@ -586,3 +587,64 @@ def parse_graph_json(text: str) -> QuotientGraph:
         tuple(RayMarker(r["cusp"], r["depth"], r["at"]) for r in doc["rays"]))
     validate_graph(g)
     return g
+
+
+# ---- the former argparse front end of the CLI, kept as the parser oracle ----
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser `gl2aut.cli` used before its command table: the
+    same commands, flags, defaults and choices.  Its namespace holds the
+    command in `command` and every flag under its own name."""
+    parser = argparse.ArgumentParser(prog="gl2aut")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("aut-count")
+    p.add_argument("--q", type=int, required=True)
+
+    for name in ("ell-count", "class-data"):
+        sub.add_parser(name).add_argument("--curve", required=True)
+
+    p = sub.add_parser("cs-order")
+    p.add_argument("--curve")
+    p.add_argument("--r", type=int)
+    p.add_argument("--q", type=int)
+
+    p = sub.add_parser("nagao-decompose")
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--matrix", required=True)
+
+    p = sub.add_parser("reiner-image")
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--spec", required=True)
+    p.add_argument("--matrix", required=True)
+    p.add_argument("--inverse", action="store_true")
+
+    p = sub.add_parser("unipotent-fiber")
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--spec", required=True)
+    p.add_argument("--modulus", required=True)
+    p.add_argument("--bound", type=int, required=True)
+
+    p = sub.add_parser("cusp-count")
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--modulus", required=True)
+    p.add_argument("--subgroup", choices=["trivial", "borel", "full"], default="trivial")
+    p.add_argument("--gens")
+
+    p = sub.add_parser("cs-wreath-check")
+    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--q", type=int, required=True)
+
+    sub.add_parser("dihedral-demo")
+
+    p = sub.add_parser("graph-export")
+    p.add_argument("--graph", choices=["ex1", "ex3"], required=True)
+    p.add_argument("--format", choices=["dot", "json"], default="json")
+    p.add_argument("--depth", type=int, default=3)
+
+    p = sub.add_parser("aut-apply")
+    p.add_argument("--decl", required=True)
+    p.add_argument("--script", required=True)
+    p.add_argument("--word", required=True)
+
+    return parser

@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gl2aut import cli
 from gl2aut.cli import main
 from gl2aut.polyring import MAX_DEGREE
 from gl2aut.graphs import build_graph_ex1
@@ -375,13 +378,102 @@ def test_wrong_shaped_script_exits_2(capsys, record):
                      "--script", json.dumps([record]), "--word", "f1:1"])
 
 
-def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
+def _readme_commands():
+    """The argv of every `$ gl2aut ...` line in README's "Command line" block."""
+    text = (REPO_ROOT / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    return [shlex.split(line[len("$ gl2aut"):], comments=True)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("$ gl2aut ")]
+
+
+def _bench_commands():
+    """The argv of every command the `cli` benchmark runs on seeds 1-5."""
+    probe = ("import json, wl_cli; print(json.dumps([argv for seed in range(1, 6) "
+             "for argv, _check in wl_cli.commands(seed)]))")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=REPO_ROOT / "bench",
+                          capture_output=True, text=True, env=helpers.src_first_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+_GRAMMAR_CASES = [
+    ["cusp-count", "--q=2", "--modulus=t", "--subgroup=borel"],
+    ["aut-count", "--q", "3", "--q", "5"],  # the last occurrence wins
+    ["cusp-count", "--mod", "t^2", "--q", "2", "--sub", "full", "--g", "[[1,1],[0,1]]"],
+    ["reiner-image", "--q", "2", "--spec", "{}", "--matrix", "[[1,t],[0,1]]", "--inverse"],
+    ["reiner-image", "--inv", "--q", "2", "--spec", "{}", "--matrix", "m", "--inverse"],
+    ["graph-export", "--graph", "ex3", "--depth", "-2", "--format", "dot"],
+    ["cs-order", "--r", " +1_0 ", "--q=0"],
+    ["dihedral-demo"],
+]
+
+
+def test_table_parser_matches_the_argparse_oracle():
+    cases = _readme_commands() + _bench_commands() + _GRAMMAR_CASES
+    assert len(cases) == 12 + 5 * 13 + len(_GRAMMAR_CASES)
+    parser = helpers.build_parser()
+    for argv in cases:
+        want = vars(parser.parse_args(argv))
+        command = want.pop("command")
+        got_command, got = cli._parse(argv)
+        assert (got_command, vars(got)) == (command, want), argv
+
+
+def test_usage_errors_exit_2(capsys, monkeypatch):
+    # one command with two flags of a common prefix, for the ambiguous case
+    monkeypatch.setitem(cli._COMMANDS, "probe",
+                        ("", {"spec": cli._flag(), "subgroup": cli._flag()}))
+    cases = [
+        [],  # no command
+        ["no-such-command"],
+        ["--q", "5"],
+        ["aut-count", "--p", "5"],  # unknown flag
+        ["probe", "--s", "x"],  # ambiguous flag
+        ["aut-count", "--q"],  # missing value
+        ["aut-count"],  # missing required flag
+        ["nagao-decompose", "--q", "2"],
+        ["aut-count", "--q", "five"],  # bad int
+        ["aut-count", "--q", "5.0"],
+        ["graph-export", "--graph", "ex2"],  # choice outside its list
+        ["cusp-count", "--q", "2", "--modulus", "t", "--subgroup", "Borel"],
+        ["aut-count", "--q", "5", "extra"],  # stray positional argument
+        ["aut-count", "5"],
+        ["aut-count", "--q", "5", "--"],
+        ["aut-count", "--q", "5", "-q", "5"],
+        ["reiner-image", "--q", "2", "--spec", "{}", "--matrix", "m", "--inverse=1"],
+    ]
+    for argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        first, usage = out.err.splitlines()
+        assert first.startswith("error: ") and usage.startswith("usage: gl2aut "), argv
+    # a bad int of more than 4300 digits is refused by the parser, at once
+    with helpers.budget(1), pytest.raises(SystemExit) as exc:
+        main(["aut-count", "--q", "9" * 5000])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: --q takes an integer")
+
+
+def test_readme_shows_every_command_and_help_names_every_flag(capsys):
+    assert sorted({argv[0] for argv in _readme_commands()}) == sorted(cli._COMMANDS)
     with pytest.raises(SystemExit) as exc:
-        main(["aut-count"])  # missing required --q
-    assert exc.value.code == 2
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(re.search(rf"^  {name} ", out, re.M) for name in cli._COMMANDS)
+    for command, (_summary, flags) in cli._COMMANDS.items():
+        for ask in ("--help", "-h"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, ask])
+            assert exc.value.code == 0
+            out = capsys.readouterr()
+            assert out.err == "" and out.out.startswith(f"usage: gl2aut {command}")
+            assert all(re.search(rf"--{flag}\b", out.out) for flag in flags), command
 
 
 def _console_script(tmp_path):
@@ -429,21 +521,27 @@ def test_module_invocation_runs():
 
 
 # Which gl2aut modules a fresh interpreter holds after importing the CLI and
-# running one command, and which of the slow-to-import standard modules
-# `dataclasses` and `inspect` it holds.  None as argv means the import alone.
+# running one command, which of the slow-to-import standard modules
+# `argparse`, `dataclasses`, `gettext` and `inspect` it holds, and whether it
+# holds `json`.  The modules are listed before the probe imports json itself.
+# "import" alone as the argument means the import of the CLI alone.
 _FOOTPRINT = """
-import contextlib, io, json, sys
+import io, sys
 import gl2aut.cli
-argv = json.loads(sys.argv[1])
 code = None
-if argv is not None:
-    with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = gl2aut.cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gl2aut")),
-                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+if sys.argv[1:] != ["import"]:
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        code = gl2aut.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdout = stdout
+loaded = set(sys.modules)
+import json
+print(json.dumps([code, sorted(m for m in loaded if m.startswith("gl2aut")),
+                  [m for m in ("argparse", "dataclasses", "gettext", "inspect")
+                   if m in loaded], "json" in loaded]))
 """
 
 _CURVES = ["curves", "ffield", "record"]
@@ -451,6 +549,8 @@ _NAGAO = ["ffield", "matgroup", "nagao", "polyring", "record"]
 _WORDS = ["closure", "ffield", "matgroup", "nagao", "polyring", "record", "reiner",
           "words"]
 _SPEC = json.dumps({"map": {"2": [0, 1, 1]}, "inverse": {"2": [0, 1, 1]}})
+# the commands that print no JSON and read none
+_NO_JSON = ("--help", "ell-count", "cs-order", "nagao-decompose", "cusp-count")
 
 
 _FOOTPRINTS = [
@@ -478,12 +578,14 @@ _FOOTPRINTS = [
 @pytest.mark.parametrize("argv, loaded", _FOOTPRINTS,
                          ids=["import" if a is None else a[0] for a, _ in _FOOTPRINTS])
 def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT] + (argv or ["import"]),
                           capture_output=True, text=True,
                           env=helpers.src_first_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    code, modules, slow = json.loads(proc.stdout)
+    code, modules, slow, has_json = json.loads(proc.stdout)
     assert code == (None if argv is None else 0)
     assert modules == sorted(["gl2aut", "gl2aut.cli"]
                              + [f"gl2aut.{m}" for m in loaded])
     assert slow == []
+    if argv is None or argv[0] in _NO_JSON:
+        assert not has_json

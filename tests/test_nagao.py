@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,6 +170,35 @@ def test_letter_side_validation():
     singular = Mat2(R, R.one, R.one, R.one, R.one)
     with pytest.raises(ValueError):
         nagao.letter("G", singular)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("text", ["[[1,1],[1,1]]", "[[1,0],[1,0]]", "[[t,0],[0,1]]",
+                                  "[[1,t],[t,t^2]]", "[[0,0],[0,0]]", "[[1,0],[0,0]]",
+                                  "[[t,t^3],[1,t^2]]", "[[t^2,t],[t+1,1]]"])
+def test_singular_matrices_are_refused_after_the_peeling(q, text):
+    # no determinant is taken up front: each of these is peeled down to its
+    # triangular remainder, the last two (det 0 and -t) after several letters
+    m = mat_parse(helpers.ring_of(q), text)
+    with pytest.raises(ValueError, match=re.escape(f"{m.text()} is not invertible over F_q[t]")):
+        nagao.decompose(m)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_decompose_refuses_exactly_the_matrices_without_unit_determinant(q, rng):
+    # the check on the triangular remainder agrees with det(m) in F_q^*
+    R = helpers.ring_of(q)
+    refused = 0
+    for _ in range(300):
+        m = Mat2(R, *(helpers.rand_poly(R, rng, 2) for _ in range(4)))
+        det = m.det()
+        if det.is_constant() and not det.is_zero():
+            assert nagao.evaluate(R, nagao.decompose(m)) == m
+        else:
+            refused += 1
+            with pytest.raises(ValueError, match="not invertible"):
+                nagao.decompose(m)
+    assert refused > 0
 
 
 def test_syllable_growth_under_unipotent_of_high_degree():

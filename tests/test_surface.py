@@ -6,6 +6,8 @@ when code refers to its name somewhere besides its own definition: in
 another part of `src/gl2aut`, in `scripts/`, in `bench/` or in the
 acceptance suite.  A method counts only through an attribute (`x.name`) or
 a dotted string, so a local variable of the same name does not keep it.
+The CLI's handlers count when their command is in its table, since `main`
+looks each one up by name.
 A name that only unit tests reach is dead weight in the library; it is
 deleted, or moved to `tests/helpers.py` when a test uses it as an oracle.
 """
@@ -14,6 +16,7 @@ import ast
 import re
 
 import helpers
+from gl2aut.cli import _COMMANDS
 
 ROOT = helpers.SRC.parent
 LIB = helpers.SRC / "gl2aut"
@@ -24,6 +27,9 @@ LIB = helpers.SRC / "gl2aut"
 WAITING = ("StabParam", "stab_membership", "stab_reconstruct", "unipotent_stab",
            "qs_basis", "IdealQs", "conjugator_to_upper", "proj_point_from_text",
            "frac_field")
+
+# cli.main finds the handler of a command in _COMMANDS as cmd_<command>
+DISPATCHED = {"cmd_" + command.replace("-", "_") for command in _COMMANDS}
 
 
 def _public_defs(tree):
@@ -75,7 +81,8 @@ def unreached() -> list:
         for qualname, name, first, last in _public_defs(tree):
             # a method is reached only as an attribute or a dotted string
             kinds = (True,) if "." in qualname else (False, True)
-            if any((name, dotted) in outside for dotted in kinds) or name in WAITING:
+            if any((name, dotted) in outside for dotted in kinds) or name in WAITING \
+                    or (mod == "cli" and name in DISPATCHED):
                 continue
             if any(used == name and dotted in kinds
                    and not (other == mod and first <= line <= last)
