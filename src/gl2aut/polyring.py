@@ -5,6 +5,12 @@ field: constant term first, no trailing zero, so the zero polynomial is ().
 Arithmetic makes one pass over the tuples through the FieldSpec int hooks,
 which keeps matrix work over F_2[t] / F_3[t] cheap.  Both operands of +, -,
 * and divmod must come from one ring; mixed rings raise TypeError.
+
+A Poly never changes once built: only Poly.__init__ assigns `coeffs`.  So
+scaling by one returns the operand itself rather than a copy, and through
+it x * one, one * x and the monic() of a monic polynomial do too.  Most
+Nagao letters have entries 0 and 1, so matrix products over F_q[t] make
+these calls far more than any other scaling.
 """
 
 from __future__ import annotations
@@ -104,6 +110,8 @@ class Poly:
         return Poly(ring, (*out,))
 
     def scale(self, code: int) -> "Poly":
+        if code == 1:  # a Poly is never mutated, so the operand can be shared
+            return self
         if not code:
             return self.ring.zero
         return Poly(self.ring, (*map(self.ring.field.mul_i, repeat(code), self.coeffs),))

@@ -536,10 +536,14 @@ class WreathReport(Record):
 
 
 def cs_wreath_check(r: int, q: int) -> WreathReport:
-    """Generate all power and swap spike generators on r factors and close
-    them as decorated permutations (factor permutation plus one exponent per
-    source factor); check the order is r! * |classes|^r and that the
-    permutation projection is all of the symmetric group."""
+    """Generate all power and swap spike generators on r factors as decorated
+    permutations (factor permutation plus one exponent per source factor);
+    check the group they generate has order r! * |classes|^r and that its
+    permutation projection is all of the symmetric group.
+
+    The closure runs over a generating subset: the power generators on
+    factor 0 and the swaps (i, i+1) with exponent 1.  Every spike generator
+    must then lie in it, so it is the group that all of them generate."""
     if not 1 <= r <= 4:
         raise ValueError("spike count r must be between 1 and 4")
     if q not in (2, 3, 4, 5):
@@ -547,12 +551,14 @@ def cs_wreath_check(r: int, q: int) -> WreathReport:
     n = q * q - 1
     classes = tuple(aut_rel_enumerate(q))
     ident_perm = tuple(range(r))
-    gens = []
+    gens, subset = [], []
     for a in classes:
         for i in range(r):
             exps = [1] * r
             exps[i] = a
             gens.append((ident_perm, tuple(exps)))
+            if i == 0:
+                subset.append(gens[-1])
         back = pow(a, -1, n)
         for i in range(r):
             for j in range(i + 1, r):
@@ -561,6 +567,8 @@ def cs_wreath_check(r: int, q: int) -> WreathReport:
                 exps = [1] * r
                 exps[i], exps[j] = a, back
                 gens.append((tuple(perm), tuple(exps)))
+                if a == 1 and j == i + 1:
+                    subset.append(gens[-1])
 
     def mul(g, f):
         # g after f: source i goes to f's target with f's exponent, then on
@@ -569,11 +577,12 @@ def cs_wreath_check(r: int, q: int) -> WreathReport:
         return (tuple(pg[pf[i]] for i in range(r)),
                 tuple(eg[pf[i]] * ef[i] % n for i in range(r)))
 
-    seen = closure([(ident_perm, (1,) * r)], lambda x: [mul(g, x) for g in gens])
+    seen = closure([(ident_perm, (1,) * r)], lambda x: [mul(g, x) for g in subset])
     expected = math.factorial(r) * len(classes) ** r
     full = len({p for p, _ in seen}) == math.factorial(r)
+    generated = set(seen).issuperset(gens)
     return WreathReport(r, q, classes, len(seen), expected, full,
-                        len(seen) == expected and full)
+                        generated and len(seen) == expected and full)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,14 @@ from gl2aut.closure import closure
 from gl2aut.cosets import (FiniteGroup, QuotRing, SubgroupSpec, mat_det_r,
                            mat_inv_r, mat_mul_r, quotient_context)
 from gl2aut.curves import INFINITY, AffinePoint, point_add, point_mul
-from gl2aut.ffield import field_of_order
+from gl2aut.ffield import aut_rel_enumerate, field_of_order
 from gl2aut.graphs import (Edge, QuotientGraph, RayMarker, StabDescriptor, Vertex,
                            validate_graph)
 from gl2aut.matgroup import Mat2, mat_parse
 from gl2aut.nagao import B_SIDE, G_SIDE, Letter
 from gl2aut.polyring import PolyRing, poly_ring
 from gl2aut.words import (DIHEDRAL_A, DIHEDRAL_B, FiniteCyclic, MatrixBacked,
-                          VectorFactor, isom_mul, word_reduce)
+                          VectorFactor, WreathReport, isom_mul, word_reduce)
 from gl2aut import nagao
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -561,6 +561,42 @@ def dihedral_coset_search(gen_isoms, cap) -> int:
         return [isom_mul(g, DIHEDRAL_A), isom_mul(g, DIHEDRAL_B)]
 
     return len(closure([(1, 0)], neighbours, key=coset_key))
+
+
+# ---- wreath-closure oracle ----
+
+def wreath_report_all_generators(r: int, q: int) -> WreathReport:
+    """The former `cs_wreath_check`: the identity closed under every power
+    and swap spike generator on r factors, not a generating subset."""
+    n = q * q - 1
+    classes = tuple(aut_rel_enumerate(q))
+    ident_perm = tuple(range(r))
+    gens = []
+    for a in classes:
+        for i in range(r):
+            exps = [1] * r
+            exps[i] = a
+            gens.append((ident_perm, tuple(exps)))
+        back = pow(a, -1, n)
+        for i in range(r):
+            for j in range(i + 1, r):
+                perm = list(ident_perm)
+                perm[i], perm[j] = j, i
+                exps = [1] * r
+                exps[i], exps[j] = a, back
+                gens.append((tuple(perm), tuple(exps)))
+
+    def mul(g, f):
+        pg, eg = g
+        pf, ef = f
+        return (tuple(pg[pf[i]] for i in range(r)),
+                tuple(eg[pf[i]] * ef[i] % n for i in range(r)))
+
+    seen = closure([(ident_perm, (1,) * r)], lambda x: [mul(g, x) for g in gens])
+    expected = math.factorial(r) * len(classes) ** r
+    full = len({p for p, _ in seen}) == math.factorial(r)
+    return WreathReport(r, q, classes, len(seen), expected, full,
+                        len(seen) == expected and full)
 
 
 # ---- quotient-graph JSON reader ----

@@ -1,3 +1,4 @@
+import ast
 import operator
 import random
 
@@ -280,6 +281,86 @@ def test_arithmetic_matches_the_schoolbook_oracle(q):
             assert got.ring is ring and _normalized(got)
     for x, _y in pairs:
         assert (x - x).coeffs == ()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 2 ** 16])
+def test_multiplying_by_one_returns_the_operand_itself(q):
+    ring = helpers.ring_of(q)
+    rng = random.Random(q)
+    xs = [ring.zero, ring.one, ring.t] + [helpers.rand_poly(ring, rng, d, nonzero=True)
+                                          for d in (0, 1, 3, 6) for _ in range(5)]
+    for x in xs:
+        assert x.scale(1) is x
+        # a constant operand is the one scaled, so for constant x the
+        # product shares ring.one instead of x
+        if not x.is_constant():
+            assert x * ring.one is x
+            assert ring.one * x is x
+        if x:
+            monic = x.monic()
+            assert monic.monic() is monic
+    assert ring.one * ring.one is ring.one
+
+
+# Sharing is sound only while a Poly never changes: the guard below reads
+# every module with `ast` and allows `coeffs` to be written in Poly.__init__
+# alone.  The one other writer is curves.LPoly.__init__, which stores the
+# field of its own frozen Record (LPoly.__setattr__ raises).
+
+_SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
+_COEFFS_WRITERS = {"polyring.py": ["Poly.__init__"], "curves.py": ["LPoly.__init__"]}
+
+
+def _coeffs_writes(source: str):
+    """(line, enclosing qualified name) for every write to an attribute named
+    coeffs: assignment, augmented or annotated assignment, deletion, and
+    setattr / object.__setattr__ with the literal name."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Attribute) and node.attr == "coeffs"
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            found.append((node.lineno, ".".join(scope)))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in _SETTERS and any(isinstance(a, ast.Constant) and a.value == "coeffs"
+                                        for a in node.args):
+                found.append((node.lineno, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_coeffs_guard_flags_each_kind_of_write():
+    source = "\n".join([
+        "class Poly:",
+        "    def __init__(self, ring, coeffs):",
+        "        self.coeffs = coeffs",
+        "    def grow(self):",
+        "        self.coeffs += (0,)",
+        "def f(p, q):",
+        "    p.coeffs: tuple = ()",
+        "    p.coeffs, q.coeffs = q.coeffs, p.coeffs",
+        "    setattr(p, 'coeffs', ())",
+        "    object.__setattr__(p, 'coeffs', ())",
+        "    del p.coeffs",
+        "    n = len(p.coeffs) + getattr(p, 'coeffs')[0]",
+    ])
+    assert _coeffs_writes(source) == [
+        (3, "Poly.__init__"), (5, "Poly.grow"), (7, "f"), (8, "f"), (8, "f"),
+        (9, "f"), (10, "f"), (11, "f")]
+
+
+@pytest.mark.parametrize("path", sorted((helpers.SRC / "gl2aut").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_poly_init_writes_coeffs(path):
+    writers = [scope for _line, scope in _coeffs_writes(path.read_text())]
+    assert writers == _COEFFS_WRITERS.get(path.name, [])
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, divmod])

@@ -366,6 +366,14 @@ def test_wreath_closure_two_factors_f3():
     assert rep.ok
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_wreath_closure_over_the_subset_matches_the_all_generator_oracle(r, q):
+    rep = cs_wreath_check(r, q)
+    assert rep == helpers.wreath_report_all_generators(r, q)
+    assert rep.ok
+
+
 def test_wreath_check_rejects_bad_parameters():
     with pytest.raises(ValueError):
         cs_wreath_check(0, 2)
