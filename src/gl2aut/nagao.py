@@ -22,13 +22,16 @@ is `decompose` of its product.
 multiplication by a unipotent [[1, v], [0, 1]] adds v times the first
 column to the second, and by [[0, 1], [1, x]] (x constant) swaps the
 columns and adds x times the new first column to the second.  A 2x2
-product is formed only to fold j into the first letter.
+product is formed only to fold j into the first letter.  `evaluate` is
+`decompose` run backwards: it starts from the first letter's matrix and
+applies each transversal letter as its column operation, writing out a
+2x2 product only for a letter of any other shape.
 """
 
 from __future__ import annotations
 
 from .matgroup import Mat2, mat_parse
-from .polyring import PolyRing
+from .polyring import Poly, PolyRing
 from .record import Record
 
 G_SIDE = "G"
@@ -112,7 +115,7 @@ def decompose(m: Mat2) -> tuple[Letter, ...]:
     while not c.is_zero():
         if d.deg > c.deg:
             v = d // c
-            v = v - ring.const(v.constant_code())
+            v = Poly(ring, (0, *v.coeffs[1:]))  # deg v >= 1, so the lead stays
             peeled.append(Letter(B_SIDE, Mat2(ring, one, v, zero, one)))
             b, d = b - a * v, d - c * v
         else:
@@ -134,10 +137,35 @@ def decompose(m: Mat2) -> tuple[Letter, ...]:
 
 
 def evaluate(ring: PolyRing, letters) -> Mat2:
-    out = Mat2.identity(ring)
+    """The left-to-right product of the letters; () gives the identity.
+
+    The running entries a, b, c, d start as the first letter's matrix.  A
+    transversal letter is one column operation, read off the coefficient
+    tuples: [[1, v], [0, 1]] sets b += a*v, d += c*v, and [[0, 1], [1, x]]
+    with x constant sets (a, b, c, d) to (b, a + x*b, d, c + x*d).  Any
+    other letter is multiplied in by the 2x2 product written out on the
+    entries, so a word from `decompose` costs no Mat2 product at all.
+    """
+    letters = iter(letters)
+    first = next(letters, None)
+    if first is None:
+        return Mat2.identity(ring)
+    if first.mat.ring is not ring:
+        raise TypeError("matrix rings differ")
+    a, b, c, d = first.mat.entries()
     for lt in letters:
-        out = out * lt.mat
-    return out
+        m = lt.mat
+        if m.ring is not ring:
+            raise TypeError("matrix rings differ")
+        e, f, g, h = m.a, m.b, m.c, m.d
+        if not g.coeffs and e.coeffs == h.coeffs == (1,):
+            b, d = b + a * f, d + c * f
+        elif not e.coeffs and f.coeffs == g.coeffs == (1,) and len(h.coeffs) <= 1:
+            x = h.constant_code()
+            a, b, c, d = b, a + b.scale(x), d, c + d.scale(x)
+        else:
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return Mat2(ring, a, b, c, d)
 
 
 def word_text(letters) -> str:

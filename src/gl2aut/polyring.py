@@ -8,9 +8,11 @@ which keeps matrix work over F_2[t] / F_3[t] cheap.  Both operands of +, -,
 
 A Poly never changes once built: only Poly.__init__ assigns `coeffs`.  So
 scaling by one returns the operand itself rather than a copy, and through
-it x * one, one * x and the monic() of a monic polynomial do too.  Most
-Nagao letters have entries 0 and 1, so matrix products over F_q[t] make
-these calls far more than any other scaling.
+it x * one, one * x and the monic() of a monic polynomial do too; likewise
+x + 0, 0 + x and x - 0 return x (0 - x is a new -x).  The ring check comes
+first, so a zero from another ring still raises.  Most Nagao letters have
+entries 0 and 1, so matrix work over F_q[t] makes these calls far more than
+any other sum or scaling.
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ class Poly:
     def __add__(self, other):
         ring = self._common_ring(other)
         a, b = self.coeffs, other.coeffs
+        if not b:  # a Poly is never mutated, so the other operand can be shared
+            return self
+        if not a:
+            return other
         out = [*map(ring.field.add_i, a, b)]
         if len(a) != len(b):  # the longer tail passes through; only equal lengths cancel
             return Poly(ring, (*out, *a[len(b):], *b[len(a):]))
@@ -83,8 +89,10 @@ class Poly:
 
     def __sub__(self, other):
         ring = self._common_ring(other)
-        neg = ring.field.neg_i
         a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        neg = ring.field.neg_i
         out = [*map(ring.field.add_i, a, map(neg, b))]
         if len(a) != len(b):
             return Poly(ring, (*out, *a[len(b):], *map(neg, b[len(a):])))

@@ -44,6 +44,20 @@ def budget(seconds):
     assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds:g}s"
 
 
+def count_mat2_products(monkeypatch) -> list:
+    """Count Mat2.__mul__ calls for the rest of the test: the returned list
+    gains one entry per product."""
+    calls = []
+    product = Mat2.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Mat2, "__mul__", counted)
+    return calls
+
+
 def src_first_env():
     """The caller's environment with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ)

@@ -67,44 +67,101 @@ def _rand_letter_of_any_shape(R, rng):
     return nagao.letter("G", helpers.rand_gl2_const(R, rng))
 
 
+def _left_to_right(R, letters):
+    want = Mat2.identity(R)
+    for lt in letters:
+        want = want * lt.mat
+    return want
+
+
+def _letters_beside_the_transversal_shapes(R, rng):
+    """Letters close to the two transversal shapes.  The first group fits
+    neither and must be multiplied in as a 2x2 product: swaps [[0, 1],
+    [1, x]] with deg x >= 1, scaled swaps [[0, c], [c', x]] and unipotents
+    with a diagonal entry other than 1.  The second group takes the column
+    operations outside a canonical word: unipotents whose v has a constant
+    term, and swaps with every constant x, non-prime codes of F_4 and F_9
+    included."""
+    q = R.field.q
+    out = [nagao.Letter("G", Mat2(R, R.zero, R.one, R.one, x))
+           for x in [R.t] + [helpers.rand_poly(R, rng, d, nonzero=True) for d in (1, 2, 4)]]
+    # over F_2 the only unit is 1, so the scaled swaps scale by t + 1 there;
+    # x is constant, as in a transversal swap
+    for c in [R.const(u) for u in range(2, min(q, 5))] or [R.t + R.one]:
+        x = R.const(rng.randrange(q))
+        out += [nagao.Letter("G", Mat2(R, R.zero, c, R.one, x)),
+                nagao.Letter("G", Mat2(R, R.zero, R.one, c, x)),
+                nagao.Letter("G", Mat2(R, R.zero, c, c, x))]
+    out += [nagao.Letter("B", Mat2(R, R.one, R.one, R.zero, R.t)),
+            nagao.Letter("B", Mat2(R, R.t, R.one, R.zero, R.one))]
+    for c0 in range(1, q):
+        v = helpers.rand_poly(R, rng, 3) * R.t + R.const(c0)
+        out.append(nagao.letter("B", Mat2(R, R.one, v, R.zero, R.one)))
+    out += [nagao.letter("G", Mat2(R, R.zero, R.one, R.one, R.const(x))) for x in range(q)]
+    return out
+
+
 @pytest.mark.parametrize("q", ORACLE_QS)
 def test_evaluate_is_the_left_to_right_product(q):
     R = helpers.ring_of(q)
     rng = random.Random(400 + q)
     for _ in range(100):
         letters = [_rand_letter_of_any_shape(R, rng) for _ in range(rng.randint(0, 10))]
-        want = Mat2.identity(R)
-        for lt in letters:
-            want = want * lt.mat
-        assert nagao.evaluate(R, letters) == want
-    # a bare Letter in neither factor is multiplied in as it stands
-    odd = nagao.Letter("G", Mat2(R, R.zero, R.one, R.one, R.t))
-    assert nagao.evaluate(R, [odd, odd]) == odd.mat * odd.mat
+        assert nagao.evaluate(R, letters) == _left_to_right(R, letters)
+    assert nagao.evaluate(R, []) == Mat2.identity(R)
+    assert nagao.evaluate(R, iter(())) == Mat2.identity(R)
+    for odd in _letters_beside_the_transversal_shapes(R, rng):
+        assert nagao.evaluate(R, [odd]) == odd.mat
+        assert nagao.evaluate(R, [odd, odd]) == odd.mat * odd.mat
+        for _ in range(3):
+            before = [_rand_letter_of_any_shape(R, rng) for _ in range(rng.randint(1, 4))]
+            after = [_rand_letter_of_any_shape(R, rng) for _ in range(rng.randint(0, 4))]
+            letters = before + [odd] + after
+            assert nagao.evaluate(R, letters) == _left_to_right(R, letters)
+            assert nagao.evaluate(R, iter(letters)) == _left_to_right(R, letters)
+    # a letter over another ring is refused wherever it stands; the plain
+    # swap does no arithmetic, so only the ring check can catch it
+    S = helpers.ring_of(3 if q == 2 else 2)
+    mine = nagao.Letter("G", Mat2(R, R.zero, R.one, R.one, R.one))
+    for foreign in (Mat2(S, S.zero, S.one, S.one, S.zero), Mat2(S, S.one, S.t, S.zero, S.one),
+                    Mat2(S, S.one, S.one, S.one, S.zero)):
+        lt = nagao.Letter("G", foreign)
+        for letters in ([lt], [lt, mine], [mine, lt], [mine, mine, lt]):
+            with pytest.raises(TypeError, match="matrix rings differ"):
+                nagao.evaluate(R, letters)
+
+
+def _decomposed_cases():
+    rng = random.Random(500)
+    cases = []
+    for q in (2, 3, 4, 9):
+        R = helpers.ring_of(q)
+        for _ in range(20):
+            m = helpers.rand_gl2_poly(R, rng, 8)
+            cases.append((R, m, nagao.decompose(m)))
+    assert max(len(w) for _R, _m, w in cases) >= 6
+    return cases
 
 
 def test_decompose_makes_at_most_one_matrix_product(monkeypatch):
     # peeling is a column operation; only the remainder j meets the first
     # letter in a 2x2 product, so a per-letter product fails here
-    rng = random.Random(500)
-    cases = []
-    for q in (2, 3, 4):
-        R = helpers.ring_of(q)
-        for _ in range(20):
-            m = helpers.rand_gl2_poly(R, rng, 8)
-            cases.append((m, nagao.decompose(m)))
-    assert max(len(w) for _m, w in cases) >= 6
-    calls = []
-    product = Mat2.__mul__
-
-    def counted(self, other):
-        calls.append(1)
-        return product(self, other)
-
-    monkeypatch.setattr(Mat2, "__mul__", counted)
-    for m, w in cases:
+    cases = _decomposed_cases()
+    calls = helpers.count_mat2_products(monkeypatch)
+    for _R, m, w in cases:
         calls.clear()
         assert nagao.decompose(m) == w
         assert len(calls) <= 1
+
+
+def test_evaluate_makes_no_matrix_product_on_a_decomposed_word(monkeypatch):
+    # after the first letter, a canonical word holds only transversal
+    # letters, each one column operation
+    cases = _decomposed_cases()
+    calls = helpers.count_mat2_products(monkeypatch)
+    for R, m, w in cases:
+        assert nagao.evaluate(R, w) == m
+    assert calls == []
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)

@@ -302,6 +302,30 @@ def test_multiplying_by_one_returns_the_operand_itself(q):
     assert ring.one * ring.one is ring.one
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 2 ** 16])
+def test_adding_zero_returns_the_operand_itself(q):
+    ring = helpers.ring_of(q)
+    other = helpers.ring_of(5 if q == 2 else 2)
+    rng = random.Random(q)
+    zero = ring.zero
+    xs = [ring.zero, ring.one, ring.t] + [helpers.rand_poly(ring, rng, d, nonzero=True)
+                                          for d in (0, 1, 3, 6) for _ in range(5)]
+    for x in xs:
+        assert x + zero is x
+        assert zero + x is x
+        assert x - zero is x
+        # 0 - x is the negation, a new object unless x is zero itself
+        neg = zero - x
+        assert neg == -x
+        assert (neg is not x) or not x
+    # a zero of another ring is refused before the shortcut
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError, match="polynomial rings differ"):
+            op(zero, other.t)
+        with pytest.raises(TypeError, match="polynomial rings differ"):
+            op(ring.t, other.zero)
+
+
 # Sharing is sound only while a Poly never changes: the guard below reads
 # every module with `ast` and allows `coeffs` to be written in Poly.__init__
 # alone.  The one other writer is curves.LPoly.__init__, which stores the
