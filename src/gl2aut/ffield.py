@@ -2,7 +2,13 @@
 
 Elements are stored as integer codes (base-p digit vectors, constant digit
 first), so arithmetic in hot loops can stay on plain ints via the FieldSpec
-add_i / mul_i / inv_i hooks.  FieldElem is the friendly wrapper type.
+hooks add_i(a, b), sub_i(a, b), neg_i(a), mul_i(a, b) and inv_i(a), plus
+pow_i(a, k).  FieldElem is the friendly wrapper type.  In characteristic 2
+the code is a bit vector, so every F_{2^n} takes add_i = sub_i =
+operator.xor and neg_i = operator.pos, and F_2 also mul_i = operator.and_:
+C builtins, with no Python frame per call.  Other prime fields reduce mod p;
+other extension fields multiply through discrete-log tables and add digit
+by digit.
 
 Nothing here counts its way to an order.  `factorize` is the one integer
 factorization, and `order_dividing` finds the order of any x with x**n = 1
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 _FIELD_CACHE: dict[tuple[int, int], "FieldSpec"] = {}
 _QUAD_CACHE: dict[int, "QuadExt"] = {}
@@ -152,7 +159,7 @@ class FieldElem:
         return FieldElem(self.spec, self.spec.add_i(self.code, other.code))
 
     def __sub__(self, other):
-        return FieldElem(self.spec, self.spec.add_i(self.code, self.spec.neg_i(other.code)))
+        return FieldElem(self.spec, self.spec.sub_i(self.code, other.code))
 
     def __neg__(self):
         return FieldElem(self.spec, self.spec.neg_i(self.code))
@@ -257,10 +264,23 @@ class FieldSpec:
 
     def _build_arithmetic(self, g: int):
         p, n, q = self.p, self.n, self.q
-        if n == 1:
+        if p == 2:
+            # bit i of a code is the coefficient of x^i: sum and difference
+            # are xor, and each element is its own negative
+            self.add_i = self.sub_i = operator.xor
+            self.neg_i = operator.pos
+        elif n == 1:
             self.add_i = lambda a, b: (a + b) % p
+            self.sub_i = lambda a, b: (a - b) % p
             self.neg_i = lambda a: (-a) % p
-            self.mul_i = lambda a, b: (a * b) % p
+        else:
+            digs = [d[::-1] for d in itertools.product(range(p), repeat=n)]
+            enc = self._encode
+            self.add_i = lambda a, b: enc([(x + y) % p for x, y in zip(digs[a], digs[b])])
+            self.sub_i = lambda a, b: enc([(x - y) % p for x, y in zip(digs[a], digs[b])])
+            self.neg_i = lambda a: enc([(-x) % p for x in digs[a]])
+        if n == 1:
+            self.mul_i = operator.and_ if p == 2 else lambda a, b: (a * b) % p
             self.inv_i = self._inv_prime
 
             def pow_i(a, k):
@@ -272,14 +292,6 @@ class FieldSpec:
 
             self.pow_i = pow_i
             return
-        if p == 2:
-            self.add_i = lambda a, b: a ^ b
-            self.neg_i = lambda a: a
-        else:
-            digs = [d[::-1] for d in itertools.product(range(p), repeat=n)]
-            enc = self._encode
-            self.add_i = lambda a, b: enc([(x + y) % p for x, y in zip(digs[a], digs[b])])
-            self.neg_i = lambda a: enc([(-x) % p for x in digs[a]])
         # discrete-log tables over the generator give O(1) mul/inv
         exp = self._powers(g)
         log = [0] * q

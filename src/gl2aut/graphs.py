@@ -12,13 +12,14 @@ quotient graph only knows each stabilizer up to conjugacy, so the order and
 shape (full matrix group over the constants, cyclic of order q^2-1, vector
 group of a given dimension, or trivial) is all the graph can carry.
 
-Dimension convention on the infinity ray of the three-cusp example: the
-vertex c(inf,1) carries a one-dimensional stabilizer (a single unipotent
-generator) while c(inf,n) for n >= 2 carries the polynomials of degree at
-most n, a space of dimension n+1.  The dimension sequence along the ray is
-therefore 1, 3, 4, 5, ... with a jump at the start; the builders follow the
-itemized stabilizer list for the example literally rather than smoothing
-the sequence.
+The tree is regular of valency q + 1.  At a lift of a vertex v, the tree
+edges over one quotient edge e form a single G_v-orbit of |G_v|/|G_e|
+edges, so these ratios sum to q + 1 over the edges at v (Serre, Trees,
+ch. I; Bass, J. Pure Appl. Algebra 89, 1993).  `validate_graph` checks
+this local count at every vertex except the ray cuts, which have lost
+their onward edge.  On the infinity ray of the examples it fixes the
+dimensions: c(inf,n) carries a unipotent group of dimension n, and the
+edge c(inf,n-1)-c(inf,n) one of dimension n-1, as on every other ray.
 """
 
 from __future__ import annotations
@@ -138,7 +139,9 @@ class QuotientGraph(Record):
 
 def validate_graph(g: QuotientGraph) -> None:
     """Structural checks: unique ids, real endpoints, edge stabilizer order
-    dividing both endpoint orders, connectivity, markers at real vertices."""
+    dividing both endpoint orders, connectivity, markers at real vertices;
+    then the local count: at each vertex that is not a ray cut, |G_v|/|G_e|
+    summed over its edges is q + 1, the valency of the tree."""
     ids = [v.id for v in g.vertices]
     if len(set(ids)) != len(ids):
         raise ValueError("vertex ids are not unique")
@@ -165,6 +168,23 @@ def validate_graph(g: QuotientGraph) -> None:
             raise ValueError(f"ray marker {r.cusp!r} sits at a missing vertex")
         if r.depth < 1:
             raise ValueError("ray depth must be at least 1")
+    if not g.vertices:
+        return
+    qs = {s.q for s in (*(v.stab for v in g.vertices), *(e.stab for e in g.edges))
+          if s.kind != "trivial"}
+    if len(qs) != 1:
+        raise ValueError("the stabilizers must name exactly one field size q")
+    valency = qs.pop() + 1
+    count = dict.fromkeys(by_id, 0)
+    for e in g.edges:
+        for end in (e.u, e.v):
+            count[end] += by_id[end].stab.order() // e.stab.order()
+    cuts = {r.at for r in g.rays}
+    for v in g.vertices:
+        if v.id not in cuts and count[v.id] != valency:
+            raise ValueError(
+                f"local count at vertex {v.label}: the orbit sizes |G_v|/|G_e| "
+                f"sum to {count[v.id]}, not the valency {valency}")
 
 
 class SerreParts(Record):
@@ -241,15 +261,16 @@ def _example_graph(depth: int, cusps_over_0: tuple) -> QuotientGraph:
     """Quotient graph for an elliptic curve over F_2 with no rational point
     over x = 1 and the given affine cusps (rational points) over x = 0.
 
-    Vertex stabilizers: e(inf) is the full constant matrix group; c(inf,1)
-    and v(inf) are one-dimensional unipotent; c(inf,n) for n >= 2 has
-    dimension n+1 (polynomials of degree at most n); o is trivial; v(1) is
-    cyclic of order 3; v(0) is cyclic of order 3 when no cusp lies over it
-    and trivial otherwise, with one ray c(P,n) of dimension n per cusp P.
-    Edges touching c(inf,1) carry its one-dimensional stabilizer; edges
-    touching o or v(0) are trivial; consecutive ray edges carry the smaller
-    endpoint stabilizer.  Each ray is truncated at the given depth with a
-    marker.
+    Vertex stabilizers: e(inf) is the full constant matrix group; v(inf) is
+    one-dimensional unipotent; c(inf,n) is unipotent of dimension n; o is
+    trivial; v(1) is cyclic of order 3; v(0) is cyclic of order 3 when no
+    cusp lies over it and trivial otherwise, with one ray c(P,n) of
+    dimension n per cusp P.  Edges touching c(inf,1) carry its
+    one-dimensional stabilizer; edges touching o or v(0) are trivial;
+    consecutive ray edges carry the smaller endpoint stabilizer, so the
+    edge c(inf,n-1)-c(inf,n) has dimension n-1.  Every vertex but the cuts
+    then meets the local count 3 = q + 1.  Each ray is truncated at the
+    given depth with a marker.
     """
     if not 1 <= depth <= _MAX_DEPTH:
         raise ValueError(f"depth must be between 1 and {_MAX_DEPTH}")
@@ -270,8 +291,8 @@ def _example_graph(depth: int, cusps_over_0: tuple) -> QuotientGraph:
     prev = "c(inf,1)"
     for n in range(2, depth + 1):
         label = f"c(inf,{n})"
-        add_vertex(label, stab_unipotent(q, n + 1))
-        add_edge(prev, label, u1 if n == 2 else stab_unipotent(q, n))
+        add_vertex(label, stab_unipotent(q, n))
+        add_edge(prev, label, stab_unipotent(q, n - 1))
         prev = label
     rays = [RayMarker("inf", depth, ids[prev])]
     add_vertex("v(inf)", u1)

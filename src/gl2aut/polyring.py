@@ -13,6 +13,13 @@ x + 0, 0 + x and x - 0 return x (0 - x is a new -x).  The ring check comes
 first, so a zero from another ring still raises.  Most Nagao letters have
 entries 0 and 1, so matrix work over F_q[t] makes these calls far more than
 any other sum or scaling.
+
+For the same reason a unit coefficient costs no product: where a
+coefficient of a factor is 1, * adds the other factor's tuple into the
+slice as it is, and where a quotient coefficient is 1, divmod adds the
+negated low part of the divisor as it is.  Zero coefficients are skipped.
+Over F_2 every nonzero coefficient is 1, so a product there calls no mul_i
+at all.  x - y maps the field's one sub_i hook over the common part.
 """
 
 from __future__ import annotations
@@ -92,10 +99,9 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not b:
             return self
-        neg = ring.field.neg_i
-        out = [*map(ring.field.add_i, a, map(neg, b))]
+        out = [*map(ring.field.sub_i, a, b)]
         if len(a) != len(b):
-            return Poly(ring, (*out, *a[len(b):], *map(neg, b[len(a):])))
+            return Poly(ring, (*out, *a[len(b):], *map(ring.field.neg_i, b[len(a):])))
         return ring._make(out)
 
     def __neg__(self):
@@ -113,7 +119,9 @@ class Poly:
         nb = len(b)
         out = [0] * (len(a) + nb - 1)
         for i, ai in enumerate(a):
-            if ai:
+            if ai == 1:
+                out[i:i + nb] = map(add, out[i:i + nb], b)
+            elif ai:
                 out[i:i + nb] = map(add, out[i:i + nb], map(mul, repeat(ai), b))
         return Poly(ring, (*out,))
 
@@ -142,7 +150,8 @@ class Poly:
             c = rem[k + db]
             if c:
                 c = quo[k] = mul(c, inv_lead)
-                rem[k:k + db] = map(add, rem[k:k + db], map(mul, repeat(c), low))
+                step = low if c == 1 else map(mul, repeat(c), low)
+                rem[k:k + db] = map(add, rem[k:k + db], step)
         return Poly(ring, (*quo,)), ring._make(rem[:db])
 
     def __floordiv__(self, other):

@@ -19,7 +19,7 @@ from pathlib import Path
 from gl2aut.closure import closure
 from gl2aut.cosets import (FiniteGroup, QuotRing, SubgroupSpec, mat_det_r,
                            mat_inv_r, mat_mul_r, quotient_context)
-from gl2aut.curves import INFINITY, AffinePoint, point_add, point_mul
+from gl2aut.curves import INFINITY, AffinePoint, WeierstrassCurve, point_add, point_mul
 from gl2aut.ffield import aut_rel_enumerate, field_of_order
 from gl2aut.graphs import (Edge, QuotientGraph, RayMarker, StabDescriptor, Vertex,
                            validate_graph)
@@ -378,6 +378,22 @@ def brute_points(curve):
             if lhs == rhs:
                 pts.append(AffinePoint(x, y))
     return pts
+
+
+def brute_r(curve) -> int:
+    """The number of x in F_q with no rational point over x."""
+    return curve.field.q - len({pt.x for pt in brute_points(curve)[1:]})
+
+
+def brute_count_over_square(curve) -> int:
+    """#E(F_{q^2}) for a curve over a prime field F_q, by testing every pair
+    (x, y) over F_{q^2}.  The codes below q in F_{q^2} are the constants,
+    so the curve's coefficient codes name the same elements there."""
+    if curve.field.n != 1:
+        raise ValueError("the coefficient codes carry over from prime fields only")
+    big = field_of_order(curve.field.q ** 2)
+    coeffs = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
+    return len(brute_points(WeierstrassCurve(big, *(big.el(a.code) for a in coeffs))))
 
 
 def brute_group_structure(curve, points):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -196,6 +197,36 @@ def test_class_data_identity_on_a_sweep():
         assert cd.cl2 + 2 * cd.r == lp(-1)
         assert cd.h == len(pts)
         assert cd.ell_eq + cd.ell_neq == lp(-1)
+
+
+def _random_nonsingular_curves(q, count, rng):
+    field = field_of_order(q)
+    out = []
+    while len(out) < count:
+        curve = WeierstrassCurve(field, *(field.el(rng.randrange(q)) for _ in range(5)))
+        if curve.is_nonsingular():
+            out.append(curve)
+    return out
+
+
+@pytest.mark.parametrize("q", ORACLE_FIELDS)
+def test_class_data_r_counts_the_x_with_no_rational_point(q):
+    # r comes from L(-1) - cl2; the oracle reads only the brute-force points
+    rng = random.Random(f"class-data-r:{q}")
+    for curve in _random_nonsingular_curves(q, 8, rng):
+        pts = enumerate_points(curve)
+        cd = class_data(lpoly_from_count(len(pts), q), curve, pts)
+        assert cd.r == helpers.brute_r(curve), curve
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_l_at_minus_one_is_the_count_over_f_q2_over_the_count_over_f_q(q):
+    # #E(F_{q^2}) = L(1) L(-1), counted over F_{q^2} by brute force
+    rng = random.Random(f"l-minus-one:{q}")
+    for curve in _random_nonsingular_curves(q, 3, rng):
+        n = len(helpers.brute_points(curve))
+        big, rem = divmod(helpers.brute_count_over_square(curve), n)
+        assert rem == 0 and big == lpoly_from_count(n, q)(-1), curve
 
 
 def test_class_data_genus_zero():

@@ -183,6 +183,42 @@ def test_odd_extension_fields_build_fast(p, n, monkeypatch):
     assert all(g ** ((field.q - 1) // ell) != field.one for ell in factorize(field.q - 1))
 
 
+def _digit_hooks(field):
+    """add, sub, neg and mul on element codes from the digit vectors alone:
+    digit-wise sums mod p, and the digit product reduced by the modulus.
+    None of them calls a FieldSpec hook."""
+    p, n = field.p, field.n
+
+    def code(digits):
+        return sum(d * p ** i for i, d in enumerate(digits))
+
+    def digits(a):
+        return _digits(a, p, n)
+
+    return {"add_i": lambda a, b: code([(x + y) % p for x, y in zip(digits(a), digits(b))]),
+            "sub_i": lambda a, b: code([(x - y) % p for x, y in zip(digits(a), digits(b))]),
+            "neg_i": lambda a: code([(-x) % p for x in digits(a)]),
+            "mul_i": lambda a, b: code(_pmod(_pmul(digits(a), digits(b), p), field.modulus, p))}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64, 256, 2 ** 16, 3 ** 10])
+def test_field_hooks_match_digit_arithmetic(q):
+    # every pair up to q = 64, then 2 000 random pairs
+    field = field_of_order(q)
+    if q <= 64:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    oracle = _digit_hooks(field)
+    for name in ("add_i", "sub_i", "mul_i"):
+        hook, want = getattr(field, name), oracle[name]
+        assert [hook(a, b) for a, b in pairs] == [want(a, b) for a, b in pairs], name
+    assert [field.neg_i(a) for a, _b in pairs] == [oracle["neg_i"](a) for a, _b in pairs]
+    mul = oracle["mul_i"]
+    assert all(mul(a, field.inv_i(a)) == 1 for a, _b in pairs if a)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_field_axioms_on_all_elements(q):
     field = field_of_order(q)

@@ -111,9 +111,13 @@ def test_infinity_ray_stabilizer_growth():
     # unipotent dimensions grow strictly along the cusp direction
     g = build_graph_ex3(depth=5)
     by_label = {v.label: v for v in g.vertices}
+    by_id = {v.id: v for v in g.vertices}
     dims = [by_label[f"c(inf,{n})"].stab.dim for n in range(1, 6)]
     assert dims == sorted(dims)
-    assert dims[0] == 1 and dims[1] == 3  # documented jump at the branch
+    # the local count 3 = q + 1 at c(inf,1) and c(inf,2) fixes these
+    assert dims[0] == 1 and dims[1] == 2
+    edge_dims = {(by_id[e.u].label, by_id[e.v].label): e.stab.dim for e in g.edges}
+    assert [edge_dims[f"c(inf,{n - 1})", f"c(inf,{n})"] for n in range(2, 6)] == [1, 2, 3, 4]
     for name in ("(0,0)", "(0,1)"):
         dims = [by_label[f"c({name},{n})"].stab.dim for n in range(1, 6)]
         assert dims == [1, 2, 3, 4, 5]
@@ -172,14 +176,16 @@ def test_validate_rejects_duplicate_cusp_markers():
 
 
 def test_serre_rejects_marker_at_branch_vertex():
-    vertices = (Vertex(1, "a", stab_gl2(2)),
+    # three spikes meet the local count; the hub is the cut, so it is not counted
+    vertices = (Vertex(1, "a", stab_cyclic(2)),
                 Vertex(2, "hub", stab_gl2(2)),
-                Vertex(3, "b", stab_gl2(2)),
-                Vertex(4, "c", stab_gl2(2)))
+                Vertex(3, "b", stab_cyclic(2)),
+                Vertex(4, "c", stab_cyclic(2)))
     edges = (Edge(1, 2, stab_trivial()), Edge(2, 3, stab_trivial()),
              Edge(2, 4, stab_trivial()))
     g = QuotientGraph(vertices, edges, (RayMarker("inf", 1, 2),))
-    with pytest.raises(ValueError):
+    validate_graph(g)
+    with pytest.raises(ValueError, match="branch vertex"):
         validate_serre(g)
 
 
@@ -190,8 +196,97 @@ def test_serre_rejects_overlapping_tails():
     edges = (Edge(1, 2, stab_trivial()),)
     g = QuotientGraph(vertices, edges,
                       (RayMarker("p", 1, 1), RayMarker("r", 1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="overlap"):
         validate_serre(g)
+
+
+# ------------------------------------------------------------ local count
+
+def serre_half_line(depth):
+    """G\\T for G = GL2(F_2[t]) (Serre, Trees, II.1.6), cut at v_depth:
+    G_{v0} = GL2(F_2), G_{vn} = {(1, b; 0, 1) : deg b <= n} of dimension
+    n + 1, and G_{v(n-1)} and G_{vn} meet in dimension n."""
+    vertices = [Vertex(0, "v0", stab_gl2(2))]
+    edges = []
+    for n in range(1, depth + 1):
+        vertices.append(Vertex(n, f"v{n}", stab_unipotent(2, n + 1)))
+        edges.append(Edge(n - 1, n, stab_unipotent(2, n)))
+    return QuotientGraph(tuple(vertices), tuple(edges), (RayMarker("inf", depth, depth),))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5])
+def test_serre_half_line_passes_the_local_count(depth):
+    g = serre_half_line(depth)
+    validate_graph(g)
+    assert [cusp for cusp, _tail in validate_serre(g).rays] == ["inf"]
+
+
+def _order_changes(stab):
+    """Descriptors over F_2 whose order differs from stab's."""
+    if stab.kind == "unipotent":
+        return [stab_unipotent(2, stab.dim + 1),
+                stab_unipotent(2, stab.dim - 1) if stab.dim > 1 else stab_trivial()]
+    return {"trivial": [stab_unipotent(2, 1), stab_cyclic(2)],
+            "gl2": [stab_cyclic(2), stab_unipotent(2, 1)],
+            "cyclic": [stab_gl2(2), stab_trivial()]}[stab.kind]
+
+
+def _with_stab(g, vertex=None, edge=None):
+    """g with the stabilizer of one vertex or edge, given as (index, stab),
+    replaced."""
+    vertices, edges = list(g.vertices), list(g.edges)
+    if vertex:
+        i, stab = vertex
+        vertices[i] = Vertex(vertices[i].id, vertices[i].label, stab)
+    if edge:
+        i, stab = edge
+        edges[i] = Edge(edges[i].u, edges[i].v, stab)
+    return QuotientGraph(tuple(vertices), tuple(edges), g.rays)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex3", "half-line"])
+def test_validate_refuses_each_changed_stabilizer_order(name):
+    g = serre_half_line(4) if name == "half-line" else graph_by_name(name, depth=4)
+    validate_graph(g)
+    cuts = {r.at for r in g.rays}
+    changed = [_with_stab(g, vertex=(i, s)) for i, v in enumerate(g.vertices)
+               if v.id not in cuts  # a cut has lost its onward edge: its count is open
+               for s in _order_changes(v.stab)]
+    changed += [_with_stab(g, edge=(i, s)) for i, e in enumerate(g.edges)
+                for s in _order_changes(e.stab)]
+    assert len(changed) > 2 * len(g.edges)
+    for bad in changed:
+        with pytest.raises(ValueError):
+            validate_graph(bad)
+
+
+def test_validate_refuses_the_old_infinity_ray():
+    # dimension n + 1 at c(inf,n) for n >= 2 and a one-dimensional edge
+    # c(inf,1)-c(inf,2), as built before: the edges at c(inf,2) count
+    # 8/2 + 8/8 = 5, not 3, and divisibility alone passes
+    g = build_graph_ex3(depth=4)
+    ray = {v.id: int(v.label[6:-1]) for v in g.vertices if v.label.startswith("c(inf,")}
+    for i, v in enumerate(g.vertices):
+        if ray.get(v.id, 0) >= 2:
+            g = _with_stab(g, vertex=(i, stab_unipotent(2, ray[v.id] + 1)))
+    for i, e in enumerate(g.edges):
+        if e.u in ray and e.v in ray and ray[e.v] >= 3:
+            g = _with_stab(g, edge=(i, stab_unipotent(2, ray[e.v])))
+    for e in g.edges:
+        for end in (e.u, e.v):
+            assert g.vertices[end - 1].stab.order() % e.stab.order() == 0
+    with pytest.raises(ValueError, match=r"local count at vertex c\(inf,2\).* sum to 5,"):
+        validate_graph(g)
+
+
+def test_validate_refuses_mixed_or_missing_field_sizes():
+    mixed = small_graph(vertices=(Vertex(1, "x", stab_gl2(2)),
+                                  Vertex(2, "y", stab_unipotent(3, 1))),
+                        edges=(Edge(1, 2, stab_trivial()),))
+    bare = small_graph(vertices=(Vertex(1, "x", stab_trivial()),), edges=())
+    for g in (mixed, bare):
+        with pytest.raises(ValueError, match="exactly one field size"):
+            validate_graph(g)
 
 
 # ------------------------------------------------------------ serialization

@@ -283,6 +283,42 @@ def test_arithmetic_matches_the_schoolbook_oracle(q):
         assert (x - x).coeffs == ()
 
 
+@st.composite
+def unit_heavy_operands(draw):
+    """q and two coefficient tuples over F_q, most coefficients 0, 1 or q - 1;
+    an operand may be made monic or be all ones."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
+    coeff = st.sampled_from(sorted({0, 1, q - 1})) | st.integers(0, q - 1)
+
+    def operand():
+        shape = draw(st.sampled_from(["drawn", "monic", "ones"]))
+        if shape == "ones":
+            return (1,) * draw(st.integers(0, 8))
+        coeffs = tuple(draw(st.lists(coeff, max_size=8)))
+        return coeffs + (1,) if shape == "monic" else coeffs
+
+    return q, operand(), operand()
+
+
+@given(unit_heavy_operands())
+@settings(max_examples=300, deadline=None)
+def test_unit_coefficients_match_the_schoolbook_oracle(case):
+    # * and divmod add a tuple with no product where a coefficient is 1;
+    # no other coefficient may take that path
+    q, a, b = case
+    ring = helpers.ring_of(q)
+    f = ring.field
+    x, y = ring.poly(a), ring.poly(b)
+    a, b = x.coeffs, y.coeffs
+    assert (x * y).coeffs == helpers.schoolbook_mul(f, a, b)
+    assert (x - y).coeffs == helpers.schoolbook_sub(f, a, b)
+    if b:
+        quo, rem = divmod(x, y)
+        assert (quo.coeffs, rem.coeffs) == helpers.schoolbook_divmod(f, a, b)
+    if f.p == 2:
+        assert x - y == x + y
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 2 ** 16])
 def test_multiplying_by_one_returns_the_operand_itself(q):
     ring = helpers.ring_of(q)
