@@ -1,21 +1,8 @@
-"""2x2 matrices over exact rings, Moebius actions on projective lines,
-and point-stabilizer parametrizations in GL2 of a polynomial ring.
-
-A matrix fixing a point s = f/g of P^1(F_q(t)) is written through the
-conjugation X = M_s * [[beta, c], [0, alpha]] * M_s^{-1} with
-M_s = [[s, 1], [1, 0]]; expanding gives
-
-    X = [[alpha + c*s, s*(beta - alpha) - c*s^2], [c, beta - c*s]]
-
-so X is pinned down by (alpha, beta, c) with alpha, beta in F_q* and
-c the lower-left entry.  At s = infinity the stabilizer is the upper
-triangular group and c is taken to be the upper-right entry.
-"""
+"""2x2 matrices over exact rings and Moebius actions on projective lines."""
 
 from __future__ import annotations
 
 from .ffield import FieldElem, FieldSpec, QuadExt, QuadExtElem, order_dividing
-from .polyring import FracField, Poly, PolyRing
 from .record import Record
 
 
@@ -217,113 +204,6 @@ def _elem_code(field, x) -> int:
     raise TypeError(f"no code order for {x!r}")
 
 
-class StabParam(Record):
-    """(alpha, beta, c) pinning down a matrix fixing the point s."""
-
-    __slots__ = ("alpha", "beta", "c")
-
-
-def conjugator_to_upper(s: ProjPoint) -> Mat2:
-    """M_s = [[s, 1], [1, 0]] over F_q(t), sending infinity to s (finite s only)."""
-    if s.infinite:
-        raise ValueError("s = infinity needs no conjugation")
-    frac = s.field
-    return Mat2(frac, s.x, frac.one, frac.one, frac.zero)
-
-
-def stab_membership(m: Mat2, s: ProjPoint):
-    """StabParam for m in the stabilizer of s, or None.
-
-    m must lie over F_q[t] with unit determinant; s is a point of
-    P^1(F_q(t)).  Reconstruction via stab_reconstruct is exact.
-    """
-    ring: PolyRing = m.ring
-    if not isinstance(ring, PolyRing):
-        raise TypeError("stabilizer parametrization expects a matrix over F_q[t]")
-    det = m.det()
-    if not det.is_constant() or det.is_zero():
-        raise ValueError("matrix is not invertible over F_q[t]")
-    field = ring.field
-    if s.infinite:
-        if not m.c.is_zero():
-            return None
-        return StabParam(m.a.constant_value(), m.d.constant_value(), m.b)
-    frac: FracField = s.field
-    sx = s.x
-    cf = frac.coerce(m.c)
-    alpha_f = frac.coerce(m.a) - cf * sx
-    beta_f = frac.coerce(m.d) + cf * sx
-    if not (alpha_f.is_polynomial() and alpha_f.as_poly().is_constant()
-            and beta_f.is_polynomial() and beta_f.as_poly().is_constant()):
-        return None
-    if alpha_f.is_zero() or beta_f.is_zero():
-        return None
-    if frac.coerce(m.b) != sx * (beta_f - alpha_f) - cf * sx * sx:
-        return None
-    return StabParam(alpha_f.as_poly().constant_value(),
-                     beta_f.as_poly().constant_value(), m.c)
-
-
-def stab_reconstruct(ring: PolyRing, param: StabParam, s: ProjPoint) -> Mat2:
-    """Rebuild the matrix from (alpha, beta, c); exact inverse of stab_membership."""
-    alpha = ring.const(param.alpha.code)
-    beta = ring.const(param.beta.code)
-    if s.infinite:
-        return Mat2(ring, alpha, param.c, ring.zero, beta)
-    frac = s.field
-    sx = s.x
-    cf = frac.coerce(param.c)
-    a = frac.coerce(alpha) + cf * sx
-    b = sx * (frac.coerce(beta) - frac.coerce(alpha)) - cf * sx * sx
-    d = frac.coerce(beta) - cf * sx
-    for entry in (a, b, d):
-        if not entry.is_polynomial():
-            raise ValueError("parameters do not give a matrix over F_q[t]")
-    return Mat2(ring, a.as_poly(), b.as_poly(), param.c, d.as_poly())
-
-
-def unipotent_stab(ring: PolyRing, s: ProjPoint, c: Poly) -> Mat2:
-    """The unipotent element with parameters (1, 1, c) fixing s.
-
-    Needs c*s and c*s^2 polynomial, i.e. c in the conductor ideal of s.
-    """
-    return stab_reconstruct(ring, StabParam(ring.field.one, ring.field.one, c), s)
-
-
-class IdealQs(Record):
-    """Polynomials c with c*s and c*s^2 integral, listed up to a degree bound."""
-
-    __slots__ = ("s_text", "bound", "generator", "members")
-
-
-def qs_basis(s: ProjPoint, bound: int, ring: PolyRing) -> IdealQs:
-    """Brute-force scan of {c : deg c <= bound, c*s, c*s^2 in F_q[t]}.
-
-    The members always form an ideal; the generator is the least-degree
-    monic nonzero member (None when only 0 shows up within the bound).
-    """
-    if bound < 0:
-        raise ValueError("degree bound must be >= 0")
-    members = []
-    if s.infinite:
-        members = list(ring.polys_of_degree_at_most(bound))
-    else:
-        frac = s.field
-        sx = s.x
-        sx2 = sx * sx
-        for c in ring.polys_of_degree_at_most(bound):
-            cf = frac.coerce(c)
-            if (cf * sx).is_polynomial() and (cf * sx2).is_polynomial():
-                members.append(c)
-    gen = None
-    for c in members:
-        if not c.is_zero() and (gen is None or c.deg < gen.deg):
-            gen = c
-    if gen is not None:
-        gen = gen.monic()
-    return IdealQs(s.text(), bound, gen, tuple(members))
-
-
 class EllipticStab(Record):
     """Generators of the stabilizer of a quadratic point eps and its conjugate."""
 
@@ -359,10 +239,3 @@ def matrix_order(m: Mat2) -> int:
         raise ValueError("a singular matrix has no order")
     q = m.ring.q
     return order_dividing(m, (q * q - 1) * (q * q - q), pow, Mat2.identity(m.ring))
-
-
-def proj_point_from_text(frac: FracField, s: str) -> ProjPoint:
-    s = s.strip()
-    if s in ("inf", "infty", "infinity", "oo"):
-        return ProjPoint.infinity(frac)
-    return ProjPoint.of(frac, frac.parse_element(s))

@@ -1,4 +1,4 @@
-"""Polynomials F_q[t] and the rational function field F_q(t).
+"""Polynomials F_q[t] over a finite field F_q.
 
 A Poly's coefficients are a normalized tuple of integer codes of the base
 field: constant term first, no trailing zero, so the zero polynomial is ().
@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from itertools import repeat
 
-from .ffield import FieldElem, FieldSpec
+from .ffield import FieldSpec
 
 # largest degree read from text or JSON: with no cap a 30-byte matrix text
 # could ask for gigabytes.
@@ -59,15 +59,6 @@ class Poly:
 
     def constant_code(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
-
-    def constant_term(self) -> FieldElem:
-        return self.ring.field.el(self.constant_code())
-
-    def constant_value(self) -> FieldElem:
-        """The value in F_q, requiring the polynomial to be constant."""
-        if not self.is_constant():
-            raise ValueError(f"{self!r} is not constant")
-        return self.constant_term()
 
     def lead_code(self) -> int:
         if not self.coeffs:
@@ -217,11 +208,6 @@ class PolyRing:
             return self.zero
         return Poly(self, (0,) * power + (code,))
 
-    def gcd(self, a: Poly, b: Poly) -> Poly:
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
     def polys_of_degree_at_most(self, n: int):
         """All polynomials of degree <= n, in integer-code order."""
         for code in range(self.field.q ** (n + 1)):
@@ -231,13 +217,6 @@ class PolyRing:
         if not x.is_constant() or x.is_zero():
             raise ValueError(f"{x!r} is not a unit in F_q[t]")
         return self.const(self.field.inv_i(x.coeffs[0]))
-
-    def coerce(self, x) -> Poly:
-        if isinstance(x, Poly) and x.ring is self:
-            return x
-        if isinstance(x, FieldElem) and x.spec is self.field:
-            return self.const(x.code)
-        raise TypeError(f"cannot coerce {x!r} into F_{self.field.q}[t]")
 
     def element_str(self, x: Poly) -> str:
         if x.is_zero():
@@ -281,129 +260,9 @@ class PolyRing:
 
 
 _RING_CACHE: dict[int, PolyRing] = {}
-_FRAC_CACHE: dict[int, "FracField"] = {}
 
 
 def poly_ring(field: FieldSpec) -> PolyRing:
     if id(field) not in _RING_CACHE:
         _RING_CACHE[id(field)] = PolyRing(field)
     return _RING_CACHE[id(field)]
-
-
-class RatFunc:
-    """num/den in F_q(t), stored reduced with monic denominator."""
-
-    __slots__ = ("field", "num", "den")
-
-    def __init__(self, field: "FracField", num: Poly, den: Poly):
-        self.field = field
-        self.num = num
-        self.den = den
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.deg == 0
-
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial():
-            raise ValueError(f"{self!r} is not a polynomial")
-        return self.num
-
-    def __add__(self, other):
-        return self.field.make(self.num * other.den + other.num * self.den,
-                               self.den * other.den)
-
-    def __sub__(self, other):
-        return self.field.make(self.num * other.den - other.num * self.den,
-                               self.den * other.den)
-
-    def __neg__(self):
-        return RatFunc(self.field, -self.num, self.den)
-
-    def __mul__(self, other):
-        return self.field.make(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return self.field.make(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other):
-        return (isinstance(other, RatFunc) and self.field is other.field
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self):
-        return hash((id(self.field), self.num.coeffs, self.den.coeffs))
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def text(self) -> str:
-        return self.field.element_str(self)
-
-    def __repr__(self):
-        return f"RatFunc({self.text()})"
-
-
-class FracField:
-    """The fraction field F_q(t) of a PolyRing."""
-
-    def __init__(self, ring: PolyRing):
-        self.ring = ring
-        self.zero = RatFunc(self, ring.zero, ring.one)
-        self.one = RatFunc(self, ring.one, ring.one)
-        self.t = RatFunc(self, ring.t, ring.one)
-
-    def make(self, num: Poly, den: Poly) -> RatFunc:
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            return RatFunc(self, self.ring.zero, self.ring.one)
-        g = self.ring.gcd(num, den)
-        num, den = num // g, den // g
-        inv_lead = self.ring.field.inv_i(den.lead_code())
-        return RatFunc(self, num.scale(inv_lead), den.scale(inv_lead))
-
-    def invert_unit(self, x: RatFunc) -> RatFunc:
-        if x.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return self.make(x.den, x.num)
-
-    def coerce(self, x) -> RatFunc:
-        if isinstance(x, RatFunc) and x.field is self:
-            return x
-        if isinstance(x, Poly) and x.ring is self.ring:
-            return RatFunc(self, x, self.ring.one)
-        if isinstance(x, FieldElem) and x.spec is self.ring.field:
-            return RatFunc(self, self.ring.const(x.code), self.ring.one)
-        raise TypeError(f"cannot coerce {x!r} into F_{self.ring.field.q}(t)")
-
-    def element_str(self, x: RatFunc) -> str:
-        if x.is_polynomial():
-            return self.ring.element_str(x.num)
-        num = self.ring.element_str(x.num)
-        den = self.ring.element_str(x.den)
-        if "+" in num:
-            num = f"({num})"
-        if "+" in den:
-            den = f"({den})"
-        return f"{num}/{den}"
-
-    def parse_element(self, s: str) -> RatFunc:
-        s = s.replace(" ", "")
-        if "/" in s:
-            top, _, bot = s.partition("/")
-            return self.make(self.ring.parse_element(top.strip("()")),
-                             self.ring.parse_element(bot.strip("()")))
-        return self.coerce(self.ring.parse_element(s))
-
-    def __repr__(self):
-        return f"FracField(F_{self.ring.field.q}(t))"
-
-
-def frac_field(ring: PolyRing) -> FracField:
-    if id(ring) not in _FRAC_CACHE:
-        _FRAC_CACHE[id(ring)] = FracField(ring)
-    return _FRAC_CACHE[id(ring)]

@@ -211,7 +211,7 @@ def unipotent_upper(ring: PolyRing, a: Poly) -> Mat2:
 def congruence_member(m: Mat2, modulus: Poly) -> bool:
     """Principal congruence test: det = 1 and m = I mod the modulus."""
     ring = m.ring
-    if modulus.is_zero() or modulus.deg < 1:
+    if modulus.deg < 1:
         raise ValueError("modulus must have degree >= 1")
     if m.det() != ring.one:
         return False
@@ -241,8 +241,7 @@ def unipotent_fiber(spec: LinearAutoSpec, modulus: Poly, bound: int) -> list[Pol
     if bound + 1 >= _FIBER_WALK_CAP.bit_length() or q ** (bound + 1) > _FIBER_WALK_CAP:
         raise ValueError(f"degree bound {bound} over F_{q} walks more than "
                          f"{_FIBER_WALK_CAP} polynomials")
-    # a zero modulus fails in the first division below
-    if modulus.deg == 0:
+    if modulus.deg < 1:
         raise ValueError("modulus must have degree >= 1")
     inverse = spec.inverted()
     return [a for a in ring.polys_of_degree_at_most(bound)

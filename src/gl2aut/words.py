@@ -294,7 +294,6 @@ class FreeWord(Record):
         return not self.letters
 
 
-EMPTY_WORD = FreeWord()
 LETTER_SEP = "·"
 
 

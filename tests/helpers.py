@@ -20,7 +20,7 @@ from gl2aut.closure import closure
 from gl2aut.cosets import (FiniteGroup, QuotRing, SubgroupSpec, mat_det_r,
                            mat_inv_r, mat_mul_r, quotient_context)
 from gl2aut.curves import INFINITY, AffinePoint, WeierstrassCurve, point_add, point_mul
-from gl2aut.ffield import aut_rel_enumerate, field_of_order
+from gl2aut.ffield import aut_rel_enumerate, field_of_order, quad_ext
 from gl2aut.graphs import (Edge, QuotientGraph, RayMarker, StabDescriptor, Vertex,
                            validate_graph)
 from gl2aut.matgroup import Mat2, mat_parse
@@ -79,6 +79,13 @@ def rand_poly(ring, rng, max_deg, nonzero=False):
         p = ring.poly(coeffs)
         if not nonzero or not p.is_zero():
             return p
+
+
+def poly_gcd(a, b):
+    """The monic gcd of two polynomials by Euclid's algorithm; 0 for two zeros."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
 
 
 # ---- the former tuple arithmetic of Poly, kept as the oracle for polyring ----
@@ -369,14 +376,14 @@ def point_order(curve, pt, count) -> int:
 
 def brute_points(curve):
     """Every rational point by testing all q^2 pairs (x, y): infinity first,
-    then affine points by x code, then by y code."""
+    then affine points by x code, then by y code.  The equation is read as
+    y (y + a1 x + a3) = ((x + a2) x + a4) x + a6."""
+    elems = list(curve.field.elements())
     pts = [INFINITY]
-    for x in curve.field.elements():
-        for y in curve.field.elements():
-            lhs = y * y + curve.a1 * x * y + curve.a3 * y
-            rhs = x * x * x + curve.a2 * x * x + curve.a4 * x + curve.a6
-            if lhs == rhs:
-                pts.append(AffinePoint(x, y))
+    for x in elems:
+        b = curve.a1 * x + curve.a3
+        rhs = ((x + curve.a2) * x + curve.a4) * x + curve.a6
+        pts += [AffinePoint(x, y) for y in elems if y * (y + b) == rhs]
     return pts
 
 
@@ -386,14 +393,11 @@ def brute_r(curve) -> int:
 
 
 def brute_count_over_square(curve) -> int:
-    """#E(F_{q^2}) for a curve over a prime field F_q, by testing every pair
-    (x, y) over F_{q^2}.  The codes below q in F_{q^2} are the constants,
-    so the curve's coefficient codes name the same elements there."""
-    if curve.field.n != 1:
-        raise ValueError("the coefficient codes carry over from prime fields only")
-    big = field_of_order(curve.field.q ** 2)
+    """#E(F_{q^2}) by testing every pair (x, y) over F_{q^2} = quad_ext(F_q),
+    in which F_q embeds as a + 0*s."""
+    ext = quad_ext(curve.field)
     coeffs = (curve.a1, curve.a2, curve.a3, curve.a4, curve.a6)
-    return len(brute_points(WeierstrassCurve(big, *(big.el(a.code) for a in coeffs))))
+    return len(brute_points(WeierstrassCurve(ext, *map(ext.embed, coeffs))))
 
 
 def brute_group_structure(curve, points):

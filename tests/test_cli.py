@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 import shutil
@@ -12,6 +13,8 @@ from gl2aut import cli
 from gl2aut.cli import main
 from gl2aut.polyring import MAX_DEGREE
 from gl2aut.graphs import build_graph_ex1
+from gl2aut.matgroup import Mat2, mat_parse
+from gl2aut.nagao import word_parse
 from gl2aut.reiner import LinearAutoSpec
 from gl2aut.words import build_ex1cusp
 
@@ -163,6 +166,70 @@ def test_aut_count_largest_field(capsys):
     assert data["count"] == 65536 == len(data["classes"])
 
 
+def _phi(n: int) -> int:
+    """Euler's phi by trial division."""
+    out, d = n, 2
+    while d * d <= n:
+        if n % d == 0:
+            out -= out // d
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out - out // n if n > 1 else out
+
+
+# a prime, 2^16 and an odd prime power near the 2^16 cap, each with its
+# characteristic p: -1 has the code p - 1 in all three
+LARGE_FIELDS = [(65521, 65521), (1 << 16, 2), (3 ** 10, 3)]
+
+# the commands that refuse every large field: their flags after --q and a
+# part of their message
+LARGE_FIELD_REFUSALS = {
+    "unipotent-fiber": (["--spec", '{"map":{},"inverse":{}}', "--modulus", "t^2",
+                         "--bound", "0"], "walks more than 4096"),
+    "cusp-count": (["--modulus", "t"], "more than 100000 elements"),
+    "cs-wreath-check": (["--r", "1"], "q must be one of"),
+}
+
+
+@pytest.mark.parametrize("q, p", LARGE_FIELDS)
+def test_large_fields_answer_by_an_oracle_or_refuse_by_the_table(capsys, q, p):
+    field = ["--q", str(q)]
+    # det = t^3 + 2t^2 + 1 - (t + 2) t^2 = 1, where 2 is any element code
+    matrix = "[[1,t+2],[t^2,t^3+2t^2+1]]"
+    with helpers.budget(1):  # the first call builds F_q
+        word = run_ok(capsys, ["nagao-decompose", *field, "--matrix", matrix])
+    ring = helpers.ring_of(q)
+    letters = [letter.mat for letter in word_parse(ring, word)]
+    assert math.prod(letters, start=Mat2.identity(ring)) == mat_parse(ring, matrix)
+
+    # t^2 -> t^2 + t, so T(t^2) -> T(t^2 + t), and the inverse undoes it
+    spec = ["--spec", json.dumps({"map": {"2": [0, 1, 1]}, "inverse": {"2": [0, p - 1, 1]}})]
+    with helpers.budget(1):
+        image = run_ok(capsys, ["reiner-image", *field, *spec, "--matrix", "[[1,t^2],[0,1]]"])
+    t2 = ring.parse_element("t^2+t")
+    assert mat_parse(ring, image) == Mat2(ring, ring.one, t2, ring.zero, ring.one)
+    with helpers.budget(1):
+        image = run_ok(capsys, ["reiner-image", *field, *spec, "--matrix", matrix])
+        back = run_ok(capsys, ["reiner-image", *field, *spec, "--matrix", image, "--inverse"])
+    assert mat_parse(ring, back) == mat_parse(ring, matrix)
+
+    # the classes are the units mod q^2 - 1 that are 1 mod q - 1: the kernel
+    # of the onto map of unit groups mod q^2 - 1 and mod q - 1
+    units = _phi(q * q - 1) // _phi(q - 1)
+    with helpers.budget(1):
+        data = json.loads(run_ok(capsys, ["aut-count", *field]))
+    classes = data["classes"]
+    assert data["count"] == units == len(set(classes))
+    assert all(math.gcd(a, q * q - 1) == 1 and a % (q - 1) == 1 for a in classes)
+    with helpers.budget(1):
+        assert run_ok(capsys, ["cs-order", "--r", "2", *field]) == str(2 * units ** 2)
+
+    for command, (flags, message) in LARGE_FIELD_REFUSALS.items():
+        with helpers.budget(1):
+            assert message in run_err(capsys, [command, *field, *flags])
+
+
 def test_oversized_field_fails_fast(capsys):
     # both are refused on size before any factoring or residue walk
     with helpers.budget(1):
@@ -241,6 +308,15 @@ def test_unipotent_fiber_oversized_bound_fails_fast(capsys):
         err = run_err(capsys, ["unipotent-fiber", "--q", "2", "--spec", spec,
                                "--modulus", "t^2", "--bound", "14"])
     assert "more than 4096 polynomials" in err
+
+
+@pytest.mark.parametrize("modulus", ["0", "1"])
+def test_unipotent_fiber_refuses_a_modulus_of_degree_below_one(capsys, modulus):
+    # the zero modulus too is refused before any division by it
+    err = run_err(capsys, ["unipotent-fiber", "--q", "2", "--spec",
+                           '{"map":{},"inverse":{}}', "--modulus", modulus,
+                           "--bound", "2"])
+    assert err == "error: modulus must have degree >= 1\n"
 
 
 def test_graph_export_oversized_depth_fails_fast(capsys):

@@ -219,7 +219,7 @@ def test_class_data_r_counts_the_x_with_no_rational_point(q):
         assert cd.r == helpers.brute_r(curve), curve
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
 def test_l_at_minus_one_is_the_count_over_f_q2_over_the_count_over_f_q(q):
     # #E(F_{q^2}) = L(1) L(-1), counted over F_{q^2} by brute force
     rng = random.Random(f"l-minus-one:{q}")

@@ -1,11 +1,12 @@
 """Every public name the library defines is reached from outside the unit
 tests.
 
-A public top-level function or class, or a public method, counts as reached
-when code refers to its name somewhere besides its own definition: in
-another part of `src/gl2aut`, in `scripts/`, in `bench/` or in the
-acceptance suite.  A method counts only through an attribute (`x.name`) or
-a dotted string, so a local variable of the same name does not keep it.
+A public top-level function, class or assigned name (a constant such as
+`MAX_DEGREE`), or a public method, counts as reached when code refers to
+its name somewhere besides its own definition: in another part of
+`src/gl2aut`, in `scripts/`, in `bench/` or in the acceptance suite.  A
+method counts only through an attribute (`x.name`) or a dotted string, so
+a local variable of the same name does not keep it.
 The CLI's handlers count when their command is in its table, since `main`
 looks each one up by name.
 A name that only unit tests reach is dead weight in the library; it is
@@ -21,21 +22,27 @@ from gl2aut.cli import _COMMANDS
 ROOT = helpers.SRC.parent
 LIB = helpers.SRC / "gl2aut"
 
-# the point-stabilizer layer and frac_field, which builds the F_q(t) its
-# points lie in, kept for the Reiner image at a cusp other than infinity
-# (ROADMAP Direction 8), which will give them their callers
-WAITING = ("StabParam", "stab_membership", "stab_reconstruct", "unipotent_stab",
-           "qs_basis", "IdealQs", "conjugator_to_upper", "proj_point_from_text",
-           "frac_field")
-
 # cli.main finds the handler of a command in _COMMANDS as cmd_<command>
 DISPATCHED = {"cmd_" + command.replace("-", "_") for command in _COMMANDS}
 
 
+def _assigned_names(node):
+    """The names a top-level assignment binds, unpacked tuples included."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    for target in targets:
+        for sub in ast.walk(target):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                yield sub.id
+
+
 def _public_defs(tree):
     """(qualified name, name, first line, last line) of each public
-    top-level function and class and each public method."""
+    top-level function, class and assigned name and each public method."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for name in _assigned_names(node):
+                if not name.startswith("_"):
+                    yield name, name, node.lineno, node.end_lineno
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if not node.name.startswith("_"):
                 yield node.name, node.name, node.lineno, node.end_lineno
@@ -81,7 +88,7 @@ def unreached() -> list:
         for qualname, name, first, last in _public_defs(tree):
             # a method is reached only as an attribute or a dotted string
             kinds = (True,) if "." in qualname else (False, True)
-            if any((name, dotted) in outside for dotted in kinds) or name in WAITING \
+            if any((name, dotted) in outside for dotted in kinds) \
                     or (mod == "cli" and name in DISPATCHED):
                 continue
             if any(used == name and dotted in kinds
@@ -95,9 +102,3 @@ def unreached() -> list:
 def test_every_public_name_is_reached():
     found = unreached()
     assert not found, "reached only from unit tests: " + ", ".join(found)
-
-
-def test_waiting_names_are_still_defined():
-    defined = {name for path in LIB.glob("*.py")
-               for _qualname, name, _first, _last in _public_defs(ast.parse(path.read_text()))}
-    assert set(WAITING) <= defined

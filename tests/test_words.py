@@ -9,7 +9,7 @@ from gl2aut.cli import main as cli_main
 from gl2aut.ffield import aut_rel_enumerate
 from gl2aut.matgroup import Mat2, mat_parse
 from gl2aut.reiner import LinearAutoSpec
-from gl2aut.words import (DIHEDRAL_A, DIHEDRAL_B, EMPTY_WORD,
+from gl2aut.words import (DIHEDRAL_A, DIHEDRAL_B,
                           CentralAmalgamDecl, ComposedAuto, FactorDecl,
                           FiniteCyclic, FreeWord, MatrixBacked, PartialConj,
                           Swap, Type1, VectorFactor, apply_gen, apply_substitution,
@@ -51,7 +51,7 @@ def test_reduce_cancels_inverse_letters():
     decl = two_spike_decl()
     w = word_reduce(decl, [(0, 1), (1, 1), (1, 2), (0, 2)])
     assert w.is_identity()
-    assert w == EMPTY_WORD
+    assert w == FreeWord()
 
 
 def test_reduce_cascades_through_matrix_involutions(ex1):
@@ -96,8 +96,8 @@ def test_word_mul_is_associative(seed):
 
 
 def test_word_text_and_parse(ex1, rng):
-    assert word_text(ex1, EMPTY_WORD) == "e"
-    assert word_parse(ex1, "e") == EMPTY_WORD
+    assert word_text(ex1, FreeWord()) == "e"
+    assert word_parse(ex1, "e") == FreeWord()
     for _ in range(20):
         w = helpers.rand_word(ex1, rng, 6)
         assert word_parse(ex1, word_text(ex1, w)) == w
