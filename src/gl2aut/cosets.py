@@ -231,10 +231,6 @@ class SubgroupSpec(Record):
     def members(self) -> frozenset:
         return generated(self.group.R, self.gens)
 
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
     @classmethod
     def from_matrices(cls, group: FiniteGroup, R: QuotRing, mats) -> "SubgroupSpec":
         gens = tuple(reduce_mat(R, m) if isinstance(m, Mat2) else tuple(m) for m in mats)

@@ -6,11 +6,18 @@ function is L(u) = 1 + (N - q - 1) u + q u^2; then L(1) = N recovers the
 point count, and L(-1) counts the quadratic points used to split the
 class group contributions: L(-1) = cl2 + 2 r with cl2 the number of
 2-torsion points (identity included).
+
+Everything is genus one: `LPoly` is 1 + a u + q u^2 only, and
+`class_data`, `group_structure` and `two_torsion_count` take the curve
+together with its enumerated points.  `point_mul` is `ffield.power` over
+`point_add`.
 """
 
 from __future__ import annotations
 
-from .ffield import FieldElem, FieldSpec, aut_rel_count, factorize
+from functools import partial
+
+from .ffield import FieldElem, FieldSpec, aut_rel_count, factorize, power
 from .record import Record
 
 
@@ -157,17 +164,10 @@ def point_add(curve: WeierstrassCurve, p, r):
 def point_mul(curve: WeierstrassCurve, k: int, pt):
     if k < 0:
         return point_mul(curve, -k, point_neg(curve, pt))
-    acc = INFINITY
-    base = pt
-    while k:
-        if k & 1:
-            acc = point_add(curve, acc, base)
-        base = point_add(curve, base, base)
-        k >>= 1
-    return acc
+    return power(pt, k, partial(point_add, curve), INFINITY)
 
 
-def group_structure(curve: WeierstrassCurve, points=None) -> list[int]:
+def group_structure(curve: WeierstrassCurve, points) -> list[int]:
     """Invariant factors [d1, d2] with d1 | d2, the trivial ones left out.
 
     E(F_q) is Z/d1 x Z/d2 with d1 | d2 (Silverman, AEC III.6.4), so its
@@ -177,8 +177,6 @@ def group_structure(curve: WeierstrassCurve, points=None) -> list[int]:
     a = 0; for the others the map P -> pP is built once over all points as
     an index table, and iterated while the count is p^(2k).
     """
-    if points is None:
-        points = enumerate_points(curve)
     n = len(points)
     d1 = 1
     for p in factorize(n):
@@ -195,28 +193,21 @@ def group_structure(curve: WeierstrassCurve, points=None) -> list[int]:
     return [d for d in (d1, n // d1) if d > 1]
 
 
-def two_torsion_count(curve: WeierstrassCurve, points=None) -> int:
+def two_torsion_count(curve: WeierstrassCurve, points) -> int:
     """Number of points with 2P = infinity, i.e. P = -P, the identity included."""
-    if points is None:
-        points = enumerate_points(curve)
     return sum(1 for pt in points if point_neg(curve, pt) == pt)
 
 
 class LPoly(Record):
-    """Zeta numerator with coefficient tuple (1, ...), degree 2*genus."""
+    """Zeta numerator 1 + a u + q u^2 of an elliptic curve over F_q, kept as
+    its coefficient tuple (1, a, q)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple):
-        if not coeffs or coeffs[0] != 1:
-            raise ValueError("L-polynomial must have constant coefficient 1")
+        if len(coeffs) != 3 or coeffs[0] != 1:
+            raise ValueError("an elliptic L-polynomial has coefficients (1, a, q)")
         object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def genus(self) -> int:
-        if len(self.coeffs) % 2 == 0:
-            raise ValueError("L-polynomial must have even degree")
-        return (len(self.coeffs) - 1) // 2
 
     def __call__(self, u: int) -> int:
         return sum(c * u ** i for i, c in enumerate(self.coeffs))
@@ -245,16 +236,8 @@ class ClassData(Record):
     __slots__ = ("h", "cl2", "r", "ell_eq", "ell_neq")
 
 
-def class_data(lpoly: LPoly, curve: WeierstrassCurve = None, points=None) -> ClassData:
-    """Derive (h, cl2, r) from L and the rational point group; genus <= 1 only."""
-    if lpoly.genus > 1:
-        raise ValueError("class data supported for genus <= 1 only")
-    if lpoly.genus == 0:
-        return ClassData(h=1, cl2=1, r=0, ell_eq=1, ell_neq=0)
-    if curve is None:
-        raise ValueError("genus-1 class data needs the curve")
-    if points is None:
-        points = enumerate_points(curve)
+def class_data(lpoly: LPoly, curve: WeierstrassCurve, points) -> ClassData:
+    """Derive (h, cl2, r) from L and the rational points of the curve."""
     h = lpoly(1)
     if h != len(points):
         raise ValueError("L(1) does not match the rational point count")

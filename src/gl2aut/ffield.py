@@ -10,6 +10,10 @@ C builtins, with no Python frame per call.  Other prime fields reduce mod p;
 other extension fields multiply through discrete-log tables and add digit
 by digit.
 
+`power` is the one square-and-multiply loop: FieldSpec finds its generator
+with it on raw products, and F_{q^2}, `Mat2`, `curves.point_mul` and
+`words.word_pow` raise to powers through it.
+
 Nothing here counts its way to an order.  `factorize` is the one integer
 factorization, and `order_dividing` finds the order of any x with x**n = 1
 from it: x has order n exactly when x**(n/l) != 1 for every prime l | n.
@@ -72,23 +76,36 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def order_dividing(x, n: int, power, one) -> int:
-    """The multiplicative order of x, given that power(x, n) == one.
+def power(x, k: int, mul, one):
+    """x**k for k >= 0 by square-and-multiply, with the product mul and its
+    identity one: for each bit of k from the lowest, multiply the result by
+    x when the bit is set, then square x."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        x = mul(x, x)
+        k >>= 1
+    return out
 
-    Starts at n and divides out each prime l of n while power(x, d // l)
+
+def order_dividing(x, n: int, pow_fn, one) -> int:
+    """The multiplicative order of x, given that pow_fn(x, n) == one.
+
+    Starts at n and divides out each prime l of n while pow_fn(x, d // l)
     is still one.
     """
     d = n
     for ell in factorize(n):
-        while d % ell == 0 and power(x, d // ell) == one:
+        while d % ell == 0 and pow_fn(x, d // ell) == one:
             d //= ell
     return d
 
 
-def first_of_order(candidates, n: int, power, one):
+def first_of_order(candidates, n: int, pow_fn, one):
     """The first candidate whose order is n (every candidate has x**n == one)."""
     for x in candidates:
-        if order_dividing(x, n, power, one) == n:
+        if order_dividing(x, n, pow_fn, one) == n:
             return x
     raise AssertionError(f"no element of order {n}")
 
@@ -215,7 +232,8 @@ class FieldSpec:
         self._modulus_code = self._encode(self.modulus)
         # the log tables need the generator first, so test on _raw_mul; for
         # n > 1 the codes below p are F_p, whose orders divide p - 1
-        g = first_of_order(range(1 if n == 1 else p, q), q - 1, self._raw_pow, 1)
+        g = first_of_order(range(1 if n == 1 else p, q), q - 1,
+                           lambda a, k: power(a, k, self._raw_mul, 1), 1)
         self._build_arithmetic(g)
         self.generator = FieldElem(self, g)
 
@@ -246,15 +264,6 @@ class FieldSpec:
         db = _digits(b, self.p, self.n)
         prod = _pmod(_pmul(da, db, self.p), self.modulus, self.p)
         return self._encode(prod)
-
-    def _raw_pow(self, a: int, k: int) -> int:
-        out = 1
-        while k:
-            if k & 1:
-                out = self._raw_mul(out, a)
-            a = self._raw_mul(a, a)
-            k >>= 1
-        return out
 
     def _encode(self, digs) -> int:
         code = 0
@@ -411,14 +420,6 @@ class FieldSpec:
             raise ValueError(f"bad numeral of {len(text)} characters")
         return self.el(int(text))
 
-    def parse_element(self, s: str) -> FieldElem:
-        parts = s.strip().split(",")
-        try:
-            coeffs = [int(c) for c in parts]
-        except ValueError:
-            raise ValueError(f"bad field element {s!r}")
-        return self.from_coeffs(coeffs)
-
     def order_of(self, x: FieldElem) -> int:
         if x.code == 0:
             raise ValueError("zero has no multiplicative order")
@@ -486,14 +487,7 @@ class QuadExtElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.ext.invert_unit(self) ** (-k)
-        out = self.ext.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, operator.mul, self.ext.one)
 
     def __eq__(self, other):
         return (isinstance(other, QuadExtElem) and self.ext is other.ext
@@ -551,9 +545,6 @@ class QuadExt:
                     return c1, c0
         raise AssertionError("no irreducible quadratic found")
 
-    def el(self, a: FieldElem, b: FieldElem) -> QuadExtElem:
-        return QuadExtElem(self, a, b)
-
     def el_code(self, code: int) -> QuadExtElem:
         return QuadExtElem(self, self.base.el(code % self.q), self.base.el(code // self.q))
 
@@ -599,13 +590,6 @@ class QuadExt:
 
     def element_str(self, x: QuadExtElem) -> str:
         return x.text()
-
-    def parse_element(self, s: str) -> QuadExtElem:
-        parts = s.strip().split(";")
-        if len(parts) != 2:
-            raise ValueError(f"bad quadratic extension element {s!r}")
-        return QuadExtElem(self, self.base.parse_element(parts[0]),
-                           self.base.parse_element(parts[1]))
 
     def order_of(self, x: QuadExtElem) -> int:
         if not bool(x):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .ffield import FieldElem, FieldSpec, QuadExt, QuadExtElem, order_dividing
+import operator
+
+from .ffield import FieldElem, FieldSpec, QuadExt, QuadExtElem, order_dividing, power
 from .record import Record
 
 
@@ -29,9 +31,6 @@ class Mat2:
     def det(self):
         return self.a * self.d - self.b * self.c
 
-    def trace(self):
-        return self.a + self.d
-
     def inverse(self) -> "Mat2":
         inv_det = self.ring.invert_unit(self.det())
         return Mat2(self.ring, self.d * inv_det, -self.b * inv_det,
@@ -40,14 +39,7 @@ class Mat2:
     def __pow__(self, k: int) -> "Mat2":
         if k < 0:
             return self.inverse() ** (-k)
-        out = Mat2.identity(self.ring)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, operator.mul, Mat2.identity(self.ring))
 
     def __eq__(self, other):
         return (isinstance(other, Mat2) and self.ring is other.ring

@@ -30,7 +30,7 @@ applies each transversal letter as its column operation, writing out a
 
 from __future__ import annotations
 
-from .matgroup import Mat2, mat_parse
+from .matgroup import Mat2
 from .polyring import Poly, PolyRing
 from .record import Record
 
@@ -170,17 +170,3 @@ def evaluate(ring: PolyRing, letters) -> Mat2:
 
 def word_text(letters) -> str:
     return ";".join(lt.text() for lt in letters)
-
-
-def word_parse(ring: PolyRing, s: str) -> tuple[Letter, ...]:
-    """Parse "G:[[...]];B:[[...]]" into a validated (not normalized) word."""
-    s = s.strip()
-    if not s:
-        return ()
-    out = []
-    for chunk in s.split(";"):
-        side, sep, matstr = chunk.partition(":")
-        if not sep or side not in (G_SIDE, B_SIDE):
-            raise ValueError(f"bad word chunk {chunk!r}")
-        out.append(letter(side, mat_parse(ring, matstr)))
-    return tuple(out)

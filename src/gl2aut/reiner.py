@@ -220,29 +220,61 @@ def congruence_member(m: Mat2, modulus: Poly) -> bool:
                zip(m.entries(), ident.entries()))
 
 
-# most polynomials unipotent_fiber walks (q^(bound+1) of them); past it
-# the walk is refused instead of running for minutes
-_FIBER_WALK_CAP = 4096
+# most members unipotent_fiber lists; a larger fiber is refused
+_FIBER_CAP = 4096
 
 
 def unipotent_fiber(spec: LinearAutoSpec, modulus: Poly, bound: int) -> list[Poly]:
     """All a with deg a <= bound whose unipotent T(a) is carried into the
-    principal congruence subgroup of the modulus by the inverse substitution.
+    principal congruence subgroup of the modulus by the inverse substitution,
+    in integer-code order.
 
     The image of T(a) is T(a0 + phi^{-1}(a - a0)), which has determinant 1,
     so a is a member exactly when a0 + phi^{-1}(a - a0) = 0 mod modulus.
-    The result is an F_q-subspace.
+    That map is F_q-linear, so the members are its kernel, found by
+    elimination on the images of 1, t, ..., t^bound in degree order.  Each
+    t^f whose image depends on those below it gives a kernel vector b_f:
+    t^f less a combination of the monomials whose images did not, so b_f
+    vanishes at every other such degree.  The member sum x_f b_f is then
+    listed in integer-code order when the x_f are, the highest f first.  A
+    fiber of more than _FIBER_CAP members is refused, at once when the
+    dimension bound + 1 - deg(modulus) already exceeds it.
     """
     ring = spec.ring
     if bound < 0:
         raise ValueError("degree bound must be >= 0")
-    q = ring.field.q
-    # q^(bound+1) >= 2^(bound+1), so a long bound is refused before the power
-    if bound + 1 >= _FIBER_WALK_CAP.bit_length() or q ** (bound + 1) > _FIBER_WALK_CAP:
-        raise ValueError(f"degree bound {bound} over F_{q} walks more than "
-                         f"{_FIBER_WALK_CAP} polynomials")
+    if bound > MAX_DEGREE:
+        raise ValueError(f"degree bound {bound} exceeds {MAX_DEGREE}")
     if modulus.deg < 1:
         raise ValueError("modulus must have degree >= 1")
+    field, n = ring.field, modulus.deg
+    too_big = ValueError(f"degree bound {bound} over F_{field.q} gives a fiber of "
+                         f"more than {_FIBER_CAP} polynomials")
+    # the image has dimension at most n, so the kernel at least bound + 1 - n
+    if field.q ** max(bound + 1 - n, 0) > _FIBER_CAP:
+        raise too_big
+    sub, mul, inv = field.sub_i, field.mul_i, field.inv_i
     inverse = spec.inverted()
-    return [a for a in ring.polys_of_degree_at_most(bound)
-            if (inverse.apply(a) % modulus).is_zero()]
+    # a row is the image of t^k mod the modulus (n codes) followed by the
+    # combination of 1, ..., t^bound it is the image of; echelon maps the
+    # lowest nonzero image position of a row to the row, scaled to 1 there
+    echelon, kernel = {}, []
+    for k in range(bound + 1):
+        image = (inverse.apply(ring.monomial(1, k)) % modulus).coeffs
+        row = [*image, *repeat(0, n - len(image) + k), 1, *repeat(0, bound - k)]
+        for j in range(n):
+            if not row[j]:
+                continue
+            if j not in echelon:
+                echelon[j] = list(map(mul, repeat(inv(row[j])), row))
+                break
+            row[j:] = map(sub, row[j:], map(mul, repeat(row[j]), echelon[j][j:]))
+        else:
+            kernel.append(row[n:])
+    if field.q ** len(kernel) > _FIBER_CAP:
+        raise too_big
+    members = [ring.zero]
+    for vec in kernel:
+        b = ring._make(vec)
+        members = [m + b.scale(x) for x in range(field.q) for m in members]
+    return members

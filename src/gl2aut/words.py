@@ -1,10 +1,11 @@
 """Reduced words in free products and their generator automorphisms.
 
 A declaration lists free factors of three kinds: finite cyclic groups,
-matrix-backed groups (invertible 2x2 matrices over a fixed ring) and vector
+matrix-backed groups (invertible 2x2 matrices over F_q[t]) and vector
 groups, the additive group tF_q[t] on the countable basis t, t^2, ...
 Elements of the product are reduced words: sequences of (factor index,
 nonidentity element) letters with adjacent letters in distinct factors.
+`word_pow` is `ffield.power` over `word_mul`.
 
 Automorphisms are generated by three record kinds, the standard generating
 set for automorphism groups of free products:
@@ -32,11 +33,12 @@ from __future__ import annotations
 
 import math
 import re
+from functools import partial
 
 from .closure import closure
-from .ffield import aut_rel_enumerate, field_make
+from .ffield import aut_rel_enumerate, field_make, power
 from .matgroup import Mat2, mat_parse
-from .polyring import Poly, PolyRing, poly_ring
+from .polyring import Poly, poly_ring
 from .record import Record
 from .reiner import LinearAutoSpec, reiner_apply
 
@@ -63,9 +65,6 @@ class FiniteCyclic(Record):
         if order < 2:
             raise ValueError("cyclic factor order must be at least 2")
         object.__setattr__(self, "order", order)
-
-    def identity(self):
-        return 0
 
     def is_identity(self, e) -> bool:
         return e == 0
@@ -113,18 +112,13 @@ class FiniteCyclic(Record):
 
 
 class MatrixBacked(Record):
-    """Factor whose elements are invertible 2x2 matrices over a fixed ring.
-
-    The ring is a polynomial ring (matrices with unit, i.e. constant nonzero,
-    determinant) or a finite field (the constant matrix group).  Its
-    automorphisms are conjugation by a member matrix and, over F_q[t], the
-    Reiner twist of a LinearAutoSpec over the same ring.
+    """Factor whose elements are the invertible 2x2 matrices over a
+    polynomial ring F_q[t], those with unit (constant nonzero) determinant.
+    Its automorphisms are conjugation by a member matrix and the Reiner
+    twist of a LinearAutoSpec over the same ring.
     """
 
     __slots__ = ("ring",)
-
-    def identity(self):
-        return Mat2.identity(self.ring)
 
     def is_identity(self, e) -> bool:
         return isinstance(e, Mat2) and e.is_identity()
@@ -154,9 +148,7 @@ class MatrixBacked(Record):
         return m
 
     def iso_key(self):
-        if isinstance(self.ring, PolyRing):
-            return ("matrix-poly", self.ring.field.q)
-        return ("matrix-const", self.ring.q)
+        return ("matrix-poly", self.ring.field.q)
 
     def check_auto(self, auto) -> None:
         if isinstance(auto, LinearAutoSpec):
@@ -192,9 +184,6 @@ class VectorFactor(Record):
     """
 
     __slots__ = ("ring",)
-
-    def identity(self):
-        return self.ring.zero
 
     def is_identity(self, e) -> bool:
         return e == self.ring.zero
@@ -290,9 +279,6 @@ class FreeWord(Record):
     def __iter__(self):
         return iter(self.letters)
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
 
 LETTER_SEP = "·"
 
@@ -327,10 +313,7 @@ def word_inv(decl: CentralAmalgamDecl, w: FreeWord) -> FreeWord:
 def word_pow(decl: CentralAmalgamDecl, w: FreeWord, k: int) -> FreeWord:
     if k < 0:
         return word_pow(decl, word_inv(decl, w), -k)
-    acc = FreeWord()
-    for _ in range(k):
-        acc = word_mul(decl, acc, w)
-    return acc
+    return power(w, k, partial(word_mul, decl), FreeWord())
 
 
 def word_text(decl: CentralAmalgamDecl, w: FreeWord) -> str:
@@ -639,6 +622,10 @@ def apply_substitution(decl: CentralAmalgamDecl, images: dict, w: FreeWord) -> F
     return acc
 
 
+# the longest alternating words dihedral_cohopf_demo maps
+_DIHEDRAL_MAX_LEN = 12
+
+
 def _alternating_words(max_len: int):
     words = [FreeWord()]
     for start in (0, 1):
@@ -654,7 +641,7 @@ class DihedralReport(Record):
     __slots__ = ("index", "injective_up_to", "inner_index", "single_factor_index")
 
 
-def dihedral_cohopf_demo(max_len: int = 12) -> DihedralReport:
+def dihedral_cohopf_demo() -> DihedralReport:
     """Map one reflection generator to its conjugate by the basic translation
     and keep the other fixed; the image is a proper subgroup of finite index
     even though the map is injective.  Conjugating both generators (an inner
@@ -666,7 +653,7 @@ def dihedral_cohopf_demo(max_len: int = 12) -> DihedralReport:
     conj_a = word_mul(decl, word_mul(decl, ab, a), word_inv(decl, ab))
     images = {0: conj_a, 1: b}
 
-    words = _alternating_words(max_len)
+    words = _alternating_words(_DIHEDRAL_MAX_LEN)
     image_words = [apply_substitution(decl, images, w) for w in words]
     if len({w.letters for w in image_words}) != len(words):
         raise AssertionError("substitution images collide at small word length")
@@ -679,7 +666,7 @@ def dihedral_cohopf_demo(max_len: int = 12) -> DihedralReport:
     bab = word_mul(decl, word_mul(decl, b, a), b)
     single = dihedral_coset_index([dihedral_isom(bab), dihedral_isom(b)])
 
-    return DihedralReport(index, max_len, inner_index, single)
+    return DihedralReport(index, _DIHEDRAL_MAX_LEN, inner_index, single)
 
 
 # ---------------------------------------------------------------------------

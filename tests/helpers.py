@@ -207,6 +207,21 @@ def rand_nagao_letters(ring, rng, max_len=6, max_deg=3):
     return letters
 
 
+def nagao_word_parse(ring, s: str) -> tuple:
+    """Parse the text of nagao.word_text, "G:[[...]];B:[[...]]", into a
+    validated (not normalized) word."""
+    s = s.strip()
+    if not s:
+        return ()
+    out = []
+    for chunk in s.split(";"):
+        side, sep, matstr = chunk.partition(":")
+        if not sep or side not in (G_SIDE, B_SIDE):
+            raise ValueError(f"bad word chunk {chunk!r}")
+        out.append(nagao.letter(side, mat_parse(ring, matstr)))
+    return tuple(out)
+
+
 def rand_elem(kind, rng, mat_deg=2):
     """Random nonidentity element of a free-factor kind."""
     if isinstance(kind, FiniteCyclic):

@@ -191,7 +191,7 @@ def test_c08_quadratic_stabilizer_generators():
 
 def test_c09_dihedral_partial_conjugation_index_three():
     with budget(5):
-        rep = dihedral_cohopf_demo(max_len=12)
+        rep = dihedral_cohopf_demo()
         assert rep.index == 3
         assert rep.injective_up_to == 12
 

@@ -14,7 +14,6 @@ from gl2aut.cli import main
 from gl2aut.polyring import MAX_DEGREE
 from gl2aut.graphs import build_graph_ex1
 from gl2aut.matgroup import Mat2, mat_parse
-from gl2aut.nagao import word_parse
 from gl2aut.reiner import LinearAutoSpec
 from gl2aut.words import build_ex1cusp
 
@@ -185,11 +184,37 @@ LARGE_FIELDS = [(65521, 65521), (1 << 16, 2), (3 ** 10, 3)]
 # the commands that refuse every large field: their flags after --q and a
 # part of their message
 LARGE_FIELD_REFUSALS = {
-    "unipotent-fiber": (["--spec", '{"map":{},"inverse":{}}', "--modulus", "t^2",
-                         "--bound", "0"], "walks more than 4096"),
     "cusp-count": (["--modulus", "t"], "more than 100000 elements"),
     "cs-wreath-check": (["--r", "1"], "q must be one of"),
 }
+
+
+# a curve over each large field: its equation, its coefficients
+# (a1, a2, a3, a4, a6) in F_p, its point count N and the seconds class-data
+# and ell-count may each take (F_(3^10), the slowest, about 2 s in-process
+# on a 2-vCPU Xeon)
+LARGE_CURVES = {65521: ("y2=x3+1", (0, 0, 0, 0, 1), 65856, 3),
+                1 << 16: ("y2+y=x3", (0, 0, 1, 0, 0), 65025, 3),
+                3 ** 10: ("y2=x3+2x+1", (0, 0, 0, 2, 1), 58807, 6)}
+
+
+def _independent_count(q, p, coeffs):
+    """#E(F_q) without the library.  Over a prime field y^2 = f(x) has
+    1 + chi(f(x)) roots y for each x, chi by Euler's criterion.  Over F_(p^n)
+    the count over F_p is lifted: with a = p + 1 - #E(F_p), s_0 = 2, s_1 = a
+    and s_k = a s_(k-1) - p s_(k-2), #E(F_(p^n)) = p^n + 1 - s_n."""
+    a1, a2, a3, a4, a6 = coeffs
+    if q == p:
+        assert a1 == a3 == 0
+        chi = [0] + [1 if pow(v, (p - 1) // 2, p) == 1 else -1 for v in range(1, p)]
+        return 1 + sum(1 + chi[(x ** 3 + a2 * x * x + a4 * x + a6) % p] for x in range(p))
+    n1 = 1 + sum(1 for x in range(p) for y in range(p)
+                 if (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % p == 0)
+    a, n = p + 1 - n1, next(k for k in range(2, 17) if p ** k == q)
+    s = [2, a]
+    while len(s) <= n:
+        s.append(a * s[-1] - p * s[-2])
+    return q + 1 - s[n]
 
 
 @pytest.mark.parametrize("q, p", LARGE_FIELDS)
@@ -200,7 +225,7 @@ def test_large_fields_answer_by_an_oracle_or_refuse_by_the_table(capsys, q, p):
     with helpers.budget(1):  # the first call builds F_q
         word = run_ok(capsys, ["nagao-decompose", *field, "--matrix", matrix])
     ring = helpers.ring_of(q)
-    letters = [letter.mat for letter in word_parse(ring, word)]
+    letters = [letter.mat for letter in helpers.nagao_word_parse(ring, word)]
     assert math.prod(letters, start=Mat2.identity(ring)) == mat_parse(ring, matrix)
 
     # t^2 -> t^2 + t, so T(t^2) -> T(t^2 + t), and the inverse undoes it
@@ -224,6 +249,22 @@ def test_large_fields_answer_by_an_oracle_or_refuse_by_the_table(capsys, q, p):
     assert all(math.gcd(a, q * q - 1) == 1 and a % (q - 1) == 1 for a in classes)
     with helpers.budget(1):
         assert run_ok(capsys, ["cs-order", "--r", "2", *field]) == str(2 * units ** 2)
+
+    # the identity spec fixes a, and of degree <= 0 only a = 0 is 0 mod t^2
+    with helpers.budget(1):
+        fiber = json.loads(run_ok(capsys, ["unipotent-fiber", *field, "--spec",
+                                           '{"map":{},"inverse":{}}', "--modulus", "t^2",
+                                           "--bound", "0"]))
+    assert (fiber["count"], fiber["members"]) == (1, ["0"])
+
+    # h = L(1) = N and L(-1) = 2q + 2 - N for L(u) = 1 + (N - q - 1)u + qu^2
+    equation, coeffs, n, seconds = LARGE_CURVES[q]
+    assert _independent_count(q, p, coeffs) == n
+    curve = ["--curve", f"q={q};{equation}"]
+    with helpers.budget(seconds):
+        assert json.loads(run_ok(capsys, ["class-data", *curve]))["h"] == n
+    with helpers.budget(seconds):
+        assert run_ok(capsys, ["ell-count", *curve]) == str(2 * q + 2 - n)
 
     for command, (flags, message) in LARGE_FIELD_REFUSALS.items():
         with helpers.budget(1):

@@ -129,11 +129,15 @@ def test_point_orders_divide_group_order():
 
 
 def test_two_torsion_counts():
+    def count(spec):
+        curve = curve_from_text(spec)
+        return two_torsion_count(curve, enumerate_points(curve))
+
     # number of solutions of 2P = infinity, identity included
-    assert two_torsion_count(curve_from_text(SUPERSINGULAR_F2)) == 1
-    assert two_torsion_count(curve_from_text(ANISOTROPIC_F2)) == 1
+    assert count(SUPERSINGULAR_F2) == 1
+    assert count(ANISOTROPIC_F2) == 1
     # y^2 = x^3 + x over F_5 has full two-torsion: x^3 + x splits
-    assert two_torsion_count(curve_from_text("q=5;y2=x3+x")) == 4
+    assert count("q=5;y2=x3+x") == 4
 
 
 @pytest.mark.parametrize("spec,factors", [
@@ -156,12 +160,14 @@ def test_group_structure_on_each_shape_of_p_part(spec, factors):
 def test_lpoly_construction_and_hasse_bound():
     lp = lpoly_from_count(3, 2)
     assert lp.coeffs == (1, 0, 2)
-    assert lp.genus == 1
     assert lp(1) == 3 and lp(-1) == 3
     with pytest.raises(ValueError):
         lpoly_from_count(9, 2)  # too many points for q = 2
     with pytest.raises(ValueError):
         LPoly((2, 0, 1))  # constant coefficient must be 1
+    for coeffs in [(1,), (1, 0), (1, 0, 2, 0, 4)]:  # genus one only
+        with pytest.raises(ValueError):
+            LPoly(coeffs)
 
 
 def test_ell_count_is_l_at_minus_one():
@@ -229,15 +235,10 @@ def test_l_at_minus_one_is_the_count_over_f_q2_over_the_count_over_f_q(q):
         assert rem == 0 and big == lpoly_from_count(n, q)(-1), curve
 
 
-def test_class_data_genus_zero():
-    cd = class_data(LPoly((1,)))
-    assert (cd.h, cd.cl2, cd.r) == (1, 1, 0)
-
-
 def test_class_data_rejects_mismatched_count():
     curve = curve_from_text(SUPERSINGULAR_F2)
     with pytest.raises(ValueError):
-        class_data(lpoly_from_count(5, 2), curve)
+        class_data(lpoly_from_count(5, 2), curve, enumerate_points(curve))
 
 
 def test_cs_order_values():

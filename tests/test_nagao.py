@@ -212,7 +212,7 @@ def test_word_text_parse_roundtrip(rng):
     R = helpers.ring_of(2)
     for _ in range(25):
         w = nagao.decompose(helpers.rand_gl2_poly(R, rng, 5))
-        assert nagao.word_parse(R, nagao.word_text(w)) == w
+        assert helpers.nagao_word_parse(R, nagao.word_text(w)) == w
 
 
 def test_letter_side_validation():

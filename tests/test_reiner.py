@@ -268,6 +268,41 @@ def test_unipotent_fiber_matches_direct_definition():
     assert got == want
 
 
+def _rand_fiber_spec(R, rng):
+    """A swap t^i <-> t^j, a scaling t^i -> c t^i or a shear t^i -> t^i + c t^j
+    (j > i), each with its inverse."""
+    q = R.field.q
+    i, j = sorted(rng.sample(range(1, 6), 2))
+    c = rng.randrange(1, q)
+    kind = rng.choice(("swap", "scale", "shear"))
+    if kind == "swap":
+        return swap_spec(R, i, j)
+    if kind == "scale":
+        return LinearAutoSpec(R, {i: R.monomial(c, i)},
+                              {i: R.monomial(R.field.inv_i(c), i)})
+    return LinearAutoSpec(R, {i: R.monomial(1, i) + R.monomial(c, j)},
+                          {i: R.monomial(1, i) - R.monomial(c, j)})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_unipotent_fiber_matches_the_definition_on_random_specs(q):
+    # the kernel by elimination, in integer-code order, against the walk over
+    # every a of degree <= bound through reiner_apply and congruence_member
+    rng = random.Random(f"fiber-kernel:{q}")
+    R = helpers.ring_of(q)
+    top = max(b for b in range(12) if q ** (b + 1) <= 2000)
+    for _ in range(20):
+        spec = _rand_fiber_spec(R, rng)
+        modulus = helpers.rand_poly(R, rng, rng.randint(1, 4), nonzero=True)
+        if modulus.deg < 1:
+            modulus = modulus + R.t
+        bound = rng.randint(0, top)
+        want = [a for a in R.polys_of_degree_at_most(bound)
+                if congruence_member(reiner_apply(spec.inverted(),
+                                                  unipotent_upper(R, a)), modulus)]
+        assert unipotent_fiber(spec, modulus, bound) == want, (spec, modulus, bound)
+
+
 def test_unipotent_fiber_is_a_subspace():
     R = helpers.ring_of(2)
     spec = swap_spec(R, 1, 3)
@@ -297,15 +332,29 @@ def test_fibers_over_f3(rng):
     assert len(fiber) == 9
 
 
-def test_unipotent_fiber_refuses_long_walks_before_starting(monkeypatch):
+def test_unipotent_fiber_refuses_large_fibers_before_listing(monkeypatch):
     R = helpers.ring_of(2)
     spec = identity_spec(R)
     tsq = R.poly((0, 0, 1))
-    for bound in (12, 10 ** 9):
+    # the multiples of t^2 of degree <= bound: 2^(bound - 1) of them
+    with helpers.budget(1):
+        assert len(unipotent_fiber(spec, tsq, 13)) == 4096
+    for bound in (14, MAX_DEGREE):
         with helpers.budget(1), pytest.raises(ValueError, match="more than 4096"):
             unipotent_fiber(spec, tsq, bound)
-    # the cap counts the q^(bound+1) polynomials walked, inclusive
-    monkeypatch.setattr(reiner, "_FIBER_WALK_CAP", 2 ** 4)
-    assert len(unipotent_fiber(spec, tsq, 3)) == 2 ** 2
+    with helpers.budget(1), pytest.raises(ValueError, match=f"exceeds {MAX_DEGREE}"):
+        unipotent_fiber(spec, tsq, 10 ** 9)
+    # the cap counts the members listed, inclusive
+    monkeypatch.setattr(reiner, "_FIBER_CAP", 2 ** 4)
+    assert len(unipotent_fiber(spec, tsq, 5)) == 2 ** 4
     with pytest.raises(ValueError):
-        unipotent_fiber(spec, tsq, 4)
+        unipotent_fiber(spec, tsq, 6)
+    # t <-> t^5 sends t, t^3 and t^4 to 0 mod t^3: at bound 4 the kernel has
+    # 2^3 members, past the 2^(5 - 3) the dimension bound counts
+    swap, t3 = swap_spec(R, 1, 5), R.poly((0, 0, 0, 1))
+    monkeypatch.setattr(reiner, "_FIBER_CAP", 2 ** 2)
+    with pytest.raises(ValueError, match="more than 4 polynomials"):
+        unipotent_fiber(swap, t3, 4)
+    monkeypatch.setattr(reiner, "_FIBER_CAP", 2 ** 3)
+    assert [a.text() for a in unipotent_fiber(swap, t3, 4)] == \
+        ["0", "t", "t^3", "t^3+t", "t^4", "t^4+t", "t^4+t^3", "t^4+t^3+t"]

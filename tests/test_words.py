@@ -50,7 +50,6 @@ def test_reduce_merges_adjacent_letters_of_one_factor():
 def test_reduce_cancels_inverse_letters():
     decl = two_spike_decl()
     w = word_reduce(decl, [(0, 1), (1, 1), (1, 2), (0, 2)])
-    assert w.is_identity()
     assert w == FreeWord()
 
 
@@ -73,14 +72,14 @@ def test_word_mul_inv_pow(ex1, rng):
     for _ in range(25):
         u = helpers.rand_word(ex1, rng, 6)
         v = helpers.rand_word(ex1, rng, 6)
-        assert word_mul(ex1, u, word_inv(ex1, u)).is_identity()
+        assert word_mul(ex1, u, word_inv(ex1, u)) == FreeWord()
         assert word_inv(ex1, word_inv(ex1, u)) == u
         uv = word_mul(ex1, u, v)
         assert word_inv(ex1, uv) == word_mul(ex1, word_inv(ex1, v),
                                              word_inv(ex1, u))
         assert word_pow(ex1, u, 3) == word_mul(ex1, word_mul(ex1, u, u), u)
         assert word_pow(ex1, u, -1) == word_inv(ex1, u)
-        assert word_pow(ex1, u, 0).is_identity()
+        assert word_pow(ex1, u, 0) == FreeWord()
 
 
 @given(seed=st.integers(min_value=0, max_value=99_999))
@@ -432,9 +431,9 @@ def test_dihedral_index_closed_form_matches_coset_search():
 
 
 def test_dihedral_demo_report():
-    rep = dihedral_cohopf_demo(max_len=8)
+    rep = dihedral_cohopf_demo()
     assert rep.index == 3
-    assert rep.injective_up_to == 8
+    assert rep.injective_up_to == 12
     # conjugating both generators, or conjugating by a reflection inside the
     # group, keeps the image at full index
     assert rep.inner_index == 1
