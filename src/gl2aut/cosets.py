@@ -138,8 +138,7 @@ def mat_inv_r(R: QuotRing, x: tuple) -> tuple:
 
 def reduce_mat(R: QuotRing, m: Mat2) -> tuple:
     """Reduce a unit-determinant matrix over F_q[t] mod the modulus."""
-    det = m.det()
-    if not det.is_constant() or det.is_zero():
+    if not m.has_unit_det():
         raise ValueError(f"{m.text()} is not invertible over F_q[t]")
     return tuple(map(R.reduce_poly, m.entries()))
 

@@ -31,6 +31,15 @@ class Mat2:
     def det(self):
         return self.a * self.d - self.b * self.c
 
+    def has_unit_det(self) -> bool:
+        """Whether det is a nonzero constant, so that a matrix over F_q[t]
+        is invertible there.  When b or c is zero, det is the product of the
+        diagonal, a nonzero constant exactly when both entries are (degrees
+        add in F_q[t]), so no product is made."""
+        if not self.b.coeffs or not self.c.coeffs:
+            return self.a.deg == 0 and self.d.deg == 0
+        return self.det().deg == 0
+
     def inverse(self) -> "Mat2":
         inv_det = self.ring.invert_unit(self.det())
         return Mat2(self.ring, self.d * inv_det, -self.b * inv_det,

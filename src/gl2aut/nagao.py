@@ -21,7 +21,10 @@ is `decompose` of its product.
 `decompose` works on the four entries by column operations: right
 multiplication by a unipotent [[1, v], [0, 1]] adds v times the first
 column to the second, and by [[0, 1], [1, x]] (x constant) swaps the
-columns and adds x times the new first column to the second.  A 2x2
+columns and adds x times the new first column to the second.  Peeling a
+unipotent takes its v from dividing d by c, and the remainder of that
+division gives the new d as d <- r + v0*c (v0 the quotient's constant
+term), so a B peel makes one full polynomial product, for b.  A 2x2
 product is formed only to fold j into the first letter.  `evaluate` is
 `decompose` run backwards: it starts from the first letter's matrix and
 applies each transversal letter as its column operation, writing out a
@@ -62,14 +65,9 @@ def _in_side(m: Mat2, side: str) -> bool:
     raise ValueError(f"unknown side {side!r}")
 
 
-def _unit_det(m: Mat2) -> bool:
-    det = m.det()
-    return det.is_constant() and not det.is_zero()
-
-
 def letter(side: str, mat: Mat2) -> Letter:
     """Validated letter: a G letter is constant, a B letter upper triangular."""
-    if not _unit_det(mat):
+    if not mat.has_unit_det():
         raise ValueError(f"letter matrix {mat.text()} is not invertible over F_q[t]")
     if not _in_side(mat, side):
         raise ValueError(f"matrix {mat.text()} does not lie in the {side} factor")
@@ -82,7 +80,7 @@ def normalize(ring: PolyRing, letters) -> tuple[Letter, ...]:
     for lt in letters:
         if not isinstance(lt, Letter):
             raise TypeError(f"expected Letter, got {lt!r}")
-        if not _in_side(lt.mat, lt.side) or not _unit_det(lt.mat):
+        if not _in_side(lt.mat, lt.side) or not lt.mat.has_unit_det():
             raise ValueError(f"invalid letter {lt.text()}")
     return decompose(evaluate(ring, letters))
 
@@ -93,8 +91,10 @@ def decompose(m: Mat2) -> tuple[Letter, ...]:
     Transversal letters are peeled off the right of m by the Euclidean
     algorithm on its bottom row (c, d), with the entries a, b, c, d kept as
     locals.  When deg d > deg c the last letter is [[1, v], [0, 1]] with v
-    the quotient d div c less its constant term, and peeling it is the
-    column operation b -= a*v, d -= c*v.  Otherwise it is [[0, 1], [1, x]]
+    the quotient d div c less its constant term v0, and peeling it is the
+    column operation b -= a*v, d -= c*v.  The new d is r + v0*c, r the
+    remainder the division has just returned, so only b takes a full
+    product, and a quotient with v0 = 0 leaves d = r.  Otherwise it is [[0, 1], [1, x]]
     with x the coefficient of t^deg(c) in d over the leading coefficient of
     c; peeling it (right multiplication by [[-x, 1], [1, 0]]) sets
     (a, b, c, d) to (b - x*a, a, d - x*c, c).  Each peel lowers the bottom
@@ -114,10 +114,12 @@ def decompose(m: Mat2) -> tuple[Letter, ...]:
     peeled: list[Letter] = []  # rightmost letter first
     while not c.is_zero():
         if d.deg > c.deg:
-            v = d // c
+            v, r = divmod(d, c)
+            v0 = v.coeffs[0]
             v = Poly(ring, (0, *v.coeffs[1:]))  # deg v >= 1, so the lead stays
             peeled.append(Letter(B_SIDE, Mat2(ring, one, v, zero, one)))
-            b, d = b - a * v, d - c * v
+            # d - c*(v - v0) = r + v0*c: the remainder is reused
+            b, d = b - a * v, r + c.scale(v0)
         else:
             x = field.mul_i(d.coeff_code(c.deg), field.inv_i(c.lead_code()))
             peeled.append(Letter(G_SIDE, Mat2(ring, zero, one, one, ring.const(x))))

@@ -22,6 +22,18 @@ set for automorphism groups of free products:
 Each factor kind checks, applies, inverts and reads from JSON its own
 automorphisms, so no generator function branches on a Type1 factor's kind.
 
+Membership is checked once, where a letter enters: the letters given to
+`word_reduce`, each element `word_parse` reads, the letters of the word
+handed to `ComposedAuto.apply` (once per call, not per generator) and each
+letter a swap moves into another factor, since two matrix factors over
+distinct rings of one field share an `iso_key`.  Each generator is checked
+once, when its `ComposedAuto` is built.  Letters made inside one factor are
+not checked again: the product and inverse of members, the image of a
+member under a checked automorphism of its factor, and a checked
+conjugator and its inverse are members.  The reduction loop behind these
+checks checks nothing, which matters most for matrix letters, whose check
+takes a determinant.
+
 On top of these the module builds the cyclic-spike machinery (power and swap
 generators for order q^2-1 cyclic factors with exponents drawn from the
 admissible unit classes), a wreath-product closure check for the group those
@@ -124,13 +136,7 @@ class MatrixBacked(Record):
         return isinstance(e, Mat2) and e.is_identity()
 
     def is_member(self, e) -> bool:
-        if not (isinstance(e, Mat2) and e.ring is self.ring):
-            return False
-        try:
-            self.ring.invert_unit(e.det())
-        except (ValueError, ZeroDivisionError, TypeError):
-            return False
-        return True
+        return isinstance(e, Mat2) and e.ring is self.ring and e.has_unit_det()
 
     def mul(self, x, y):
         return x * y
@@ -283,13 +289,19 @@ class FreeWord(Record):
 LETTER_SEP = "·"
 
 
-def word_reduce(decl: CentralAmalgamDecl, letters) -> FreeWord:
-    """Reduce a letter sequence: drop identities, merge same-factor runs."""
+def _check_letters(decl: CentralAmalgamDecl, letters) -> None:
+    """Refuse the first letter that is not a member of its factor."""
+    for idx, elem in letters:
+        if not decl.factor(idx).kind.is_member(elem):
+            raise ValueError(f"element {elem!r} is not in factor {idx}")
+
+
+def _reduce(decl: CentralAmalgamDecl, letters) -> FreeWord:
+    """Drop identities and merge same-factor runs of member letters."""
+    factors = decl.factors
     stack = []
     for idx, elem in letters:
-        kind = decl.factor(idx).kind
-        if not kind.is_member(elem):
-            raise ValueError(f"element {elem!r} is not in factor {idx}")
+        kind = factors[idx].kind
         if kind.is_identity(elem):
             continue
         if stack and stack[-1][0] == idx:
@@ -299,6 +311,14 @@ def word_reduce(decl: CentralAmalgamDecl, letters) -> FreeWord:
         else:
             stack.append((idx, elem))
     return FreeWord(tuple(stack))
+
+
+def word_reduce(decl: CentralAmalgamDecl, letters) -> FreeWord:
+    """Reduce a letter sequence: drop identities, merge same-factor runs.
+    Every letter must be a member of its factor."""
+    letters = tuple(letters)
+    _check_letters(decl, letters)
+    return _reduce(decl, letters)
 
 
 def word_mul(decl: CentralAmalgamDecl, u: FreeWord, v: FreeWord) -> FreeWord:
@@ -340,7 +360,7 @@ def word_parse(decl: CentralAmalgamDecl, s: str) -> FreeWord:
             raise ValueError(f"bad word letter {part!r}")
         idx = int(m.group(1))
         letters.append((idx, decl.factor(idx).kind.parse_elem(m.group(2))))
-    return word_reduce(decl, letters)
+    return _reduce(decl, letters)  # parse_elem returns members only
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +418,10 @@ def validate_gen(decl: CentralAmalgamDecl, gen) -> None:
         raise ValueError(f"unknown generator {gen!r}")
 
 
-def apply_gen(decl: CentralAmalgamDecl, gen, w: FreeWord) -> FreeWord:
-    """Letterwise image of a reduced word under one generator, re-reduced."""
-    validate_gen(decl, gen)
+def _apply_gen(decl: CentralAmalgamDecl, gen, w: FreeWord) -> FreeWord:
+    """Letterwise image of a word of member letters under one validated
+    generator, re-reduced.  Only a letter a swap moves into another factor
+    is checked there."""
     out = []
     if isinstance(gen, Type1):
         kind = decl.factor(gen.factor).kind
@@ -418,13 +439,15 @@ def apply_gen(decl: CentralAmalgamDecl, gen, w: FreeWord) -> FreeWord:
         kind = decl.factor(gen.left).kind
         back = 1 if gen.exponent == 1 else kind.invert_auto(gen.exponent)
         moves = {gen.left: (gen.right, gen.exponent), gen.right: (gen.left, back)}
+        moved = []
         for idx, elem in w.letters:
             if idx in moves:
-                dest, e = moves[idx]
-                out.append((dest, elem if e == 1 else kind.apply_auto(e, elem)))
-            else:
-                out.append((idx, elem))
-    return word_reduce(decl, out)
+                idx, e = moves[idx]
+                elem = elem if e == 1 else kind.apply_auto(e, elem)
+                moved.append((idx, elem))
+            out.append((idx, elem))
+        _check_letters(decl, moved)
+    return _reduce(decl, out)
 
 
 def gen_inverse(decl: CentralAmalgamDecl, gen):
@@ -438,17 +461,23 @@ def gen_inverse(decl: CentralAmalgamDecl, gen):
 
 
 class ComposedAuto(Record):
-    """Composite of generator automorphisms, applied left to right."""
+    """Composite of generator automorphisms, applied left to right.  Each
+    generator is validated once, here."""
 
     __slots__ = ("decl", "gens")
 
     def __init__(self, decl: CentralAmalgamDecl, gens: tuple = ()):
+        for g in gens:
+            validate_gen(decl, g)
         object.__setattr__(self, "decl", decl)
         object.__setattr__(self, "gens", gens)
 
     def apply(self, w: FreeWord) -> FreeWord:
+        """The image of w; its letters are checked once, before the first
+        generator."""
+        _check_letters(self.decl, w.letters)
         for g in self.gens:
-            w = apply_gen(self.decl, g, w)
+            w = _apply_gen(self.decl, g, w)
         return w
 
     def __call__(self, w: FreeWord) -> FreeWord:
@@ -460,10 +489,7 @@ class ComposedAuto(Record):
 
 
 def compose_autos(decl: CentralAmalgamDecl, gens) -> ComposedAuto:
-    gens = tuple(gens)
-    for g in gens:
-        validate_gen(decl, g)
-    return ComposedAuto(decl, gens)
+    return ComposedAuto(decl, tuple(gens))
 
 
 def inner_auto(decl: CentralAmalgamDecl, factor_index: int, h) -> ComposedAuto:

@@ -26,13 +26,17 @@ from gl2aut.graphs import (Edge, QuotientGraph, RayMarker, StabDescriptor, Verte
 from gl2aut.matgroup import Mat2, mat_parse
 from gl2aut.nagao import B_SIDE, G_SIDE, Letter
 from gl2aut.polyring import PolyRing, poly_ring
-from gl2aut.words import (DIHEDRAL_A, DIHEDRAL_B, FiniteCyclic, MatrixBacked,
-                          VectorFactor, WreathReport, isom_mul, word_reduce)
+from gl2aut.words import (DIHEDRAL_A, DIHEDRAL_B, ComposedAuto, FiniteCyclic,
+                          MatrixBacked, VectorFactor, WreathReport, isom_mul,
+                          word_reduce)
 from gl2aut import nagao
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 _RINGS: dict[int, PolyRing] = {}
+
+# fields past F_2 and F_3, non-prime codes included
+WIDER_QS = (4, 7, 8, 9)
 
 
 @contextmanager
@@ -44,18 +48,23 @@ def budget(seconds):
     assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds:g}s"
 
 
-def count_mat2_products(monkeypatch) -> list:
-    """Count Mat2.__mul__ calls for the rest of the test: the returned list
-    gains one entry per product."""
+def count_calls(monkeypatch, cls, name) -> list:
+    """Record each call of cls.name for the rest of the test: the returned
+    list gains the call's positional arguments, the receiver first."""
     calls = []
-    product = Mat2.__mul__
+    original = getattr(cls, name)
 
-    def counted(self, other):
-        calls.append(1)
-        return product(self, other)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(Mat2, "__mul__", counted)
+    monkeypatch.setattr(cls, name, counted)
     return calls
+
+
+def apply_gen(decl, gen, w):
+    """The image of the word w under one generator automorphism."""
+    return ComposedAuto(decl, (gen,)).apply(w)
 
 
 def src_first_env():

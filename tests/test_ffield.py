@@ -167,14 +167,7 @@ def test_odd_extension_tables_match_the_digit_product(q):
 @pytest.mark.parametrize("p, n", [(3, 10), (251, 2)])
 def test_odd_extension_fields_build_fast(p, n, monkeypatch):
     # one digit product per table entry would be q - 1 of them
-    calls = []
-    raw_mul = FieldSpec._raw_mul
-
-    def counted(self, a, b):
-        calls.append(1)
-        return raw_mul(self, a, b)
-
-    monkeypatch.setattr(FieldSpec, "_raw_mul", counted)
+    calls = helpers.count_calls(monkeypatch, FieldSpec, "_raw_mul")
     with helpers.budget(0.5):
         field = FieldSpec(p, n)
     assert len(calls) < field.q // 10

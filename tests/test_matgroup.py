@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import helpers
@@ -5,6 +7,7 @@ from gl2aut.ffield import field_of_order, quad_ext
 from gl2aut.matgroup import (ALL_POINTS, EllipticStab, Mat2, ProjPoint,
                              elliptic_stab, fixed_points, mat_parse, matrix_order,
                              mobius)
+from gl2aut.polyring import Poly
 
 
 def test_matrix_text_parse_roundtrip(rng):
@@ -30,6 +33,60 @@ def test_inverse_and_power(rng):
         assert m ** 3 == m * m * m
         assert (m ** 0).is_identity()
         assert m ** -2 == m.inverse() * m.inverse()
+
+
+def _rand_diagonal_entry(R, rng):
+    """Zero, a nonzero constant or a non-constant polynomial, one third each."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return R.zero
+    if kind == 1:
+        return R.const(rng.randrange(1, R.field.q))
+    return helpers.rand_poly(R, rng, 2) * R.t + R.const(rng.randrange(R.field.q))
+
+
+def _rand_mat_of_each_shape(R, rng):
+    """Upper, lower and diagonal matrices over random diagonals, a general
+    matrix of unit determinant (a product of letters) and a general
+    matrix of random entries."""
+    def entry():
+        return helpers.rand_poly(R, rng, 2, nonzero=True)
+
+    def diag():
+        return _rand_diagonal_entry(R, rng), _rand_diagonal_entry(R, rng)
+
+    (a, d), (e, h), (p, s) = diag(), diag(), diag()
+    return {"upper": Mat2(R, a, entry(), R.zero, d),
+            "lower": Mat2(R, e, R.zero, entry(), h),
+            "diagonal": Mat2(R, p, R.zero, R.zero, s),
+            "unit product": helpers.rand_gl2_poly(R, rng, 6),
+            "random general": Mat2(R, entry(), entry(), entry(), entry())}
+
+
+@pytest.mark.parametrize("q", [2, 3, *helpers.WIDER_QS])
+def test_unit_det_test_agrees_with_the_determinant(q):
+    R = helpers.ring_of(q)
+    rng = random.Random(900 + q)
+    answers = {}
+    for _ in range(150):
+        for shape, m in _rand_mat_of_each_shape(R, rng).items():
+            det = m.det()
+            want = det.is_constant() and not det.is_zero()
+            assert m.has_unit_det() == want, m
+            answers.setdefault(shape, set()).add(want)
+    # each triangular shape meets both answers, and the general ones too
+    assert all(answers[shape] == {True, False} for shape in ("upper", "lower", "diagonal"))
+    assert answers["unit product"] == {True} and False in answers["random general"]
+
+
+def test_unit_det_test_of_a_triangular_matrix_makes_no_product(monkeypatch, rng):
+    R = helpers.ring_of(3)
+    mats = [m for _ in range(50) for shape, m in _rand_mat_of_each_shape(R, rng).items()
+            if shape in ("upper", "lower", "diagonal")]
+    products = helpers.count_calls(monkeypatch, Poly, "__mul__")
+    for m in mats:
+        m.has_unit_det()
+    assert products == []
 
 
 def test_determinant_is_multiplicative(rng):

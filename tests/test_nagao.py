@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from gl2aut import nagao
 from gl2aut.matgroup import Mat2, mat_parse
+from gl2aut.polyring import Poly
 
 
 def test_documented_decomposition_example():
@@ -33,8 +34,10 @@ def test_constant_matrix_is_a_single_letter():
     assert nagao.evaluate(R, w) == m
 
 
-# q = 4, 8 and 9 exercise non-prime coefficient codes
-ORACLE_QS = [2, 3, 4, 5, 7, 8, 9]
+# the wider fields include q = 4, 8 and 9, whose coefficient codes are not
+# residues; in every field the B peel meets quotients with a zero and a
+# nonzero constant term
+ORACLE_QS = [2, 3, 5, *helpers.WIDER_QS]
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)
@@ -147,7 +150,7 @@ def test_decompose_makes_at_most_one_matrix_product(monkeypatch):
     # peeling is a column operation; only the remainder j meets the first
     # letter in a 2x2 product, so a per-letter product fails here
     cases = _decomposed_cases()
-    calls = helpers.count_mat2_products(monkeypatch)
+    calls = helpers.count_calls(monkeypatch, Mat2, "__mul__")
     for _R, m, w in cases:
         calls.clear()
         assert nagao.decompose(m) == w
@@ -158,10 +161,46 @@ def test_evaluate_makes_no_matrix_product_on_a_decomposed_word(monkeypatch):
     # after the first letter, a canonical word holds only transversal
     # letters, each one column operation
     cases = _decomposed_cases()
-    calls = helpers.count_mat2_products(monkeypatch)
+    calls = helpers.count_calls(monkeypatch, Mat2, "__mul__")
     for R, m, w in cases:
         assert nagao.evaluate(R, w) == m
     assert calls == []
+
+
+def _unipotent_led_word(R, rng, k):
+    """The canonical word B0 (G B)^k G of transversal letters: each B is
+    [[1, v], [0, 1]] with v in t F_q[t] of degree 1 to 3, and the G letters
+    [[0, 1], [1, x]] take x = 0, 1, ... in turn."""
+    def b_letter():
+        v = helpers.rand_poly(R, rng, 2, nonzero=True) * R.t
+        return nagao.Letter(nagao.B_SIDE, Mat2(R, R.one, v, R.zero, R.one))
+
+    def g_letter(i):
+        x = R.const(i % R.field.q)
+        return nagao.Letter(nagao.G_SIDE, Mat2(R, R.zero, R.one, R.one, x))
+
+    word = [b_letter()]
+    for i in range(k):
+        word += [g_letter(i), b_letter()]
+    return tuple(word) + (g_letter(k),)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_decompose_makes_one_polynomial_product_per_b_peel(q, monkeypatch):
+    # B0 leads the top row, so a is non-constant at each of the k B peels,
+    # and b -= a*v is one product of two non-constant polynomials; the new
+    # d is the division's remainder plus a constant times c, no product.
+    # B0 itself is the triangular remainder, not a peel.
+    R = helpers.ring_of(q)
+    rng = random.Random(800 + q)
+    words = [_unipotent_led_word(R, rng, k) for k in range(1, 6) for _ in range(4)]
+    products = helpers.count_calls(monkeypatch, Poly, "__mul__")
+    for w in words:
+        m = nagao.evaluate(R, w)
+        products.clear()
+        assert nagao.decompose(m) == w
+        full = [(x, y) for x, y in products if x.deg > 0 and y.deg > 0]
+        assert len(full) == sum(lt.side == "B" for lt in w) - 1
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)

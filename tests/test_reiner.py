@@ -93,10 +93,6 @@ def test_homomorphism_and_inverse_composition(rng):
             assert reiner_apply(spec, reiner_inverse(spec, m2)) == m2
 
 
-# fields past F_2 and F_3, non-prime codes included
-WIDER_QS = [4, 7, 8, 9]
-
-
 def wider_specs(ring):
     """Swap t <-> t^2, the shear t^2 -> t^2 + t, and t -> g t for g the
     field generator, each with its inverse."""
@@ -110,7 +106,7 @@ def wider_specs(ring):
                            {1: ring.poly((0, field.inv_i(g)))})]
 
 
-@pytest.mark.parametrize("q", WIDER_QS)
+@pytest.mark.parametrize("q", helpers.WIDER_QS)
 def test_homomorphism_and_inverse_composition_over_wider_fields(q):
     R = helpers.ring_of(q)
     rng = random.Random(600 + q)
@@ -123,7 +119,7 @@ def test_homomorphism_and_inverse_composition_over_wider_fields(q):
             assert reiner_apply(spec, reiner_inverse(spec, m2)) == m2
 
 
-@pytest.mark.parametrize("q", WIDER_QS)
+@pytest.mark.parametrize("q", helpers.WIDER_QS)
 def test_triangular_matrices_stay_triangular_over_wider_fields(q):
     R = helpers.ring_of(q)
     rng = random.Random(700 + q)

@@ -12,7 +12,7 @@ from gl2aut.reiner import LinearAutoSpec
 from gl2aut.words import (DIHEDRAL_A, DIHEDRAL_B,
                           CentralAmalgamDecl, ComposedAuto, FactorDecl,
                           FiniteCyclic, FreeWord, MatrixBacked, PartialConj,
-                          Swap, Type1, VectorFactor, apply_gen, apply_substitution,
+                          Swap, Type1, VectorFactor, apply_substitution,
                           aut_cusp_orbit_report, build_ex1cusp, build_ex3cusps,
                           compose_autos, cs_wreath_check, decl_by_name,
                           dihedral_cohopf_demo, dihedral_coset_index,
@@ -151,11 +151,11 @@ def test_decl_by_name_contents():
 def test_exponent_map_on_cyclic_letters(ex1):
     gen = Type1(1, 2)
     w = word_reduce(ex1, [(1, 1), (2, 1)])
-    img = apply_gen(ex1, gen, w)
+    img = helpers.apply_gen(ex1, gen, w)
     assert img.letters == ((1, 2), (2, 1))
     # applying the map together with its inverse restores the word
     inv = gen_inverse(ex1, gen)
-    assert apply_gen(ex1, inv, img) == w
+    assert helpers.apply_gen(ex1, inv, img) == w
 
 
 def test_exponent_map_must_be_coprime(ex1):
@@ -169,7 +169,7 @@ def test_conjugate_by_on_matrix_letters(ex1, rng):
     gen = Type1(0, c)
     for _ in range(10):
         w = helpers.rand_word(ex1, rng, 6)
-        img = apply_gen(ex1, gen, w)
+        img = helpers.apply_gen(ex1, gen, w)
         for (i, e), (j, f) in zip(w, img):
             assert i == j
             if i == 0:
@@ -183,30 +183,30 @@ def test_partial_conjugation_only_touches_the_target(ex1, rng):
     h = mat_parse(ring, "[[1,0],[t,1]]")
     gen = PartialConj(0, 1, h)
     w = word_reduce(ex1, [(1, 1), (2, 2), (1, 2)])
-    img = apply_gen(ex1, gen, w)
+    img = helpers.apply_gen(ex1, gen, w)
     # factor-1 letters are wrapped as h . x . h^-1 inside the free product
     assert img.letters == ((0, h), (1, 1), (0, h.inverse()), (2, 2),
                            (0, h), (1, 2), (0, h.inverse()))
-    assert apply_gen(ex1, gen_inverse(ex1, gen), img) == w
+    assert helpers.apply_gen(ex1, gen_inverse(ex1, gen), img) == w
 
 
 def test_swap_exchanges_isomorphic_factors(ex1):
     gen = Swap(1, 2)
     w = word_reduce(ex1, [(1, 1), (2, 2)])
-    img = apply_gen(ex1, gen, w)
+    img = helpers.apply_gen(ex1, gen, w)
     assert img.letters == ((2, 1), (1, 2))
     # a plain swap is an involution
-    assert apply_gen(ex1, gen, img) == w
+    assert helpers.apply_gen(ex1, gen, img) == w
     assert gen_inverse(ex1, gen) == gen
 
 
 def test_swap_with_exponent_twists_one_direction(ex1):
     gen = Swap(1, 2, exponent=2)
     w = word_reduce(ex1, [(1, 1)])
-    img = apply_gen(ex1, gen, w)
+    img = helpers.apply_gen(ex1, gen, w)
     assert img.letters == ((2, 2),)
     # still an involution: the reverse direction applies the inverse map
-    assert apply_gen(ex1, gen, img) == w
+    assert helpers.apply_gen(ex1, gen, img) == w
 
 
 def test_validate_gen_rejects_mismatches(ex1, ex3):
@@ -230,11 +230,11 @@ def test_linear_twist_on_vector_letters(ex3):
                                      {1: "t^2", 2: "t"})
     gen = Type1(2, spec)
     w = word_parse(ex3, "f2:(1).f3:(1)")
-    img = apply_gen(ex3, gen, w)
+    img = helpers.apply_gen(ex3, gen, w)
     # (1) is t, carried to t^2 = (0,1); the factor-3 letter is fixed
     assert word_text(ex3, img) == "f2:(0,1)·f3:(1)"
     assert img.letters == ((2, ring.t * ring.t), (3, ring.t))
-    assert apply_gen(ex3, gen_inverse(ex3, gen), img) == w
+    assert helpers.apply_gen(ex3, gen_inverse(ex3, gen), img) == w
 
 
 def test_spike_power_accepts_only_admissible_exponents(ex1):
@@ -270,6 +270,42 @@ def test_inner_automorphism_is_global_conjugation(ex1, rng):
             assert auto.apply(w) == expected
 
 
+# four matrix letters of determinant 1 with b and c nonzero, so each
+# membership check takes one determinant
+CHECKED_WORD = ("f0:[[1,t],[t,t^2+1]].f1:1.f0:[[t+1,1],[t,1]].f2:2."
+                "f0:[[0,1],[1,t]].f1:2.f0:[[t,1],[1,0]]")
+
+
+def test_apply_checks_each_input_letter_once(ex1, monkeypatch):
+    # the letters are checked as the word enters apply; the letters the
+    # generators make or move between the spike factors are not checked again
+    w = word_parse(ex1, CHECKED_WORD)
+    matrix_letters = sum(idx == 0 for idx, _e in w)
+    assert matrix_letters == 4
+    auto = compose_autos(ex1, [PartialConj(1, 0, 1), Swap(1, 2), PartialConj(2, 0, 2)])
+    want = w
+    for gen in auto.gens:
+        want = helpers.apply_gen(ex1, gen, want)
+    dets = helpers.count_calls(monkeypatch, Mat2, "det")
+    assert auto.apply(w) == want
+    assert len(dets) == matrix_letters
+
+
+def test_apply_makes_one_unit_det_test_per_input_matrix_letter(ex1, monkeypatch):
+    # the shape of the benchmark's partial conjugations: a matrix conjugator
+    # is checked when the automorphism is built, not when it is applied
+    ring = ex1.factors[0].kind.ring
+    h = mat_parse(ring, "[[1,t],[t,t^2+1]]")
+    auto = compose_autos(ex1, [PartialConj(1, 0, 2), PartialConj(0, 2, h),
+                               PartialConj(2, 0, 1)])
+    w = word_parse(ex1, CHECKED_WORD)
+    tests = helpers.count_calls(monkeypatch, Mat2, "has_unit_det")
+    for _ in range(3):
+        tests.clear()
+        auto.apply(w)
+        assert len(tests) == 4
+
+
 def test_composed_auto_inverse(ex1, rng):
     ring = ex1.factors[0].kind.ring
     h = mat_parse(ring, "[[1,t],[0,1]]")
@@ -300,7 +336,7 @@ def test_gen_json_roundtrip(ex1, ex3):
         again = gen_from_json(decl, rec)
         assert again == gen
         w = word_reduce(decl, [(1, 1)])
-        assert apply_gen(decl, again, w) == apply_gen(decl, gen, w)
+        assert helpers.apply_gen(decl, again, w) == helpers.apply_gen(decl, gen, w)
 
 
 GRID_WORD = "f0:[[1,t],[0,1]].f1:1.f2:(1,1).f3:(1)"
@@ -325,8 +361,8 @@ def test_type1_key_on_each_factor_kind(ex3, key, factor, capsys):
     if (key, factor) in GRID_VALID:
         gen = gen_from_json(ex3, record)
         w = word_parse(ex3, GRID_WORD)
-        assert apply_gen(ex3, gen_inverse(ex3, gen), apply_gen(ex3, gen, w)) == w
-        assert code == 0 and out.strip() == word_text(ex3, apply_gen(ex3, gen, w))
+        assert helpers.apply_gen(ex3, gen_inverse(ex3, gen), helpers.apply_gen(ex3, gen, w)) == w
+        assert code == 0 and out.strip() == word_text(ex3, helpers.apply_gen(ex3, gen, w))
     else:
         with pytest.raises(ValueError):
             gen_from_json(ex3, record)
