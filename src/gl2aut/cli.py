@@ -4,8 +4,10 @@
 
 Every computation is exposed as a subcommand with deterministic output:
 scalars and words print bare, structured reports print as single-line JSON,
-and graph-export prints a DOT or JSON document.  Exit code 0 on success and
-2 on any input error (malformed curve, matrix, spec, or flag).
+and graph-export prints a DOT or JSON document.  There are three exits: 0
+with an answer on stdout; 2 with one `error:` line on stderr when the input
+is refused, which every check in the library does by raising ValueError; and
+1 with a traceback for any other exception, which is a defect.
 
 One table, `_COMMANDS`, drives parsing, help and dispatch.  The last
 occurrence of a flag wins, a unique prefix names its flag (`--mod t`), a
@@ -34,22 +36,20 @@ def _load_json_arg(text: str):
     import json
     try:
         with open(text) as fh:
-            return json.load(fh)
+            source, refusal = fh.read(), f"the file {text!r} holds no valid JSON"
     except OSError:
-        pass
+        shown = repr(text) if len(text) <= 40 else f"a text of {len(text)} characters"
+        source, refusal = text, f"{shown} is neither a readable file nor inline JSON"
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise ValueError(f"{text!r} is neither a readable file nor inline JSON")
+        return json.loads(source)
+    except (json.JSONDecodeError, RecursionError):
+        raise ValueError(refusal)
 
 
-def _curve_report(curve_text: str):
-    from .curves import curve_from_text, enumerate_points, lpoly_from_count
-    curve = curve_from_text(curve_text)
-    q = curve.field.q
+def _curve_report(curve):
+    from .curves import enumerate_points, lpoly_from_count
     points = enumerate_points(curve)
-    lp = lpoly_from_count(len(points), q)
-    return curve, q, points, lp
+    return points, lpoly_from_count(len(points), curve.field.q)
 
 
 # ---------------------------------------------------------------------------
@@ -65,32 +65,41 @@ def cmd_aut_count(args) -> str:
 
 
 def cmd_ell_count(args) -> str:
-    from .curves import ell_count
-    _curve, _q, _points, lp = _curve_report(args.curve)
+    from .curves import curve_from_text, ell_count
+    _points, lp = _curve_report(curve_from_text(args.curve))
     return str(ell_count(lp))
 
 
 def cmd_class_data(args) -> str:
     import json
-    from .curves import class_data
-    curve, q, points, lp = _curve_report(args.curve)
+    from .curves import class_data, curve_from_text
+    curve = curve_from_text(args.curve)
+    points, lp = _curve_report(curve)
     data = class_data(lp, curve, points)
-    return json.dumps({"q": q, "points": len(points),
+    return json.dumps({"q": curve.field.q, "points": len(points),
                        "lpoly": list(lp.coeffs), "h": data.h, "cl2": data.cl2,
                        "r": data.r, "ell_eq": data.ell_eq,
                        "ell_neq": data.ell_neq})
 
 
 def cmd_cs_order(args) -> str:
-    from .curves import class_data, cs_order
-    if args.curve is not None:
-        curve, q, points, lp = _curve_report(args.curve)
-        r = class_data(lp, curve, points).r
-    elif args.r is not None and args.q is not None:
-        r, q = args.r, args.q
-    else:
-        raise ValueError("give either --curve or both --r and --q")
-    return str(cs_order(r, q))
+    from math import isqrt
+    from .curves import class_data, cs_order, curve_from_text
+    if args.curve is None:
+        if args.r is None or args.q is None:
+            raise ValueError("give either --curve or both --r and --q")
+        return str(cs_order(args.r, args.q))
+    curve = curve_from_text(args.curve)
+    q = curve.field.q
+    # Hasse and cl2 <= 4 give r >= (q - 3 - 2 sqrt(q)) / 2 on every curve over F_q,
+    # and the order grows with r: past the limit there, no point is enumerated
+    r_least = max(q - 3 - isqrt(4 * q), 0) // 2
+    try:
+        cs_order(r_least, q)
+    except ValueError as err:
+        raise ValueError(f"every curve over F_{q} has r >= {r_least}, and {err}")
+    points, lp = _curve_report(curve)
+    return str(cs_order(class_data(lp, curve, points).r, q))
 
 
 def cmd_nagao_decompose(args) -> str:
@@ -123,27 +132,20 @@ def cmd_unipotent_fiber(args) -> str:
                        "members": [p.text() for p in members]})
 
 
-def _subgroup_for(ctx, ring, name, gens_text):
-    from .cosets import SubgroupSpec, reduction_generators
-    from .matgroup import mat_parse
-    if gens_text is not None:
-        mats = [mat_parse(ring, part) for part in gens_text.split(";") if part.strip()]
-    elif name == "borel":
-        return ctx.cusp_stab
-    elif name == "full":
-        mats = reduction_generators(ctx.R)
-    else:
-        mats = []
-    return SubgroupSpec.from_matrices(ctx.group, ctx.R, mats)
-
-
 def cmd_cusp_count(args) -> str:
-    from .cosets import cusp_count, quotient_context
+    from .cosets import (SubgroupSpec, check_unit, cusp_count, quotient_context,
+                         reduction_generators)
+    from .matgroup import mat_parse
     ring = _ring_for(args.q)
     modulus = ring.parse_element(args.modulus)
+    # the generators are read and checked over F_q[t] before the quotient is built
+    mats = [check_unit(mat_parse(ring, g)) for g in (args.gens or "").split(";") if g.strip()]
     ctx = quotient_context(ring, modulus)
-    hbar = _subgroup_for(ctx, ring, args.subgroup, args.gens)
-    return str(cusp_count(ctx, hbar))
+    if args.gens is None and args.subgroup == "borel":
+        return str(cusp_count(ctx, ctx.cusp_stab))
+    if args.gens is None and args.subgroup == "full":
+        mats = reduction_generators(ctx.R)
+    return str(cusp_count(ctx, SubgroupSpec.from_matrices(ctx.group, ctx.R, mats)))
 
 
 def cmd_cs_wreath_check(args) -> str:
@@ -365,7 +367,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + command.replace("-", "_")]
     try:
         out = handler(args)
-    except (ValueError, RuntimeError, ZeroDivisionError, AssertionError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(out)

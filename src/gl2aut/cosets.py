@@ -61,7 +61,7 @@ class QuotRing:
         q, d = ring.field.q, modulus.deg
         # the bound is at least 2^d, so a long modulus is refused before the powers
         if d >= _GROUP_CAP.bit_length() or (q - 1) * q ** d * (q * q - 1) ** d > _GROUP_CAP:
-            raise RuntimeError(f"the quotient group has more than {_GROUP_CAP} elements")
+            raise ValueError(f"the quotient group has more than {_GROUP_CAP} elements")
         self.ring = ring
         self.field = f = ring.field
         self.modulus = modulus.monic()
@@ -136,11 +136,16 @@ def mat_inv_r(R: QuotRing, x: tuple) -> tuple:
     return (R.mul(d, di), R.neg(R.mul(b, di)), R.neg(R.mul(c, di)), R.mul(a, di))
 
 
-def reduce_mat(R: QuotRing, m: Mat2) -> tuple:
-    """Reduce a unit-determinant matrix over F_q[t] mod the modulus."""
+def check_unit(m: Mat2) -> Mat2:
+    """m, refused unless its determinant is a unit of F_q[t]."""
     if not m.has_unit_det():
         raise ValueError(f"{m.text()} is not invertible over F_q[t]")
-    return tuple(map(R.reduce_poly, m.entries()))
+    return m
+
+
+def reduce_mat(R: QuotRing, m: Mat2) -> tuple:
+    """Reduce a unit-determinant matrix over F_q[t] mod the modulus."""
+    return tuple(map(R.reduce_poly, check_unit(m).entries()))
 
 
 class FiniteGroup(Record):
@@ -205,7 +210,7 @@ def reduction_image(R: QuotRing) -> FiniteGroup:
     """The image of GL2(F_q[t]) in GL2(F_q[t]/m), refused by its order
     before anything is generated when it exceeds the group cap."""
     if image_order(R) > _GROUP_CAP:
-        raise RuntimeError(f"the quotient group has more than {_GROUP_CAP} elements")
+        raise ValueError(f"the quotient group has more than {_GROUP_CAP} elements")
     return FiniteGroup(R, generated(R, reduction_generators(R)))
 
 

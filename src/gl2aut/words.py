@@ -111,8 +111,8 @@ class FiniteCyclic(Record):
         if math.gcd(auto, self.order) != 1:
             raise ValueError(f"exponent {auto} not invertible mod {self.order}")
 
-    def apply_auto(self, auto, e):
-        return (e * auto) % self.order
+    def auto_map(self, auto):
+        return lambda e: e * auto % self.order
 
     def invert_auto(self, auto):
         return pow(auto, -1, self.order)
@@ -164,10 +164,11 @@ class MatrixBacked(Record):
             raise ValueError("matrix factors take a linear twist or an invertible "
                              "matrix over the factor ring")
 
-    def apply_auto(self, auto, e):
+    def auto_map(self, auto):
         if isinstance(auto, LinearAutoSpec):
-            return reiner_apply(auto, e)
-        return auto * e * auto.inverse()
+            return partial(reiner_apply, auto)
+        inverse = auto.inverse()
+        return lambda e: auto * e * inverse
 
     def invert_auto(self, auto):
         return auto.inverted() if isinstance(auto, LinearAutoSpec) else auto.inverse()
@@ -224,8 +225,8 @@ class VectorFactor(Record):
         if not (isinstance(auto, LinearAutoSpec) and auto.ring is self.ring):
             raise ValueError("vector factors take linear twists over the same field")
 
-    def apply_auto(self, auto, e):
-        return auto.apply(e)
+    def auto_map(self, auto):
+        return auto.apply
 
     def invert_auto(self, auto):
         return auto.inverted()
@@ -322,12 +323,12 @@ def word_reduce(decl: CentralAmalgamDecl, letters) -> FreeWord:
 
 
 def word_mul(decl: CentralAmalgamDecl, u: FreeWord, v: FreeWord) -> FreeWord:
-    return word_reduce(decl, u.letters + v.letters)
+    return _reduce(decl, u.letters + v.letters)
 
 
 def word_inv(decl: CentralAmalgamDecl, w: FreeWord) -> FreeWord:
-    return word_reduce(decl, [(idx, decl.factor(idx).kind.inv(elem))
-                              for idx, elem in reversed(w.letters)])
+    return _reduce(decl, [(idx, decl.factor(idx).kind.inv(elem))
+                          for idx, elem in reversed(w.letters)])
 
 
 def word_pow(decl: CentralAmalgamDecl, w: FreeWord, k: int) -> FreeWord:
@@ -424,9 +425,9 @@ def _apply_gen(decl: CentralAmalgamDecl, gen, w: FreeWord) -> FreeWord:
     is checked there."""
     out = []
     if isinstance(gen, Type1):
-        kind = decl.factor(gen.factor).kind
+        image = decl.factor(gen.factor).kind.auto_map(gen.auto)
         for idx, elem in w.letters:
-            out.append((idx, kind.apply_auto(gen.auto, elem) if idx == gen.factor else elem))
+            out.append((idx, image(elem) if idx == gen.factor else elem))
     elif isinstance(gen, PartialConj):
         inv = decl.factor(gen.source).kind.inv(gen.conjugator)
         for idx, elem in w.letters:
@@ -443,7 +444,7 @@ def _apply_gen(decl: CentralAmalgamDecl, gen, w: FreeWord) -> FreeWord:
         for idx, elem in w.letters:
             if idx in moves:
                 idx, e = moves[idx]
-                elem = elem if e == 1 else kind.apply_auto(e, elem)
+                elem = elem if e == 1 else kind.auto_map(e)(elem)
                 moved.append((idx, elem))
             out.append((idx, elem))
         _check_letters(decl, moved)
@@ -451,7 +452,7 @@ def _apply_gen(decl: CentralAmalgamDecl, gen, w: FreeWord) -> FreeWord:
 
 
 def gen_inverse(decl: CentralAmalgamDecl, gen):
-    validate_gen(decl, gen)
+    """The inverse of a validated generator."""
     if isinstance(gen, Type1):
         return Type1(gen.factor, decl.factor(gen.factor).kind.invert_auto(gen.auto))
     if isinstance(gen, PartialConj):
@@ -785,7 +786,6 @@ def gen_from_json(decl: CentralAmalgamDecl, record: dict):
             raise ValueError(f"unknown generator type {name!r}")
     except KeyError as missing:
         raise ValueError(f"generator record is missing field {missing}")
-    validate_gen(decl, gen)
     return gen
 
 

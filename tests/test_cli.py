@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import shlex
 import shutil
@@ -627,6 +628,37 @@ def test_installed_entry_point_runs(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
+
+
+_DEFECTS = [AssertionError, ZeroDivisionError, RuntimeError]
+
+
+@pytest.mark.parametrize("defect", _DEFECTS, ids=lambda e: e.__name__)
+def test_a_defect_escapes_main_and_the_script_exits_1(tmp_path, monkeypatch, capsys, defect):
+    # only ValueError is a refusal; any other exception from the library is a
+    # defect, which leaves main as it is and reaches the launcher as a traceback
+    from gl2aut import ffield
+
+    def planted(_q):
+        raise defect("planted defect")
+
+    monkeypatch.setattr(ffield, "aut_rel_count", planted)
+    with pytest.raises(defect, match="planted defect"):
+        main(["aut-count", "--q", "2"])
+    assert capsys.readouterr() == ("", "")
+    # the same defect in a fresh process, planted by a sitecustomize module
+    (tmp_path / "sitecustomize.py").write_text(
+        "import gl2aut.ffield\n\n\n"
+        "def planted(_q):\n"
+        f"    raise {defect.__name__}('planted defect')\n\n\n"
+        "gl2aut.ffield.aut_rel_count = planted\n")
+    env = helpers.src_first_env()
+    env["PYTHONPATH"] = f"{tmp_path}{os.pathsep}{env['PYTHONPATH']}"
+    proc = subprocess.run([_console_script(tmp_path), "aut-count", "--q", "2"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback") and "error:" not in proc.stderr
+    assert proc.stderr.endswith(f"{defect.__name__}: planted defect\n")
 
 
 def test_module_invocation_runs():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from gl2aut import words
 from gl2aut.cli import main as cli_main
 from gl2aut.ffield import aut_rel_enumerate
 from gl2aut.matgroup import Mat2, mat_parse
@@ -304,6 +305,47 @@ def test_apply_makes_one_unit_det_test_per_input_matrix_letter(ex1, monkeypatch)
         tests.clear()
         auto.apply(w)
         assert len(tests) == 4
+
+
+def test_matrix_conjugation_inverts_its_conjugator_once_per_apply(ex1, monkeypatch):
+    ring = ex1.factors[0].kind.ring
+    h = mat_parse(ring, "[[1,t],[t,t^2+1]]")
+    auto = compose_autos(ex1, [Type1(0, h)])
+    w = word_parse(ex1, CHECKED_WORD)
+    want = [(i, h * e * h.inverse() if i == 0 else e) for i, e in w]
+    inverses = helpers.count_calls(monkeypatch, Mat2, "inverse")
+    assert auto.apply(w) == word_reduce(ex1, want)
+    assert len(inverses) == 1 and sum(i == 0 for i, _e in w) == 4
+
+
+def test_each_generator_is_validated_once(ex1, monkeypatch):
+    # the ComposedAuto constructor validates; reading a record and inverting a
+    # generator do not
+    records = [{"type": "type1", "factor": 1, "exponent": 2},
+               {"type": "type1", "factor": 0, "conjugate_by": "[[1,t],[0,1]]"},
+               {"type": "partial_conj", "source": 0, "target": 1,
+                "conjugator": "[[1,0],[t,1]]"},
+               {"type": "swap", "left": 1, "right": 2, "exponent": 2},
+               {"type": "spike", "factor": 2, "exponent": 2, "q": 2}]
+    calls = helpers.count_calls(monkeypatch, words, "validate_gen")
+    auto = gens_from_json(ex1, records)
+    assert len(calls) == len(records)
+    auto.inverse()
+    assert len(calls) == 2 * len(records)
+
+
+def test_word_arithmetic_checks_no_letter(ex1, rng, monkeypatch):
+    # products, inverses and powers of reduced words are made of members
+    pairs = [(helpers.rand_word(ex1, rng, 6), helpers.rand_word(ex1, rng, 6))
+             for _ in range(10)]
+    checks = [helpers.count_calls(monkeypatch, kind, "is_member")
+              for kind in (MatrixBacked, FiniteCyclic)]
+    for u, v in pairs:
+        word_mul(ex1, u, v)
+        word_inv(ex1, u)
+        word_pow(ex1, v, -3)
+    dihedral_cohopf_demo()
+    assert checks == [[], []]
 
 
 def test_composed_auto_inverse(ex1, rng):
