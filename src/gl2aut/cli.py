@@ -144,8 +144,10 @@ def cmd_cusp_count(args) -> str:
     if args.gens is None and args.subgroup == "borel":
         return str(cusp_count(ctx, ctx.cusp_stab))
     if args.gens is None and args.subgroup == "full":
-        mats = reduction_generators(ctx.R)
-    return str(cusp_count(ctx, SubgroupSpec.from_matrices(ctx.group, ctx.R, mats)))
+        gens = reduction_generators(ctx.R)
+    else:  # checked above, so reduced without reduce_mat's second check
+        gens = [map(ctx.R.reduce_poly, m.entries()) for m in mats]
+    return str(cusp_count(ctx, SubgroupSpec.from_matrices(ctx.group, ctx.R, gens)))
 
 
 def cmd_cs_wreath_check(args) -> str:

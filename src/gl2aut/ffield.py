@@ -416,9 +416,7 @@ class FieldSpec:
                 shown = digits if len(digits) <= 20 else f"of {len(digits)} digits"
                 raise ValueError(f"element code {shown} out of range for F_{self.q}")
             text = digits or "0"
-        elif len(text) > _INT_DIGITS:
-            raise ValueError(f"bad numeral of {len(text)} characters")
-        return self.el(int(text))
+        return self.el(_int_of(text))
 
     def order_of(self, x: FieldElem) -> int:
         if x.code == 0:
@@ -429,13 +427,33 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, n={self.n})"
 
 
+def brief(value) -> str:
+    """A value as a refusal names it: its repr when that is at most 40
+    characters, else its type and length (of the repr for a number), so
+    the message stays short whatever the input."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    size = len(value) if isinstance(value, (str, list, dict)) else len(text)
+    return f"<{type(value).__name__} of length {size}>"
+
+
+def _int_of(text: str) -> int:
+    """int(text), refused as a bad numeral where int() refuses it or where
+    it is longer than the _INT_DIGITS characters int() reads."""
+    if len(text) <= _INT_DIGITS:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ValueError(f"bad numeral {brief(text)}")
+
+
 def _numeral_mod(text: str, p: int) -> int:
     """int(text) % p.  A plain decimal numeral longer than int() reads is
-    reduced _INT_DIGITS digits at a time; other text that long is refused."""
-    if len(text) <= _INT_DIGITS:
-        return int(text) % p
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"bad numeral of {len(text)} characters")
+    reduced _INT_DIGITS digits at a time; text int() refuses is refused."""
+    if len(text) <= _INT_DIGITS or not (text.isascii() and text.isdigit()):
+        return _int_of(text) % p
     value = 0
     for i in range(0, len(text), _INT_DIGITS):
         chunk = text[i:i + _INT_DIGITS]

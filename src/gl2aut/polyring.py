@@ -2,9 +2,10 @@
 
 A Poly's coefficients are a normalized tuple of integer codes of the base
 field: constant term first, no trailing zero, so the zero polynomial is ().
-Arithmetic makes one pass over the tuples through the FieldSpec int hooks,
-which keeps matrix work over F_2[t] / F_3[t] cheap.  Both operands of +, -,
-* and divmod must come from one ring; mixed rings raise TypeError.
+Sums, differences, scalings and division make one pass over the tuples
+through the FieldSpec int hooks; products are described below.  Both
+operands of +, -, * and divmod must come from one ring; mixed rings raise
+TypeError.
 
 A Poly never changes once built: only Poly.__init__ assigns `coeffs`.  So
 scaling by one returns the operand itself rather than a copy, and through
@@ -14,20 +15,35 @@ first, so a zero from another ring still raises.  Most Nagao letters have
 entries 0 and 1, so matrix work over F_q[t] makes these calls far more than
 any other sum or scaling.
 
-For the same reason a unit coefficient costs no product: where a
-coefficient of a factor is 1, * adds the other factor's tuple into the
-slice as it is, and where a quotient coefficient is 1, divmod adds the
-negated low part of the divisor as it is.  Zero coefficients are skipped.
-Over F_2 every nonzero coefficient is 1, so a product there calls no mul_i
-at all.  x - y maps the field's one sub_i hook over the common part.
+Over a prime field F_p a product of two non-constant polynomials is one
+big-int product (Kronecker substitution; von zur Gathen and Gerhard, Modern
+Computer Algebra, 8.4).  Each tuple is packed into an int, a coefficient
+per fixed-width slot, the two ints are multiplied, and each slot of the
+result is read back mod p.  A slot of the product sums at most
+min(len a, len b) terms of (p - 1)^2, and the slot is chosen wide enough
+that no sum carries into the next.  Where that sum fits a byte (F_2 up to
+255 terms, F_3 up to 63, F_5 up to 15, F_7 up to 7, F_11 up to 2) the
+packing is bytes(a) and the reading one bytes.translate through the ring's
+table of residues mod p; otherwise slots are 2, 4 or 8 bytes, packed
+through `array`.  The top slot is lead(a) * lead(b), nonzero mod p, so
+nothing is stripped, and no field hook is called.
+
+Over a non-prime field * adds slices instead: where a coefficient of a
+factor is 1, it adds the other factor's tuple into the slice as it is,
+otherwise the tuple scaled by mul_i, and zero coefficients are skipped.
+Where a quotient coefficient is 1, divmod likewise adds the negated low
+part of the divisor as it is.  x - y maps the field's one sub_i hook over
+the common part.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from itertools import repeat
 
-from .ffield import FieldSpec
+from .ffield import FieldSpec, brief
 
 # largest degree read from text or JSON: with no cap a 30-byte matrix text
 # could ask for gigabytes.
@@ -36,6 +52,10 @@ MAX_DEGREE = 1000
 _TERM_RE = re.compile(r"^(?P<coeff>\([0-9]+(?:,[0-9]+)*\)|[0-9]+)?"
                       r"(?P<var>t(?:\^(?P<pow>[0-9]+))?)?$")
 _SIGN_RE = re.compile(r"([+-])")
+
+# (size, typecode) of the array slots wider than a byte, one typecode per
+# itemsize: C fixes only the least size of each type
+_WIDE_SLOTS = sorted({array(code).itemsize: code for code in "QLIH"}.items())
 
 
 class Poly:
@@ -106,6 +126,17 @@ class Poly:
         if len(b) <= 1:
             return self.scale(b[0]) if b else ring.zero
         # over a field the leading product is nonzero, so nothing to strip
+        n, m = len(a) + len(b) - 1, min(len(a), len(b))
+        if m <= ring._byte_terms:
+            c = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+            return Poly(ring, (*c.to_bytes(n, "little").translate(ring._residues),))
+        for terms, size, code in ring._wide_slots:
+            if m <= terms:
+                c = (int.from_bytes(array(code, a), sys.byteorder)
+                     * int.from_bytes(array(code, b), sys.byteorder))
+                slots = array(code, c.to_bytes(n * size, sys.byteorder))
+                return Poly(ring, (*map(ring.field.p.__rmod__, slots),))
+        # no slot fits: add slices of the other factor
         add, mul = ring.field.add_i, ring.field.mul_i
         nb = len(b)
         out = [0] * (len(a) + nb - 1)
@@ -178,6 +209,19 @@ class PolyRing:
         self.zero = Poly(self, ())
         self.one = Poly(self, (1,))
         self.t = Poly(self, (0, 1))
+        # Kronecker slots over a prime field F_p: a product slot sums up to
+        # min(len a, len b) terms (p - 1)^2, so bytes serve while the shorter
+        # operand has at most _byte_terms terms, and past that the first
+        # (terms, size, code) slot with terms enough.  Eight bytes hold
+        # 2^32 - 1 terms for every prime p < MAX_Q; a non-prime field has
+        # no slots, and its products add slices.
+        self._byte_terms, self._wide_slots = 0, ()
+        if field.n == 1:
+            top = (field.p - 1) ** 2
+            self._byte_terms = 255 // top
+            self._residues = bytes(v % field.p for v in range(256))
+            self._wide_slots = tuple((((1 << 8 * size) - 1) // top, size, code)
+                                     for size, code in _WIDE_SLOTS)
 
     def _make(self, coeffs) -> Poly:
         coeffs = list(coeffs)
@@ -189,7 +233,7 @@ class PolyRing:
         q = self.field.q
         for c in coeff_codes:
             if not 0 <= c < q:
-                raise ValueError(f"coefficient code {c} out of range for F_{q}")
+                raise ValueError(f"coefficient code {brief(c)} out of range for F_{q}")
         return self._make(coeff_codes)
 
     def const(self, code: int) -> Poly:

@@ -13,6 +13,7 @@ import json
 import re
 from itertools import repeat
 
+from .ffield import brief
 from .matgroup import Mat2
 from .nagao import B_SIDE, Letter, decompose, evaluate
 from .polyring import MAX_DEGREE, Poly, PolyRing
@@ -119,16 +120,17 @@ class LinearAutoSpec:
                                  "to coefficient list")
             for i, coeffs in images.items():
                 if not (isinstance(i, str) and _INDEX_RE.fullmatch(i)):
-                    raise ValueError(f"spec {key!r} index {i!r} is not a positive "
+                    raise ValueError(f"spec {key!r} index {brief(i)} is not a positive "
                                      "decimal exponent")
                 # count digits first: int() refuses past 4300 of them
                 if len(i) > len(str(MAX_DEGREE)) or int(i) > MAX_DEGREE:
-                    raise ValueError(f"spec {key!r} index {i} exceeds {MAX_DEGREE}")
+                    shown = i if len(i) <= 40 else f"of {len(i)} digits"
+                    raise ValueError(f"spec {key!r} index {shown} exceeds {MAX_DEGREE}")
                 # type, not isinstance: a JSON true or false is no code
                 if not (isinstance(coeffs, list)
                         and all(type(c) is int for c in coeffs)):
                     raise ValueError(f"spec {key!r} image of t^{i} must be a "
-                                     f"list of integer codes, not {coeffs!r}")
+                                     f"list of integer codes, not {brief(coeffs)}")
                 if len(coeffs) > MAX_DEGREE + 1:
                     raise ValueError(f"spec {key!r} image of t^{i} has degree "
                                      f"past {MAX_DEGREE}")

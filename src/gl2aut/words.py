@@ -48,7 +48,7 @@ import re
 from functools import partial
 
 from .closure import closure
-from .ffield import aut_rel_enumerate, field_make, power
+from .ffield import aut_rel_enumerate, brief, field_make, power
 from .matgroup import Mat2, mat_parse
 from .polyring import Poly, poly_ring
 from .record import Record
@@ -59,7 +59,7 @@ def _json_int(value, field: str) -> int:
     """A JSON record field that must be an integer; anything else (a float,
     string, boolean, list, object or null) is a ValueError."""
     if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, not {value!r}")
+        raise ValueError(f"{field} must be an integer, not {brief(value)}")
     return value
 
 

@@ -375,6 +375,14 @@ def test_cusp_count_generators(capsys):
     assert out == "1"
 
 
+def test_cusp_count_tests_each_generator_determinant_once(capsys, monkeypatch):
+    calls = helpers.count_calls(monkeypatch, Mat2, "has_unit_det")
+    gens = "[[1,1],[0,1]];[[0,1],[1,0]];[[1,t],[0,1]]"
+    assert run_ok(capsys, ["cusp-count", "--q", "2", "--modulus", "t^2",
+                           "--gens", gens]) == "1"
+    assert len(calls) == 3
+
+
 def test_cs_wreath_check(capsys):
     out = run_ok(capsys, ["cs-wreath-check", "--r", "2", "--q", "2"])
     data = json.loads(out)

@@ -297,6 +297,10 @@ CORPUS = [
     ["nagao-decompose", "--q", "4", "--matrix", f"[[1,({HUGE},1)t],[0,1]]"],
     ["unipotent-fiber", "--q", "65521", "--spec", '{"map":{},"inverse":{}}',
      "--modulus", "t^2", "--bound", "0"],
+    ["ell-count", "--curve", "q=7;y2=x3+-x+2"],
+    ["aut-apply", "--decl", "ex1cusp", "--script",
+     json.dumps([{"type": "type1", "factor": "a" * 3000, "exponent": 2}]), "--word", "f1:1"],
+    ["cusp-count", "--q", "2", "--modulus", "t^2", "--gens", "[[1,1],[0,1]];[[1,t],[0,1]]"],
     # refused before the quotient context is built
     ["cusp-count", "--q", "5", "--modulus", "t^2", "--gens", "[[t,0],[0,1]]"],
     ["cusp-count", "--q", "19", "--modulus", "t"],

@@ -212,12 +212,13 @@ def _normalized(p):
     return type(p.coeffs) is tuple and (not p.coeffs or p.coeffs[-1] != 0)
 
 
-def _oracle_operands(ring, rng):
-    """Random pairs, zero and constants on either side, x with itself, and
-    pairs whose leading terms cancel in the sum (and in the difference)."""
+def _oracle_operands(ring, rng, const_codes=None):
+    """Random pairs, zero and constants (codes const_codes, all of F_q by
+    default) on either side, x with itself, and pairs whose leading terms
+    cancel in the sum (and in the difference)."""
     f = ring.field
     polys = [helpers.rand_poly(ring, rng, rng.randrange(7)) for _ in range(30)]
-    consts = [ring.zero] + [ring.const(c) for c in range(1, f.q)]
+    consts = [ring.zero] + [ring.const(c) for c in const_codes or range(1, f.q)]
     pairs = [(x, y) for x, y in zip(polys, reversed(polys))]
     pairs += [pair for x in polys[:10] for c in consts for pair in ((x, c), (c, x))]
     pairs += [(x, x) for x in polys]
@@ -255,10 +256,10 @@ def test_arithmetic_matches_the_schoolbook_oracle(q):
 
 
 @st.composite
-def unit_heavy_operands(draw):
-    """q and two coefficient tuples over F_q, most coefficients 0, 1 or q - 1;
-    an operand may be made monic or be all ones."""
-    q = draw(st.sampled_from([2, 3, 4, 5, 8, 9]))
+def unit_heavy_operands(draw, qs=(2, 3, 4, 5, 8, 9)):
+    """q from qs and two coefficient tuples over F_q, most coefficients 0, 1
+    or q - 1; an operand may be made monic or be all ones."""
+    q = draw(st.sampled_from(qs))
     coeff = st.sampled_from(sorted({0, 1, q - 1})) | st.integers(0, q - 1)
 
     def operand():
@@ -288,6 +289,91 @@ def test_unit_coefficients_match_the_schoolbook_oracle(case):
         assert (quo.coeffs, rem.coeffs) == helpers.schoolbook_divmod(f, a, b)
     if f.p == 2:
         assert x - y == x + y
+
+
+# ---- products over prime fields: one big-int product of packed slots ----
+
+KRONECKER_PS = (2, 3, 5, 7, 17, 251, 65521)
+
+# (p, n): a product slot sums up to min(len a, len b) terms (p - 1)^2, and
+# at a shorter operand of n terms that sum just fills its slot, bytes or
+# 2, 4 or 8 of them; n + 1 terms take the next size
+SLOT_EDGES = ((2, 255), (3, 63), (5, 15), (7, 7), (11, 2), (17, 255), (46337, 2))
+
+
+def _oracle_product(x, y):
+    return helpers.schoolbook_mul(x.ring.field, x.coeffs, y.coeffs)
+
+
+def _of_degree(ring, rng, d):
+    q = ring.field.q
+    return ring.poly(tuple(rng.randrange(q) for _ in range(d)) + (rng.randrange(1, q),))
+
+
+@pytest.mark.parametrize("p, n", SLOT_EDGES)
+def test_products_match_the_oracle_on_both_sides_of_each_slot_size(p, n):
+    ring = helpers.ring_of(p)
+    rng = random.Random(p)
+    for m in (n, n + 1):
+        # all coefficients p - 1 fill every slot of the product the most
+        top = ring.poly((p - 1,) * m)
+        longer = ring.poly((p - 1,) * (m + 3))
+        drawn = _of_degree(ring, rng, m - 1)
+        for x, y in ((top, top), (top, longer), (longer, top), (drawn, longer)):
+            assert (x * y).coeffs == _oracle_product(x, y), (p, m)
+
+
+@pytest.mark.parametrize("p", KRONECKER_PS)
+def test_prime_field_products_match_the_oracle(p):
+    ring = helpers.ring_of(p)
+    for x, y in _oracle_operands(ring, random.Random(p), range(1, min(p, 20))):
+        got = x * y
+        assert got.coeffs == _oracle_product(x, y), (x, y)
+        assert got.ring is ring and _normalized(got)
+
+
+@given(unit_heavy_operands(KRONECKER_PS))
+@settings(max_examples=200, deadline=None)
+def test_unit_heavy_prime_field_products_match_the_oracle(case):
+    q, a, b = case
+    ring = helpers.ring_of(q)
+    x, y = ring.poly(a), ring.poly(b)
+    assert (x * y).coeffs == _oracle_product(x, y)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_products_of_degree_max_degree_match_the_oracle(p):
+    ring = helpers.ring_of(p)
+    rng = random.Random(p)
+    top = ring.poly((p - 1,) * (MAX_DEGREE + 1))
+    drawn = _of_degree(ring, rng, MAX_DEGREE)
+    for x, y in ((top, top), (drawn, top), (drawn, _of_degree(ring, rng, 7))):
+        got = x * y
+        assert got.deg == x.deg + y.deg
+        assert got.coeffs == _oracle_product(x, y)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_non_prime_field_products_match_the_oracle(q):
+    ring = helpers.ring_of(q)
+    rng = random.Random(q)
+    for da, db in ((1, 1), (3, 16), (16, 16), (40, 25)):
+        x, y = _of_degree(ring, rng, da), _of_degree(ring, rng, db)
+        assert (x * y).coeffs == _oracle_product(x, y)
+
+
+@pytest.mark.parametrize("q", KRONECKER_PS + (4, 9))
+def test_prime_field_products_call_no_field_hook(q, monkeypatch):
+    ring = helpers.ring_of(q)
+    field = ring.field
+    rng = random.Random(q)
+    pairs = [(_of_degree(ring, rng, da), _of_degree(ring, rng, db))
+             for da, db in ((1, 1), (2, 5), (9, 4), (30, 30))]
+    calls = [helpers.count_calls(monkeypatch, field, name) for name in ("mul_i", "add_i")]
+    for x, y in pairs:
+        x * y
+    # a non-prime field still adds slices through its hooks, so the wrap sees them
+    assert (sum(map(len, calls)) == 0) == (field.n == 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 2 ** 16])

@@ -1,8 +1,9 @@
 """Inputs outside the group are refused where they enter, each with one fixed
 message: word letters, generators, Nagao letters, cusp-count generators, the
-quotient-group cap, the CLI commands that read matrices and JSON text that
-does not parse.  The messages are pinned, so moving a check does not change
-what a caller sees."""
+quotient-group cap, coefficients that are no numeral, the CLI commands that
+read matrices and JSON text that does not parse.  The messages are pinned,
+so moving a check does not change what a caller sees.  A refusal names a
+long value by its type and length, so its line stays short."""
 
 import json
 
@@ -49,6 +50,10 @@ LIBRARY_ROWS = {
                   "invalid letter B:[[t,1],[0,1]]"),
     "group cap": (lambda: cosets.QuotRing(F19_RING, F19_RING.t),
                   "the quotient group has more than 100000 elements"),
+    # a coefficient that is no numeral is named up to 40 characters, else counted
+    "numeral": (lambda: curves.curve_from_text("q=7;y2=x3+-x+2"), "bad numeral '-'"),
+    "long numeral": (lambda: curves.curve_from_text("q=9;y2=x3+" + "z" * 41 + "x+2"),
+                     "bad numeral <str of length 41>"),
 }
 
 
@@ -76,6 +81,7 @@ CLI_ROWS = {
                              "factor ring"),
     "nagao-decompose": (["nagao-decompose", "--q", "2", "--matrix", "[[t,1],[0,1]]"],
                         "[[t,1],[0,1]] is not invertible over F_q[t]"),
+    "ell-count numeral": (["ell-count", "--curve", "q=7;y2=x3+-x+2"], "bad numeral '-'"),
     "cusp-count cap": (["cusp-count", "--q", "19", "--modulus", "t"],
                        "the quotient group has more than 100000 elements"),
     # json.loads meets the recursion limit, and the text is named by its length
@@ -124,3 +130,27 @@ def test_cli_refuses_before_the_costly_step(row, capsys, monkeypatch):
     argv, message = CLI_ROWS[row]
     code = cli_main(argv)
     assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+
+_LONG = "a" * 3000
+_SPEC = ["reiner-image", "--q", "2", "--matrix", "[[1,t],[0,1]]", "--spec"]
+_SCRIPT = ["aut-apply", "--decl", "ex1cusp", "--word", "f1:1", "--script"]
+LONG_VALUES = {
+    "script string": _SCRIPT + [json.dumps([{"type": "type1", "factor": _LONG,
+                                             "exponent": 2}])],
+    "script list": _SCRIPT + [json.dumps([{"type": "swap", "left": [[0]] * 3000,
+                                           "right": 1}])],
+    "spec index": _SPEC + [json.dumps({"map": {_LONG: [0, 1]}, "inverse": {}})],
+    "spec digits": _SPEC + [json.dumps({"map": {"1" * 3000: [0, 1]}, "inverse": {}})],
+    "spec image": _SPEC + [json.dumps({"map": {"1": [_LONG]}, "inverse": {}})],
+    "spec code": _SPEC + [json.dumps({"map": {"1": [0, int("9" * 3000)]}, "inverse": {}})],
+    "curve numeral": ["ell-count", "--curve", f"q=7;y2=x3+{_LONG}x+2"],
+}
+
+
+@pytest.mark.parametrize("row", sorted(LONG_VALUES))
+def test_a_long_value_is_named_in_a_short_refusal(row, capsys):
+    code = cli_main(LONG_VALUES[row])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert len(err.encode()) < 200, err
