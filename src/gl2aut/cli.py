@@ -31,15 +31,21 @@ def _ring_for(q: int):
     return poly_ring(field_of_order(q))
 
 
+def _brief(value) -> str:
+    """ffield.brief, imported only when a refusal names a value, so that
+    parsing a command line loads no library module."""
+    from .ffield import brief
+    return brief(value)
+
+
 def _load_json_arg(text: str):
     """Accept a path to a JSON file or an inline JSON string."""
     import json
     try:
         with open(text) as fh:
-            source, refusal = fh.read(), f"the file {text!r} holds no valid JSON"
+            source, refusal = fh.read(), f"the file {_brief(text)} holds no valid JSON"
     except OSError:
-        shown = repr(text) if len(text) <= 40 else f"a text of {len(text)} characters"
-        source, refusal = text, f"{shown} is neither a readable file nor inline JSON"
+        source, refusal = text, f"{_brief(text)} is neither a readable file nor inline JSON"
     try:
         return json.loads(source)
     except (json.JSONDecodeError, RecursionError):
@@ -305,7 +311,8 @@ def _help(command):
 def _parse(argv):
     """The command name and its flag values (missing ones at their defaults)
     read from argv by `_COMMANDS`.  A usage error or a help request raises
-    SystemExit."""
+    SystemExit.  A refusal names a value as ffield.brief does, so its line
+    stays short whatever the input."""
     from types import SimpleNamespace
     if not argv:
         _usage_error(None, "no command given")
@@ -313,7 +320,7 @@ def _parse(argv):
     if command in ("-h", "--help"):
         _help(None)
     if command not in _COMMANDS:
-        _usage_error(None, f"unknown command {command!r}")
+        _usage_error(None, f"unknown command {_brief(command)}")
     flags = _COMMANDS[command][1]
     values = {}
     i = 0
@@ -323,13 +330,16 @@ def _parse(argv):
         if arg == "-h":
             _help(command)
         if not arg.startswith("--") or arg == "--":
-            _usage_error(command, f"unexpected argument {arg!r}")
+            _usage_error(command, f"unexpected argument {_brief(arg)}")
         key, eq, value = arg[2:].partition("=")
         names = [key] if key in flags else \
             [n for n in (*flags, "help") if n.startswith(key)]
-        if len(names) != 1:
-            _usage_error(command, f"unknown flag --{key}" if not names else
-                         f"--{key} is ambiguous: " + ", ".join(f"--{n}" for n in names))
+        if not names:
+            from .polyring import brief_text
+            _usage_error(command, f"unknown flag {brief_text('--' + key)}")
+        if len(names) > 1:
+            _usage_error(command, f"--{key} is ambiguous: "
+                         + ", ".join(f"--{n}" for n in names))
         key = names[0]
         if key == "help":
             _help(command)
@@ -348,11 +358,10 @@ def _parse(argv):
             try:
                 value = int(value)
             except ValueError:
-                shown = repr(value) if len(value) <= 40 else f"{len(value)} characters"
-                _usage_error(command, f"--{key} takes an integer, not {shown}")
+                _usage_error(command, f"--{key} takes an integer, not {_brief(value)}")
         if choices and value not in choices:
             _usage_error(command, f"--{key} takes one of {', '.join(choices)}, "
-                                  f"not {value!r}")
+                                  f"not {_brief(value)}")
         values[key] = value
     missing = [f"--{n}" for n, spec in flags.items() if spec[1] and n not in values]
     if missing:

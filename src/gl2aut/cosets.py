@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .closure import closure
 from .matgroup import Mat2
-from .polyring import Poly, PolyRing
+from .polyring import Poly, PolyRing, brief_text
 from .record import Record
 
 # largest quotient group built; past it a count fails fast instead of
@@ -139,7 +139,7 @@ def mat_inv_r(R: QuotRing, x: tuple) -> tuple:
 def check_unit(m: Mat2) -> Mat2:
     """m, refused unless its determinant is a unit of F_q[t]."""
     if not m.has_unit_det():
-        raise ValueError(f"{m.text()} is not invertible over F_q[t]")
+        raise ValueError(f"{brief_text(m.text())} is not invertible over F_q[t]")
     return m
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .ffield import FieldElem, FieldSpec, aut_rel_count, factorize, power
+from .ffield import FieldElem, FieldSpec, aut_rel_count, brief, factorize, power
 from .record import Record
 
 
@@ -279,31 +279,31 @@ def curve_from_text(spec: str) -> WeierstrassCurve:
     spec = spec.replace(" ", "")
     parts = spec.split(";")
     if len(parts) != 2 or not parts[0].startswith("q="):
-        raise ValueError(f"bad curve spec {spec!r}")
+        raise ValueError(f"bad curve spec {brief(spec)}")
     try:
         q = int(parts[0][2:])
     except ValueError:
-        raise ValueError(f"bad field size in {spec!r}")
+        raise ValueError(f"bad field size in {brief(spec)}")
     field = field_of_order(q)
     lhs, eq, rhs = parts[1].partition("=")
     if not eq:
-        raise ValueError(f"curve spec needs an equation: {spec!r}")
+        raise ValueError(f"curve spec needs an equation: {brief(spec)}")
     coeffs = {"a1": field.zero, "a2": field.zero, "a3": field.zero,
               "a4": field.zero, "a6": field.zero}
 
     lhs_terms = lhs.split("+")
     if not lhs_terms or lhs_terms[0] != "y2":
-        raise ValueError(f"left side must start with y2: {spec!r}")
+        raise ValueError(f"left side must start with y2: {brief(spec)}")
     for term in lhs_terms[1:]:
         if term.endswith("xy"):
             coeffs["a1"] = field.read_coeff(term[:-2])
         elif term.endswith("y"):
             coeffs["a3"] = field.read_coeff(term[:-1])
         else:
-            raise ValueError(f"unexpected left-side term {term!r}")
+            raise ValueError(f"unexpected left-side term {brief(term)}")
     rhs_terms = rhs.split("+")
     if not rhs_terms or rhs_terms[0] != "x3":
-        raise ValueError(f"right side must start with x3: {spec!r}")
+        raise ValueError(f"right side must start with x3: {brief(spec)}")
     for term in rhs_terms[1:]:
         if term.endswith("x2"):
             coeffs["a2"] = field.read_coeff(term[:-2])
@@ -314,5 +314,5 @@ def curve_from_text(spec: str) -> WeierstrassCurve:
     curve = WeierstrassCurve(field, coeffs["a1"], coeffs["a2"], coeffs["a3"],
                              coeffs["a4"], coeffs["a6"])
     if not curve.is_nonsingular():
-        raise ValueError(f"curve {spec!r} is singular")
+        raise ValueError(f"curve {brief(spec)} is singular")
     return curve

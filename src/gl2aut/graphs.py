@@ -28,7 +28,7 @@ import json
 import re
 
 from .closure import closure
-from .ffield import prime_power
+from .ffield import brief, prime_power
 from .record import Record
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ class StabDescriptor(Record):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "dim", dim)
         if kind not in _STAB_NAMES:
-            raise ValueError(f"unknown stabilizer kind {kind!r}")
+            raise ValueError(f"unknown stabilizer kind {brief(kind)}")
         if kind == "trivial":
             if q != 0 or dim != 0:
                 raise ValueError("the trivial descriptor takes no parameters")
@@ -332,7 +332,7 @@ def build_graph_ex1(depth: int = 3) -> QuotientGraph:
 def graph_by_name(name: str, depth: int = 3) -> QuotientGraph:
     builders = {"ex1": build_graph_ex1, "ex3": build_graph_ex3}
     if name not in builders:
-        raise ValueError(f"unknown graph {name!r} (choose from {sorted(builders)})")
+        raise ValueError(f"unknown graph {brief(name)} (choose from {sorted(builders)})")
     return builders[name](depth)
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import operator
 
-from .ffield import FieldElem, FieldSpec, QuadExt, QuadExtElem, order_dividing, power
+from .ffield import (FieldElem, FieldSpec, QuadExt, QuadExtElem, brief, order_dividing,
+                     power)
 from .record import Record
 
 
@@ -80,15 +81,15 @@ def mat_parse(ring, s: str) -> Mat2:
     """Parse "[[a,b],[c,d]]" with ring-element entry syntax."""
     s = s.replace(" ", "")
     if not (s.startswith("[[") and s.endswith("]]")):
-        raise ValueError(f"bad matrix literal {s!r}")
+        raise ValueError(f"bad matrix literal {brief(s)}")
     rows = s[2:-2].split("],[")
     if len(rows) != 2:
-        raise ValueError(f"bad matrix literal {s!r}")
+        raise ValueError(f"bad matrix literal {brief(s)}")
     entries = []
     for row in rows:
         cells = _split_top_level(row)
         if len(cells) != 2:
-            raise ValueError(f"bad matrix row {row!r}")
+            raise ValueError(f"bad matrix row {brief(row)}")
         entries.extend(ring.parse_element(cell) for cell in cells)
     return Mat2(ring, *entries)
 

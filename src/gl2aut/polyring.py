@@ -2,8 +2,8 @@
 
 A Poly's coefficients are a normalized tuple of integer codes of the base
 field: constant term first, no trailing zero, so the zero polynomial is ().
-Sums, differences, scalings and division make one pass over the tuples
-through the FieldSpec int hooks; products are described below.  Both
+Sums and differences make one pass over the tuples through the FieldSpec
+int hooks; scalings, division and products are described below.  Both
 operands of +, -, * and divmod must come from one ring; mixed rings raise
 TypeError.
 
@@ -28,12 +28,18 @@ table of residues mod p; otherwise slots are 2, 4 or 8 bytes, packed
 through `array`.  The top slot is lead(a) * lead(b), nonzero mod p, so
 nothing is stripped, and no field hook is called.
 
-Over a non-prime field * adds slices instead: where a coefficient of a
-factor is 1, it adds the other factor's tuple into the slice as it is,
-otherwise the tuple scaled by mul_i, and zero coefficients are skipped.
-Where a quotient coefficient is 1, divmod likewise adds the negated low
-part of the divisor as it is.  x - y maps the field's one sub_i hook over
-the common part.
+Over a field of at most 256 elements every code fits a byte, so c times
+a run of coefficients is one bytes.translate through the ring's table for
+c, which the ring builds from mul_i the first time c is used.  Scalings,
+the elimination step of divmod and the products below take that path;
+over a larger field they map mul_i.
+
+Over a non-prime field * adds slices instead: for each coefficient of the
+shorter factor it adds the longer factor's tuple into the slice, as it is
+where the coefficient is 1 and scaled otherwise, and zero coefficients are
+skipped.  Where a quotient coefficient is 1, divmod likewise adds the
+negated low part of the divisor as it is.  x - y maps the field's one
+sub_i hook over the common part.
 """
 
 from __future__ import annotations
@@ -56,6 +62,12 @@ _SIGN_RE = re.compile(r"([+-])")
 # (size, typecode) of the array slots wider than a byte, one typecode per
 # itemsize: C fixes only the least size of each type
 _WIDE_SLOTS = sorted({array(code).itemsize: code for code in "QLIH"}.items())
+
+
+def brief_text(text: str) -> str:
+    """A text as a refusal names it: as it is when it has at most 40
+    characters, else by its length, as ffield.brief names a long value."""
+    return text if len(text) <= 40 else brief(text)
 
 
 class Poly:
@@ -136,23 +148,31 @@ class Poly:
                      * int.from_bytes(array(code, b), sys.byteorder))
                 slots = array(code, c.to_bytes(n * size, sys.byteorder))
                 return Poly(ring, (*map(ring.field.p.__rmod__, slots),))
-        # no slot fits: add slices of the other factor
-        add, mul = ring.field.add_i, ring.field.mul_i
+        # no slot fits: add slices of the longer factor, one per term of the shorter
+        if len(a) > len(b):
+            a, b = b, a
+        add, mul, tables = ring.field.add_i, ring.field.mul_i, ring._scale_tables
+        if tables is not None:
+            b = bytes(b)
         nb = len(b)
         out = [0] * (len(a) + nb - 1)
         for i, ai in enumerate(a):
             if ai == 1:
                 out[i:i + nb] = map(add, out[i:i + nb], b)
             elif ai:
-                out[i:i + nb] = map(add, out[i:i + nb], map(mul, repeat(ai), b))
+                step = map(mul, repeat(ai), b) if tables is None else b.translate(tables[ai])
+                out[i:i + nb] = map(add, out[i:i + nb], step)
         return Poly(ring, (*out,))
 
     def scale(self, code: int) -> "Poly":
         if code == 1:  # a Poly is never mutated, so the operand can be shared
             return self
+        ring, tables = self.ring, self.ring._scale_tables
         if not code:
-            return self.ring.zero
-        return Poly(self.ring, (*map(self.ring.field.mul_i, repeat(code), self.coeffs),))
+            return ring.zero
+        if tables is None:
+            return Poly(ring, (*map(ring.field.mul_i, repeat(code), self.coeffs),))
+        return Poly(ring, (*bytes(self.coeffs).translate(tables[code]),))
 
     def __divmod__(self, other):
         ring = self._common_ring(other)
@@ -161,19 +181,26 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if len(a) < len(b):
             return ring.zero, self
-        f = ring.field
+        f, tables = ring.field, ring._scale_tables
         add, mul, db = f.add_i, f.mul_i, len(b) - 1
         # subtract c t^k b from the top down: the top entry cancels, so only the
         # db below it change, and quo's lead is self's lead over b's, nonzero
         rem, low = [*a], [*map(f.neg_i, b[:db])]
         inv_lead = f.inv_i(b[-1])
+        if tables is not None:
+            low, over_lead = bytes(low), tables[inv_lead]
         quo = [0] * (len(a) - db)
         for k in reversed(range(len(quo))):
             c = rem[k + db]
-            if c:
+            if not c:
+                continue
+            if tables is None:
                 c = quo[k] = mul(c, inv_lead)
                 step = low if c == 1 else map(mul, repeat(c), low)
-                rem[k:k + db] = map(add, rem[k:k + db], step)
+            else:
+                c = quo[k] = over_lead[c]
+                step = low if c == 1 else low.translate(tables[c])
+            rem[k:k + db] = map(add, rem[k:k + db], step)
         return Poly(ring, (*quo,)), ring._make(rem[:db])
 
     def __floordiv__(self, other):
@@ -201,6 +228,24 @@ class Poly:
         return f"Poly({self.text()})"
 
 
+class _ScaleTables(dict):
+    """The byte tables of x -> c*x over a field of at most 256 elements, keyed
+    by the code c; each is built from mul_i the first time c is looked up.
+    A table has 256 entries, as bytes.translate asks, zero past q."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: FieldSpec):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, code: int) -> bytes:
+        field = self.field
+        table = self[code] = bytes([*map(field.mul_i, repeat(code), range(field.q)),
+                                    *repeat(0, 256 - field.q)])
+        return table
+
+
 class PolyRing:
     """F_q[t] for a given FieldSpec."""
 
@@ -216,6 +261,7 @@ class PolyRing:
         # 2^32 - 1 terms for every prime p < MAX_Q; a non-prime field has
         # no slots, and its products add slices.
         self._byte_terms, self._wide_slots = 0, ()
+        self._scale_tables = _ScaleTables(field) if field.q <= 256 else None
         if field.n == 1:
             top = (field.p - 1) ** 2
             self._byte_terms = 255 // top
@@ -259,7 +305,7 @@ class PolyRing:
 
     def invert_unit(self, x: Poly) -> Poly:
         if not x.is_constant() or x.is_zero():
-            raise ValueError(f"{x!r} is not a unit in F_q[t]")
+            raise ValueError(f"{brief(x)} is not a unit in F_q[t]")
         return self.const(self.field.inv_i(x.coeffs[0]))
 
     def element_str(self, x: Poly) -> str:
@@ -288,13 +334,13 @@ class PolyRing:
         for sign, term in zip(pieces[1::2], pieces[2::2]):
             m = _TERM_RE.match(term)
             if not m or (m.group("coeff") is None and m.group("var") is None):
-                raise ValueError(f"bad polynomial term {term!r}")
+                raise ValueError(f"bad polynomial term {brief(term)}")
             coeff = self.field.read_coeff(m.group("coeff") or "")
             power = (m.group("pow") or "1") if m.group("var") else "0"
             power = power.lstrip("0") or "0"
             # count digits first: int() refuses past 4300 of them
             if len(power) > len(str(MAX_DEGREE)) or int(power) > MAX_DEGREE:
-                raise ValueError(f"degree {power} exceeds {MAX_DEGREE}")
+                raise ValueError(f"degree {brief_text(power)} exceeds {MAX_DEGREE}")
             mono = self.monomial(coeff.code, int(power))
             acc = acc - mono if sign == "-" else acc + mono
         return acc

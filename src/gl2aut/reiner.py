@@ -4,7 +4,10 @@ An invertible F_q-linear map phi of t*F_q[t] that moves only finitely
 many monomials extends to a group automorphism: constant matrices are
 fixed, and an upper triangular [[alpha, a], [0, beta]] maps to
 [[alpha, a0 + phi(a - a0)], [0, beta]] where a0 is the constant term of
-a.  General elements go through the amalgam normal form letterwise.
+a.  A general element m is peeled once, as Nagao's normal form peels it
+(`nagao.peel`), into m = R * S with R upper triangular and S a product of
+transversal letters; then phi(m) = phi(R) * phi(S), and phi(S) is built by
+row operations as the letters come off, with no word written out.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from itertools import repeat
 
 from .ffield import brief
 from .matgroup import Mat2
-from .nagao import B_SIDE, Letter, decompose, evaluate
-from .polyring import MAX_DEGREE, Poly, PolyRing
+from .nagao import B_SIDE, peel
+from .polyring import MAX_DEGREE, Poly, PolyRing, brief_text
 
 # a spec key names the exponent i of t^i in plain decimal, so no two keys
 # ("1", "01", " +1 ") can name the same monomial
@@ -124,8 +127,7 @@ class LinearAutoSpec:
                                      "decimal exponent")
                 # count digits first: int() refuses past 4300 of them
                 if len(i) > len(str(MAX_DEGREE)) or int(i) > MAX_DEGREE:
-                    shown = i if len(i) <= 40 else f"of {len(i)} digits"
-                    raise ValueError(f"spec {key!r} index {shown} exceeds {MAX_DEGREE}")
+                    raise ValueError(f"spec {key!r} index {brief_text(i)} exceeds {MAX_DEGREE}")
                 # type, not isinstance: a JSON true or false is no code
                 if not (isinstance(coeffs, list)
                         and all(type(c) is int for c in coeffs)):
@@ -175,30 +177,35 @@ def identity_spec(ring: PolyRing) -> LinearAutoSpec:
     return LinearAutoSpec(ring, {}, {})
 
 
-def reiner_on_cuspstab(spec: LinearAutoSpec, m: Mat2) -> Mat2:
-    """The automorphism on an upper triangular matrix over F_q[t]."""
+def reiner_apply(spec: LinearAutoSpec, m: Mat2) -> Mat2:
+    """The substitution automorphism phi on any matrix of GL2(F_q[t]).
+
+    `peel` writes m = R * S, S the product of its transversal letters and
+    R = [[alpha, b], [0, beta]], so phi(m) = phi(R) * phi(S) with
+    phi(R) = [[alpha, b0 + phi(b - b0)], [0, beta]].  X = phi(S) is built
+    from the right, one letter at a time, as it is peeled: phi fixes a G
+    letter [[0, 1], [1, x]] and carries a B letter [[1, v], [0, 1]] (v with
+    no constant term) to [[1, phi(v)], [0, 1]], and multiplying X on the
+    left by either is a row operation.  A B letter sets xa += phi(v)*xc and
+    xb += phi(v)*xd; a G letter sets (xa, xb, xc, xd) to
+    (xc, xd, xa + x*xc, xb + x*xd).  No word, letter or 2x2 product is made.
+    """
     ring = spec.ring
     if m.ring is not ring:
         raise ValueError("matrix ring does not match the spec ring")
-    if not m.c.is_zero():
-        raise ValueError("reiner_on_cuspstab expects an upper triangular matrix")
-    if not (m.a.is_constant() and m.d.is_constant()):
-        raise ValueError("diagonal entries must be units of F_q")
-    return Mat2(ring, m.a, spec.apply(m.b), ring.zero, m.d)
-
-
-def reiner_apply(spec: LinearAutoSpec, m: Mat2) -> Mat2:
-    """Extend the substitution automorphism to all of GL2(F_q[t]) through the
-    amalgam normal form: constant letters are fixed, triangular letters map
-    by reiner_on_cuspstab."""
-    word = decompose(m)
-    image = []
-    for lt in word:
-        if lt.side == B_SIDE:
-            image.append(Letter(B_SIDE, reiner_on_cuspstab(spec, lt.mat)))
+    peeled, (alpha, b, beta) = peel(m)
+    apply = spec.apply
+    xa, xb, xc, xd = ring.one, ring.zero, ring.zero, ring.one
+    for side, vx in peeled:
+        if side == B_SIDE:
+            w = apply(vx)
+            xa, xb = xa + w * xc, xb + w * xd
         else:
-            image.append(lt)
-    return evaluate(spec.ring, image)
+            xa, xb, xc, xd = xc, xd, xa + xc.scale(vx), xb + xd.scale(vx)
+    # apply fixes the constant term b0 and substitutes the rest
+    b, alpha, beta = apply(b), alpha.coeffs[0], beta.coeffs[0]
+    return Mat2(ring, xa.scale(alpha) + b * xc, xb.scale(alpha) + b * xd,
+                xc.scale(beta), xd.scale(beta))
 
 
 def reiner_inverse(spec: LinearAutoSpec, m: Mat2) -> Mat2:

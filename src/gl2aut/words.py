@@ -97,9 +97,9 @@ class FiniteCyclic(Record):
         try:
             k = int(str(s).strip())
         except ValueError:
-            raise ValueError(f"bad cyclic element {s!r}")
+            raise ValueError(f"bad cyclic element {brief(s)}")
         if not 0 <= k < self.order:
-            raise ValueError(f"cyclic exponent {k} out of range 0..{self.order - 1}")
+            raise ValueError(f"cyclic exponent {brief(k)} out of range 0..{self.order - 1}")
         return k
 
     def iso_key(self):
@@ -109,7 +109,7 @@ class FiniteCyclic(Record):
         if not isinstance(auto, int):
             raise ValueError("cyclic factors take an integer exponent")
         if math.gcd(auto, self.order) != 1:
-            raise ValueError(f"exponent {auto} not invertible mod {self.order}")
+            raise ValueError(f"exponent {brief(auto)} not invertible mod {self.order}")
 
     def auto_map(self, auto):
         return lambda e: e * auto % self.order
@@ -150,7 +150,7 @@ class MatrixBacked(Record):
     def parse_elem(self, s: str):
         m = mat_parse(self.ring, str(s))
         if not self.is_member(m):
-            raise ValueError(f"matrix {s!r} is not invertible over the factor ring")
+            raise ValueError(f"matrix {brief(s)} is not invertible over the factor ring")
         return m
 
     def iso_key(self):
@@ -210,12 +210,12 @@ class VectorFactor(Record):
     def parse_elem(self, s: str):
         text = str(s).strip()
         if not (text.startswith("(") and text.endswith(")")):
-            raise ValueError(f"bad vector element {s!r}")
+            raise ValueError(f"bad vector element {brief(s)}")
         body = text[1:-1].strip()
         try:
             codes = [int(c) for c in body.split(",")] if body else []
         except ValueError:
-            raise ValueError(f"bad vector element {s!r}")
+            raise ValueError(f"bad vector element {brief(s)}")
         return self.ring.poly([0, *codes])
 
     def iso_key(self):
@@ -267,7 +267,7 @@ class CentralAmalgamDecl(Record):
 
     def factor(self, i: int) -> FactorDecl:
         if not (isinstance(i, int) and 0 <= i < len(self.factors)):
-            raise ValueError(f"no factor with index {i!r}")
+            raise ValueError(f"no factor with index {brief(i)}")
         return self.factors[i]
 
 
@@ -294,7 +294,7 @@ def _check_letters(decl: CentralAmalgamDecl, letters) -> None:
     """Refuse the first letter that is not a member of its factor."""
     for idx, elem in letters:
         if not decl.factor(idx).kind.is_member(elem):
-            raise ValueError(f"element {elem!r} is not in factor {idx}")
+            raise ValueError(f"element {brief(elem)} is not in factor {idx}")
 
 
 def _reduce(decl: CentralAmalgamDecl, letters) -> FreeWord:
@@ -358,7 +358,7 @@ def word_parse(decl: CentralAmalgamDecl, s: str) -> FreeWord:
     for part in text.split(sep):
         m = _LETTER_RE.match(part.strip())
         if not m:
-            raise ValueError(f"bad word letter {part!r}")
+            raise ValueError(f"bad word letter {brief(part)}")
         idx = int(m.group(1))
         letters.append((idx, decl.factor(idx).kind.parse_elem(m.group(2))))
     return _reduce(decl, letters)  # parse_elem returns members only
@@ -416,7 +416,7 @@ def validate_gen(decl: CentralAmalgamDecl, gen) -> None:
         elif gen.exponent != 1:
             raise ValueError("only the exponent-1 identification exists for this kind")
     else:
-        raise ValueError(f"unknown generator {gen!r}")
+        raise ValueError(f"unknown generator {brief(gen)}")
 
 
 def _apply_gen(decl: CentralAmalgamDecl, gen, w: FreeWord) -> FreeWord:
@@ -520,7 +520,7 @@ def _spike_exponent(decl: CentralAmalgamDecl, factors, exponent: int, q: int) ->
         if not (isinstance(kind, FiniteCyclic) and kind.order == n):
             raise ValueError(f"factor {k} is not cyclic of order q^2-1 = {n}")
     if exponent % n not in aut_rel_enumerate(q):
-        raise ValueError(f"exponent {exponent} is not an admissible unit class mod {n}")
+        raise ValueError(f"exponent {brief(exponent)} is not an admissible unit class mod {n}")
     return exponent % n
 
 
@@ -783,7 +783,7 @@ def gen_from_json(decl: CentralAmalgamDecl, record: dict):
                              _json_int(record["exponent"], "exponent"),
                              _json_int(record["q"], "q"))
         else:
-            raise ValueError(f"unknown generator type {name!r}")
+            raise ValueError(f"unknown generator type {brief(name)}")
     except KeyError as missing:
         raise ValueError(f"generator record is missing field {missing}")
     return gen
@@ -799,5 +799,5 @@ def decl_by_name(name: str) -> CentralAmalgamDecl:
     builders = {"ex1cusp": build_ex1cusp, "ex3cusps": build_ex3cusps,
                 "dihedral": dihedral_decl}
     if name not in builders:
-        raise ValueError(f"unknown declaration {name!r} (choose from {sorted(builders)})")
+        raise ValueError(f"unknown declaration {brief(name)} (choose from {sorted(builders)})")
     return builders[name]()

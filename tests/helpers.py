@@ -337,6 +337,29 @@ def fold_normalize(ring: PolyRing, letters) -> tuple[Letter, ...]:
     return _state_to_word(ring, state)
 
 
+# ---- word-based Reiner images, the oracle for reiner_apply ----
+
+def reiner_on_cuspstab(spec, m: Mat2) -> Mat2:
+    """The automorphism on an upper triangular matrix over F_q[t]."""
+    ring = spec.ring
+    if m.ring is not ring:
+        raise ValueError("matrix ring does not match the spec ring")
+    if not m.c.is_zero():
+        raise ValueError("reiner_on_cuspstab expects an upper triangular matrix")
+    if not (m.a.is_constant() and m.d.is_constant()):
+        raise ValueError("diagonal entries must be units of F_q")
+    return Mat2(ring, m.a, spec.apply(m.b), ring.zero, m.d)
+
+
+def word_reiner_apply(spec, m: Mat2) -> Mat2:
+    """The automorphism on any matrix through its canonical word: constant
+    letters are fixed, triangular letters map by reiner_on_cuspstab, and
+    the image word is multiplied back out."""
+    image = [Letter(B_SIDE, reiner_on_cuspstab(spec, lt.mat)) if lt.side == B_SIDE else lt
+             for lt in nagao.decompose(m)]
+    return nagao.evaluate(spec.ring, image)
+
+
 # ---- counting oracles for orders, generators and moduli ----
 
 def brute_order(x, one, mul=operator.mul, limit=1 << 16) -> int:

@@ -2,10 +2,10 @@
 
 Every command line either answers (exit 0, the answer on stdout, nothing on
 stderr) within ANSWER_S, or is refused (exit 2, nothing on stdout, one
-`error:` line on stderr, followed by a usage line for a usage error) within
-REFUSE_S.  No example allocates more than PEAK_MB at its tracemalloc peak.
-Any exception that escapes `cli.main` is a defect and fails the test: the
-library refuses input only by raising ValueError.
+`error:` line of at most ERROR_BYTES on stderr, followed by a usage line for
+a usage error) within REFUSE_S.  No example allocates more than PEAK_MB at
+its tracemalloc peak.  Any exception that escapes `cli.main` is a defect
+and fails the test: the library refuses input only by raising ValueError.
 
 The command comes from `cli._COMMANDS` and each flag's value from a small
 grammar for its kind of text (polynomials, matrices, specs, scripts, words,
@@ -21,7 +21,7 @@ takes seconds, and the large-field test of test_cli.py times those fields.
 
 The seed corpus (`@example`) holds every input that CHANGES.md records as
 MENDED and the CLI can express, the inputs that refuse before they compute,
-and the deep JSON texts.
+the deep JSON texts, and long values in each place a refusal names one.
 """
 
 import io
@@ -53,6 +53,8 @@ HEADROOM = 5
 ANSWER_S = HEADROOM * 0.6
 REFUSE_S = 1.0
 PEAK_MB = 64
+# a refusal names a long value by its type and length, so its line stays short
+ERROR_BYTES = 200
 
 # cusp-count inputs whose quotient context takes a second or more, keyed by
 # (q, degree of the modulus), with the seconds of their slowest subgroup in
@@ -310,6 +312,13 @@ CORPUS = [
     # JSON nested past the recursion limit
     ["reiner-image", "--q", "2", "--matrix", "[[1,t],[0,1]]", "--spec", DEEP[0]],
     ["aut-apply", "--decl", "ex1cusp", "--script", DEEP[0], "--word", "f1:1"],
+    # long values where a refusal names them
+    ["graph-export", "--graph", "x" * 5000],
+    ["x" * 3000],
+    ["aut-count", "--" + "x" * 3000],
+    ["ell-count", "--curve", "q=7;" + "x" * 4000],
+    ["nagao-decompose", "--q", "2", "--matrix", "[[" + "x" * 4000],
+    ["aut-apply", "--decl", "ex1cusp", "--script", "[]", "--word", "f1:" + "x" * 4000],
 ]
 
 
@@ -336,6 +345,8 @@ def test_every_command_line_answers_or_is_refused_in_budget(warm_fields, argv):
         assert lines[0].startswith("error: ") and (
             len(lines) == 1 or len(lines) == 2 and lines[1].startswith("usage: gl2aut")), \
             f"{shown}: {err!r}"
+        assert len(lines[0].encode()) <= ERROR_BYTES, \
+            f"{shown}: an error line of {len(lines[0].encode())} bytes"
         assert seconds < REFUSE_S, f"{shown}: refused in {seconds:.2f} s"
     peak = _peak(argv)
     assert peak < PEAK_MB << 20, f"{shown}: tracemalloc peak {peak >> 20} MB"

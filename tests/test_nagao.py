@@ -203,7 +203,8 @@ def test_decompose_makes_one_polynomial_product_per_b_peel(q, monkeypatch):
         assert len(full) == sum(lt.side == "B" for lt in w) - 1
 
 
-@pytest.mark.parametrize("q", ORACLE_QS)
+# 16 and 27 divide and scale by byte tables, 512 through the field hooks
+@pytest.mark.parametrize("q", [*ORACLE_QS, 16, 27, 512])
 def test_normalize_and_decompose_match_the_fold_oracle(q):
     R = helpers.ring_of(q)
     rng = random.Random(200 + q)

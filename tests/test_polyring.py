@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from gl2aut.ffield import field_of_order
 from gl2aut.matgroup import Mat2, mat_parse
-from gl2aut.polyring import MAX_DEGREE, poly_ring
+from gl2aut.polyring import MAX_DEGREE, PolyRing, poly_ring
 
 
 def test_degree_conventions():
@@ -353,13 +353,61 @@ def test_products_of_degree_max_degree_match_the_oracle(p):
         assert got.coeffs == _oracle_product(x, y)
 
 
-@pytest.mark.parametrize("q", [4, 8, 9])
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 27, 49, 128, 243, 256, 512, 2 ** 16])
 def test_non_prime_field_products_match_the_oracle(q):
+    # byte tables up to q = 256, the mul_i hook past it; either factor the longer
     ring = helpers.ring_of(q)
+    f = ring.field
     rng = random.Random(q)
-    for da, db in ((1, 1), (3, 16), (16, 16), (40, 25)):
+    for da, db in ((1, 1), (3, 16), (16, 3), (16, 16), (40, 25), (2, 40)):
         x, y = _of_degree(ring, rng, da), _of_degree(ring, rng, db)
         assert (x * y).coeffs == _oracle_product(x, y)
+        quo, rem = divmod(x, y)
+        assert (quo.coeffs, rem.coeffs) == helpers.schoolbook_divmod(f, x.coeffs, y.coeffs)
+
+
+# the field sizes up to 256 of every kind: prime, 2^n, odd extensions
+BYTE_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81, 125, 128, 243, 251, 256)
+
+
+@pytest.mark.parametrize("q", BYTE_QS)
+def test_scaling_matches_the_field_product_for_every_code(q):
+    ring = helpers.ring_of(q)
+    f = ring.field
+    every = ring.poly((*range(q), 1))
+    for c in range(q):
+        assert every.scale(c).coeffs == helpers.schoolbook_scale(f, c, every.coeffs), c
+
+
+@pytest.mark.parametrize("q", [3, 4, 9, 251, 256])
+def test_scalings_up_to_256_elements_call_no_field_hook(q, monkeypatch):
+    field = field_of_order(q)
+    calls = helpers.count_calls(monkeypatch, field, "mul_i")
+    ring = PolyRing(field)
+    assert calls == []  # a new ring builds no table
+    rng = random.Random(q)
+    x, y = _of_degree(ring, rng, 12), _of_degree(ring, rng, 3)
+    x.scale(q - 1)
+    assert len(calls) == q  # the table of q - 1, built on first use
+
+    def work():
+        return [x.scale(c) for c in range(q)], divmod(x, y), x * y
+
+    work()  # builds the tables the work uses
+    calls.clear()
+    work()
+    assert calls == []
+
+
+@pytest.mark.parametrize("q", [257, 65521, 2 ** 16])
+def test_scalings_past_256_elements_map_the_field_hook(q, monkeypatch):
+    ring = helpers.ring_of(q)
+    x = _of_degree(ring, random.Random(q), 5)
+    codes = (2, q - 1)
+    want = [helpers.schoolbook_scale(ring.field, c, x.coeffs) for c in codes]
+    calls = helpers.count_calls(monkeypatch, ring.field, "mul_i")
+    assert [x.scale(c).coeffs for c in codes] == want
+    assert len(calls) == len(codes) * len(x.coeffs)
 
 
 @pytest.mark.parametrize("q", KRONECKER_PS + (4, 9))
@@ -372,7 +420,7 @@ def test_prime_field_products_call_no_field_hook(q, monkeypatch):
     calls = [helpers.count_calls(monkeypatch, field, name) for name in ("mul_i", "add_i")]
     for x, y in pairs:
         x * y
-    # a non-prime field still adds slices through its hooks, so the wrap sees them
+    # a non-prime field still adds its slices through add_i, so the wrap sees them
     assert (sum(map(len, calls)) == 0) == (field.n == 1)
 
 

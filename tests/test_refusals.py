@@ -87,9 +87,9 @@ CLI_ROWS = {
     # json.loads meets the recursion limit, and the text is named by its length
     "deep spec": (["reiner-image", "--q", "2", "--matrix", "[[1,t],[0,1]]",
                    "--spec", _DEEP],
-                  "a text of 200000 characters is neither a readable file nor inline JSON"),
+                  "<str of length 200000> is neither a readable file nor inline JSON"),
     "deep script": (["aut-apply", "--decl", "ex1cusp", "--script", _DEEP, "--word", "f1:1"],
-                    "a text of 200000 characters is neither a readable file nor inline JSON"),
+                    "<str of length 200000> is neither a readable file nor inline JSON"),
     # the same texts read from a file, which each test writes to its directory
     "deep spec file": (["reiner-image", "--q", "2", "--matrix", "[[1,t],[0,1]]",
                         "--spec", "deep.json"],

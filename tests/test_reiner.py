@@ -5,13 +5,13 @@ import random
 import pytest
 
 import helpers
-from gl2aut import reiner
-from gl2aut.matgroup import Mat2
+from gl2aut import nagao, reiner
+from gl2aut.matgroup import Mat2, mat_parse
 from gl2aut.polyring import MAX_DEGREE
 from gl2aut.words import Type1, build_ex1cusp, gen_inverse
 from gl2aut.reiner import (LinearAutoSpec, congruence_member, identity_spec,
-                           reiner_apply, reiner_inverse, reiner_on_cuspstab,
-                           unipotent_fiber, unipotent_upper)
+                           reiner_apply, reiner_inverse, unipotent_fiber,
+                           unipotent_upper)
 
 
 def swap_spec(ring, i, j):
@@ -128,8 +128,70 @@ def test_triangular_matrices_stay_triangular_over_wider_fields(q):
             m = helpers.rand_upper_triangular(R, rng, 5)
             img = reiner_apply(spec, m)
             assert img.is_upper_triangular()
-            assert img == reiner_on_cuspstab(spec, m)
+            assert img == helpers.reiner_on_cuspstab(spec, m)
             assert img.a == m.a and img.d == m.d
+
+
+def _degree_16(ring, rng) -> Mat2:
+    """C0 U(p1) W U(p2) W U(p3) W U(p4) W C1 with deg p = 3, 5, 2, 6, W the
+    flip and C0, C1 invertible constants: its entries have degree 16."""
+    flip = Mat2(ring, ring.zero, ring.one, ring.one, ring.zero)
+    m = helpers.rand_gl2_const(ring, rng)
+    for d in (3, 5, 2, 6):
+        p = helpers.rand_poly(ring, rng, d - 1) + ring.monomial(helpers.rand_unit_code(
+            ring.field, rng), d)
+        m = m * Mat2(ring, ring.one, p, ring.zero, ring.one) * flip
+    m = m * helpers.rand_gl2_const(ring, rng)
+    assert max(e.deg for e in m.entries()) == 16
+    return m
+
+
+def _image_cases(ring, rng) -> list:
+    """The identity, constants, upper and lower triangular matrices and
+    matrices of entry degree 16."""
+    cases = [Mat2.identity(ring)] + [helpers.rand_gl2_const(ring, rng) for _ in range(4)]
+    for _ in range(4):
+        u = helpers.rand_upper_triangular(ring, rng, 6)
+        cases += [u, Mat2(ring, u.d, ring.zero, u.b, u.a)]
+    return cases + [_degree_16(ring, rng) for _ in range(6)]
+
+
+@pytest.mark.parametrize("q", (2, 3) + helpers.WIDER_QS)
+def test_one_pass_image_matches_the_word_oracle(q):
+    R = helpers.ring_of(q)
+    rng = random.Random(f"one-pass:{q}")
+    for spec in wider_specs(R):
+        for m in _image_cases(R, rng):
+            image = reiner_apply(spec, m)
+            assert image == helpers.word_reiner_apply(spec, m), (spec, m)
+            assert reiner_inverse(spec, m) == helpers.word_reiner_apply(spec.inverted(), m)
+            assert reiner_inverse(spec, image) == m
+
+
+@pytest.mark.parametrize("text", ["[[t,1],[0,1]]", "[[0,0],[0,0]]", "[[1,1],[1,1]]",
+                                  "[[t,0],[0,1]]", "[[t^2+1,t],[t,2]]"])
+def test_a_matrix_that_is_no_unit_is_refused_with_its_text(text):
+    R = helpers.ring_of(3)
+    m = mat_parse(R, text)
+    assert m.text() == text
+    for image in (reiner_apply, reiner_inverse):
+        with pytest.raises(ValueError) as caught:
+            image(swap_spec(R, 1, 2), m)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"{text} is not invertible over F_q[t]"
+
+
+def test_reiner_apply_writes_out_no_word(monkeypatch):
+    R = helpers.ring_of(3)
+    rng = random.Random(17)
+    spec = wider_specs(R)[1]
+    cases = _image_cases(R, rng)
+    calls = [helpers.count_calls(monkeypatch, nagao.Letter, "__init__"),
+             helpers.count_calls(monkeypatch, nagao, "evaluate"),
+             helpers.count_calls(monkeypatch, Mat2, "__mul__")]
+    for m in cases:
+        reiner_inverse(spec, reiner_apply(spec, m))
+    assert [len(c) for c in calls] == [0, 0, 0]
 
 
 def test_constant_matrices_are_fixed():
@@ -148,7 +210,7 @@ def test_triangular_matrices_stay_triangular(rng):
         m = helpers.rand_upper_triangular(R, rng, 5)
         img = reiner_apply(spec, m)
         assert img.is_upper_triangular()
-        assert img == reiner_on_cuspstab(spec, m)
+        assert img == helpers.reiner_on_cuspstab(spec, m)
         # diagonal is untouched, the off-diagonal tail is substituted
         assert img.a == m.a and img.d == m.d
 
