@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .ffield import FieldElem, FieldSpec, aut_rel_count, brief, factorize, power
+from .ffield import FieldElem, FieldSpec, aut_rel_count, brief, factorize, field_of_order, power
 from .record import Record
 
 
@@ -194,8 +194,11 @@ def group_structure(curve: WeierstrassCurve, points) -> list[int]:
 
 
 def two_torsion_count(curve: WeierstrassCurve, points) -> int:
-    """Number of points with 2P = infinity, i.e. P = -P, the identity included."""
-    return sum(1 for pt in points if point_neg(curve, pt) == pt)
+    """Number of points with 2P = infinity, i.e. P = -P, the identity
+    included: on codes, the affine (x, y) with 2y + a1 x + a3 = 0."""
+    f, a1, a3 = curve.field, curve.a1.code, curve.a3.code
+    return sum(1 for pt in points if pt is INFINITY or f.add_i(
+        f.add_i(pt.y.code, pt.y.code), f.add_i(f.mul_i(a1, pt.x.code), a3)) == 0)
 
 
 class LPoly(Record):
@@ -274,8 +277,6 @@ def curve_from_text(spec: str) -> WeierstrassCurve:
     Terms may be omitted when their coefficient vanishes; coefficients are
     read by FieldSpec.read_coeff (element codes or (c0,c1,...) vectors).
     """
-    from .ffield import field_of_order
-
     spec = spec.replace(" ", "")
     parts = spec.split(";")
     if len(parts) != 2 or not parts[0].startswith("q="):

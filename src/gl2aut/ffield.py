@@ -61,10 +61,10 @@ def is_prime(p: int) -> bool:
 def prime_power(q: int) -> tuple[int, int]:
     """Split a prime power q <= MAX_Q into (p, n) with q = p**n, else ValueError."""
     if q > MAX_Q:
-        raise ValueError(f"field size {q} exceeds {MAX_Q}")
+        raise ValueError(f"field size {brief(q)} exceeds {MAX_Q}")
     factors = factorize(q) if q >= 2 else {}
     if len(factors) != 1:
-        raise ValueError(f"not a prime power: {q}")
+        raise ValueError(f"not a prime power: {brief(q)}")
     [(p, n)] = factors.items()
     return p, n
 
@@ -215,15 +215,15 @@ class FieldSpec:
 
     def __init__(self, p: int, n: int):
         if p < 2:
-            raise ValueError(f"p must be prime, got {p}")
+            raise ValueError(f"p must be prime, got {brief(p)}")
         if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+            raise ValueError(f"n must be >= 1, got {brief(n)}")
         # refused on size before p is factored; 2^n alone exceeds MAX_Q past
         # its bit length, so no huge power is built
         if n >= MAX_Q.bit_length() or p ** n > MAX_Q:
-            raise ValueError(f"field size {p}^{n} exceeds {MAX_Q}")
+            raise ValueError(f"field size {brief(p)}^{brief(n)} exceeds {MAX_Q}")
         if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+            raise ValueError(f"p must be prime, got {brief(p)}")
         q = p ** n
         self.p = p
         self.n = n

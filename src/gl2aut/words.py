@@ -5,7 +5,8 @@ matrix-backed groups (invertible 2x2 matrices over F_q[t]) and vector
 groups, the additive group tF_q[t] on the countable basis t, t^2, ...
 Elements of the product are reduced words: sequences of (factor index,
 nonidentity element) letters with adjacent letters in distinct factors.
-`word_pow` is `ffield.power` over `word_mul`.
+`word_pow` is `ffield.power` over `word_mul`.  A free product is exact
+over F_2 only, where the centre F_q^* is trivial (see CentralAmalgamDecl).
 
 Automorphisms are generated by three record kinds, the standard generating
 set for automorphism groups of free products:
@@ -34,11 +35,10 @@ conjugator and its inverse are members.  The reduction loop behind these
 checks checks nothing, which matters most for matrix letters, whose check
 takes a determinant.
 
-On top of these the module builds the cyclic-spike machinery (power and swap
-generators for order q^2-1 cyclic factors with exponents drawn from the
-admissible unit classes), a wreath-product closure check for the group those
-generators generate, an infinite dihedral subgroup-index demonstration, and
-the free-product declarations for the two one-curve examples over F_2.
+The module also builds the cyclic-spike generators (powers and swaps of
+order q^2-1 cyclic factors through the admissible unit classes), a wreath
+check that reads each one's factor permutation and exponents off its images
+of one-letter words and closes them, and an infinite dihedral demonstration.
 """
 
 from __future__ import annotations
@@ -48,9 +48,11 @@ import re
 from functools import partial
 
 from .closure import closure
+from .curves import cs_order
 from .ffield import aut_rel_enumerate, brief, field_make, power
+from .graphs import QuotientGraph, build_graph_ex1, build_graph_ex3, isolated_cyclic
 from .matgroup import Mat2, mat_parse
-from .polyring import Poly, poly_ring
+from .polyring import Poly, brief_text, poly_ring
 from .record import Record
 from .reiner import LinearAutoSpec, reiner_apply
 
@@ -248,7 +250,8 @@ class FactorDecl(Record):
 
 
 class CentralAmalgamDecl(Record):
-    """Free product of declared factors.
+    """Free product of declared factors.  Over q > 2 the spikes of a curve
+    meet the rest over the centre F_q^*, an amalgam no declaration models.
 
     ``cusps`` records which factor carries the stabilizer of each labelled
     boundary point, for the orbit report.
@@ -359,7 +362,11 @@ def word_parse(decl: CentralAmalgamDecl, s: str) -> FreeWord:
         m = _LETTER_RE.match(part.strip())
         if not m:
             raise ValueError(f"bad word letter {brief(part)}")
-        idx = int(m.group(1))
+        # more digits than the factor count: no factor, and no int() to refuse it
+        digits = m.group(1).lstrip("0") or "0"
+        if len(digits) > len(str(len(decl.factors))):
+            raise ValueError(f"no factor with index {brief_text(digits)}")
+        idx = int(digits)
         letters.append((idx, decl.factor(idx).kind.parse_elem(m.group(2))))
     return _reduce(decl, letters)  # parse_elem returns members only
 
@@ -481,9 +488,6 @@ class ComposedAuto(Record):
             w = _apply_gen(self.decl, g, w)
         return w
 
-    def __call__(self, w: FreeWord) -> FreeWord:
-        return self.apply(w)
-
     def inverse(self) -> "ComposedAuto":
         return ComposedAuto(self.decl, tuple(gen_inverse(self.decl, g)
                                              for g in reversed(self.gens)))
@@ -544,10 +548,18 @@ class WreathReport(Record):
                  "permutations_full", "ok")
 
 
+def _letter_map(decl: CentralAmalgamDecl, gen) -> tuple:
+    """(permutation, exponents) of a spike generator, read off its image
+    (j, e) of each one-letter word (i, 1): factor i goes to j, powered by e."""
+    images = [_apply_gen(decl, gen, FreeWord(((i, 1),))).letters
+              for i in range(len(decl.factors))]
+    return tuple(zip(*(letter for [letter] in images)))
+
+
 def cs_wreath_check(r: int, q: int) -> WreathReport:
-    """Generate all power and swap spike generators on r factors as decorated
-    permutations (factor permutation plus one exponent per source factor);
-    check the group they generate has order r! * |classes|^r and that its
+    """Make every power and swap spike generator on r cyclic factors of order
+    q^2-1 and read off each one's letter map; check that the letter maps
+    generate a group of order cs_order(r, q) = r! * |classes|^r whose
     permutation projection is all of the symmetric group.
 
     The closure runs over a generating subset: the power generators on
@@ -558,38 +570,23 @@ def cs_wreath_check(r: int, q: int) -> WreathReport:
     if q not in (2, 3, 4, 5):
         raise ValueError("q must be one of 2, 3, 4, 5")
     n = q * q - 1
+    decl = CentralAmalgamDecl(tuple(FactorDecl(i, FiniteCyclic(n)) for i in range(r)))
     classes = tuple(aut_rel_enumerate(q))
-    ident_perm = tuple(range(r))
-    gens, subset = [], []
-    for a in classes:
-        for i in range(r):
-            exps = [1] * r
-            exps[i] = a
-            gens.append((ident_perm, tuple(exps)))
-            if i == 0:
-                subset.append(gens[-1])
-        back = pow(a, -1, n)
-        for i in range(r):
-            for j in range(i + 1, r):
-                perm = list(ident_perm)
-                perm[i], perm[j] = j, i
-                exps = [1] * r
-                exps[i], exps[j] = a, back
-                gens.append((tuple(perm), tuple(exps)))
-                if a == 1 and j == i + 1:
-                    subset.append(gens[-1])
+    gens = [spike_power(decl, i, a, q) for a in classes for i in range(r)]
+    gens += [spike_swap(decl, i, j, a, q)
+             for a in classes for i in range(r) for j in range(i + 1, r)]
+    subset = [_letter_map(decl, g) for g in [spike_power(decl, 0, a, q) for a in classes]
+              + [spike_swap(decl, i, i + 1, 1, q) for i in range(r - 1)]]
 
     def mul(g, f):
-        # g after f: source i goes to f's target with f's exponent, then on
-        pg, eg = g
-        pf, ef = f
-        return (tuple(pg[pf[i]] for i in range(r)),
-                tuple(eg[pf[i]] * ef[i] % n for i in range(r)))
+        # g after f: f sends factor i to j = pf[i] with exponent ef[i], then g on
+        (pg, eg), (pf, ef) = g, f
+        return (tuple(pg[j] for j in pf), tuple(eg[j] * e % n for j, e in zip(pf, ef)))
 
-    seen = closure([(ident_perm, (1,) * r)], lambda x: [mul(g, x) for g in subset])
-    expected = math.factorial(r) * len(classes) ** r
+    seen = closure(subset, lambda x: [mul(g, x) for g in subset])
+    expected = cs_order(r, q)
     full = len({p for p, _ in seen}) == math.factorial(r)
-    generated = set(seen).issuperset(gens)
+    generated = {_letter_map(decl, g) for g in gens}.issubset(seen)
     return WreathReport(r, q, classes, len(seen), expected, full,
                         generated and len(seen) == expected and full)
 
@@ -700,28 +697,30 @@ def dihedral_cohopf_demo() -> DihedralReport:
 # the two elliptic example declarations over F_2
 
 
-def build_ex1cusp() -> CentralAmalgamDecl:
-    """Splitting for the one-cusp elliptic coordinate ring over F_2 (the
-    curve y^2 + y = x^3 + x + 1): a matrix-backed amalgam factor isomorphic
-    to the full 2x2 group over F_2[t] plus two order-3 spike factors."""
+def _decl_from_graph(g: QuotientGraph) -> CentralAmalgamDecl:
+    """The declaration of an example over F_2 read off its quotient graph: the
+    matrix group over F_2[t] with the first ray's cusp (infinity), a cyclic
+    factor per isolated cyclic vertex and a vector factor tF_2[t] per other
+    ray, with its cusp.  Over F_2 only, where the centre F_q^* is trivial."""
     ring = poly_ring(field_make(2))
-    factors = (FactorDecl(0, MatrixBacked(ring)),
-               FactorDecl(1, FiniteCyclic(3)),
-               FactorDecl(2, FiniteCyclic(3)))
-    return CentralAmalgamDecl(factors, cusps=(("inf", 0),))
+    kinds = [MatrixBacked(ring)] + [FiniteCyclic(v.stab.order()) for v in isolated_cyclic(g)]
+    cusps = [(g.rays[0].cusp, 0)]
+    for ray in g.rays[1:]:
+        cusps.append((ray.cusp, len(kinds)))
+        kinds.append(VectorFactor(ring))
+    return CentralAmalgamDecl(tuple(FactorDecl(i, k) for i, k in enumerate(kinds)), tuple(cusps))
+
+
+def build_ex1cusp() -> CentralAmalgamDecl:
+    """Splitting for the one-cusp curve y^2 + y = x^3 + x + 1 over F_2: the
+    matrix factor and two order-3 spikes."""
+    return _decl_from_graph(build_graph_ex1())
 
 
 def build_ex3cusps() -> CentralAmalgamDecl:
-    """Splitting for the three-cusp elliptic coordinate ring over F_2 (the
-    curve y^2 + y = x^3): a matrix-backed amalgam factor carrying the cusp at
-    infinity, one order-3 spike factor, and two vector factors tF_2[t]
-    carrying the stabilizers of the affine cusps."""
-    ring = poly_ring(field_make(2))
-    factors = (FactorDecl(0, MatrixBacked(ring)),
-               FactorDecl(1, FiniteCyclic(3)),
-               FactorDecl(2, VectorFactor(ring)),
-               FactorDecl(3, VectorFactor(ring)))
-    return CentralAmalgamDecl(factors, cusps=(("inf", 0), ("(0,0)", 2), ("(0,1)", 3)))
+    """Splitting for the three-cusp curve y^2 + y = x^3 over F_2: the matrix
+    factor, one order-3 spike and the vector factors of the cusps (0,0), (0,1)."""
+    return _decl_from_graph(build_graph_ex3())
 
 
 class OrbitReport(Record):

@@ -19,7 +19,7 @@ from pathlib import Path
 from gl2aut.closure import closure
 from gl2aut.cosets import (FiniteGroup, QuotRing, SubgroupSpec, mat_det_r,
                            mat_inv_r, mat_mul_r, quotient_context)
-from gl2aut.curves import INFINITY, AffinePoint, WeierstrassCurve, point_add, point_mul
+from gl2aut.curves import INFINITY, AffinePoint, WeierstrassCurve, point_add, point_neg
 from gl2aut.ffield import aut_rel_enumerate, field_of_order, quad_ext
 from gl2aut.graphs import (Edge, QuotientGraph, RayMarker, StabDescriptor, Vertex,
                            validate_graph)
@@ -462,8 +462,9 @@ def brute_group_structure(curve, points):
 
 
 def brute_two_torsion_count(curve, points):
-    """Points with 2P = infinity, by the group law."""
-    return sum(1 for pt in points if point_mul(curve, 2, pt) is INFINITY)
+    """Points with 2P = infinity, by the group law: P = -P, with -P built on
+    field elements (point_add doubles to infinity exactly then)."""
+    return sum(1 for pt in points if point_neg(curve, pt) == pt)
 
 
 # ---- brute-force matrix-group oracles ----

@@ -703,8 +703,8 @@ print(json.dumps([code, sorted(m for m in loaded if m.startswith("gl2aut")),
 
 _CURVES = ["curves", "ffield", "record"]
 _NAGAO = ["ffield", "matgroup", "nagao", "polyring", "record"]
-_WORDS = ["closure", "ffield", "matgroup", "nagao", "polyring", "record", "reiner",
-          "words"]
+_WORDS = ["closure", "curves", "ffield", "graphs", "matgroup", "nagao", "polyring",
+          "record", "reiner", "words"]
 _SPEC = json.dumps({"map": {"2": [0, 1, 1]}, "inverse": {"2": [0, 1, 1]}})
 # the commands that print no JSON and read none
 _NO_JSON = ("--help", "ell-count", "cs-order", "nagao-decompose", "cusp-count")

@@ -3,9 +3,11 @@
 Every command line either answers (exit 0, the answer on stdout, nothing on
 stderr) within ANSWER_S, or is refused (exit 2, nothing on stdout, one
 `error:` line of at most ERROR_BYTES on stderr, followed by a usage line for
-a usage error) within REFUSE_S.  No example allocates more than PEAK_MB at
-its tracemalloc peak.  Any exception that escapes `cli.main` is a defect
-and fails the test: the library refuses input only by raising ValueError.
+a usage error) within REFUSE_S.  The error line is the library's own, never
+the message of Python's int() refusing a numeral past its digit limit.  No
+example allocates more than PEAK_MB at its tracemalloc peak.  Any exception
+that escapes `cli.main` is a defect and fails the test: the library refuses
+input only by raising ValueError.
 
 The command comes from `cli._COMMANDS` and each flag's value from a small
 grammar for its kind of text (polynomials, matrices, specs, scripts, words,
@@ -319,6 +321,9 @@ CORPUS = [
     ["ell-count", "--curve", "q=7;" + "x" * 4000],
     ["nagao-decompose", "--q", "2", "--matrix", "[[" + "x" * 4000],
     ["aut-apply", "--decl", "ex1cusp", "--script", "[]", "--word", "f1:" + "x" * 4000],
+    ["aut-count", "--q", "9" * 4000],
+    ["ell-count", "--curve", "q=" + "9" * 4000 + ";y2=x3+1"],
+    ["aut-apply", "--decl", "ex1cusp", "--script", "[]", "--word", "f" + "9" * 5000 + ":1"],
 ]
 
 
@@ -347,6 +352,8 @@ def test_every_command_line_answers_or_is_refused_in_budget(warm_fields, argv):
             f"{shown}: {err!r}"
         assert len(lines[0].encode()) <= ERROR_BYTES, \
             f"{shown}: an error line of {len(lines[0].encode())} bytes"
+        # int() refusing a numeral past its digit limit is Python's word, not a refusal
+        assert "set_int_max_str_digits" not in lines[0], f"{shown}: {err!r}"
         assert seconds < REFUSE_S, f"{shown}: refused in {seconds:.2f} s"
     peak = _peak(argv)
     assert peak < PEAK_MB << 20, f"{shown}: tracemalloc peak {peak >> 20} MB"

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import gl2aut.curves
 from gl2aut.curves import (INFINITY, LPoly, WeierstrassCurve, class_data,
                            cs_order, curve_from_text, ell_count,
                            enumerate_points, group_structure,
@@ -13,6 +14,7 @@ from gl2aut.ffield import field_of_order
 import helpers
 from helpers import (brute_group_structure, brute_points,
                      brute_two_torsion_count)
+from test_cli import LARGE_CURVES
 
 SUPERSINGULAR_F2 = "q=2;y2+y=x3"
 ANISOTROPIC_F2 = "q=2;y2+y=x3+x+1"
@@ -138,6 +140,22 @@ def test_two_torsion_counts():
     assert count(ANISOTROPIC_F2) == 1
     # y^2 = x^3 + x over F_5 has full two-torsion: x^3 + x splits
     assert count("q=5;y2=x3+x") == 4
+
+
+@pytest.mark.parametrize("q", sorted(LARGE_CURVES))
+def test_two_torsion_count_on_the_large_curves(q):
+    curve = curve_from_text(f"q={q};{LARGE_CURVES[q][0]}")
+    pts = enumerate_points(curve)
+    assert two_torsion_count(curve, pts) == brute_two_torsion_count(curve, pts)
+
+
+def test_two_torsion_count_negates_no_point(monkeypatch):
+    # P = -P is read on codes as 2y + a1 x + a3 = 0, with no negated point
+    negations = helpers.count_calls(monkeypatch, gl2aut.curves, "point_neg")
+    for spec, count in (("q=5;y2=x3+x", 4), ("q=9;y2=x3+x", 4), (SUPERSINGULAR_F2, 1)):
+        curve = curve_from_text(spec)
+        assert two_torsion_count(curve, enumerate_points(curve)) == count
+    assert negations == []
 
 
 @pytest.mark.parametrize("spec,factors", [

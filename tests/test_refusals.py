@@ -97,6 +97,14 @@ CLI_ROWS = {
     "deep script file": (["aut-apply", "--decl", "ex1cusp", "--script", "deep.json",
                           "--word", "f1:1"],
                          "the file 'deep.json' holds no valid JSON"),
+    # a field size and a factor index are named by their length
+    "aut-count long field size": (["aut-count", "--q", "9" * 4000],
+                                  "field size <int of length 4000> exceeds 65536"),
+    "ell-count long field size": (["ell-count", "--curve", "q=" + "9" * 4000 + ";y2=x3+1"],
+                                  "field size <int of length 4000> exceeds 65536"),
+    "aut-apply long factor index": (["aut-apply", "--decl", "ex1cusp", "--script", "[]",
+                                     "--word", "f" + "9" * 5000 + ":1"],
+                                    "no factor with index <str of length 5000>"),
     # refused before the points are enumerated, naming the least r over the field
     "cs-order large field": (["cs-order", "--curve", "q=59049;y2=x3+x+1"],
                              "every curve over F_59049 has r >= 29280, and r! * 47200^r "

@@ -1,11 +1,12 @@
 import json
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from gl2aut import words
+from gl2aut import graphs, words
 from gl2aut.cli import main as cli_main
 from gl2aut.ffield import aut_rel_enumerate
 from gl2aut.matgroup import Mat2, mat_parse
@@ -449,6 +450,61 @@ def test_wreath_closure_over_the_subset_matches_the_all_generator_oracle(r, q):
     rep = cs_wreath_check(r, q)
     assert rep == helpers.wreath_report_all_generators(r, q)
     assert rep.ok
+
+
+def test_wreath_check_applies_the_spike_generators(monkeypatch):
+    # with every cyclic automorphism the identity, the powers read off as the
+    # identity and the closure is the symmetric group alone
+    monkeypatch.setattr(FiniteCyclic, "auto_map", lambda self, auto: lambda e: e)
+    rep = cs_wreath_check(2, 3)
+    assert rep.order == 2 and rep.expected_order == 32
+    assert not rep.ok
+
+
+def _read_off(decl, auto):
+    """(permutation, exponents) from the images of the words (i, 1)."""
+    images = [auto.apply(FreeWord(((i, 1),))).letters for i in range(len(decl.factors))]
+    assert all(len(image) == 1 for image in images)
+    return tuple(image[0][0] for image in images), tuple(image[0][1] for image in images)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_spike_letter_maps_compose_as_the_automorphisms(q):
+    n, r = q * q - 1, 3
+    decl = CentralAmalgamDecl(tuple(FactorDecl(i, FiniteCyclic(n)) for i in range(r)))
+    classes = aut_rel_enumerate(q)
+    gens = [spike_power(decl, i, a, q) for a in classes for i in range(r)]
+    gens += [spike_swap(decl, i, j, a, q) for a in classes for i in range(r) for j in range(r)
+             if i != j]
+    maps = {g: _read_off(decl, ComposedAuto(decl, (g,))) for g in gens}
+    assert all(words._letter_map(decl, g) == m for g, m in maps.items())
+    rng = random.Random(q)
+    for _ in range(40):
+        word = rng.choices(gens, k=rng.randint(0, 6))
+        # applied left to right: factor i goes to perm[i] with exponent exps[i]
+        perm, exps = tuple(range(r)), (1,) * r
+        for g in word:
+            gp, ge = maps[g]
+            perm, exps = (tuple(gp[j] for j in perm),
+                          tuple(ge[j] * e % n for j, e in zip(perm, exps)))
+        assert _read_off(decl, ComposedAuto(decl, tuple(word))) == (perm, exps)
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_example_declarations_are_read_off_their_graphs(depth, monkeypatch):
+    ring = helpers.ring_of(2)
+    ex1 = CentralAmalgamDecl((FactorDecl(0, MatrixBacked(ring)),
+                              FactorDecl(1, FiniteCyclic(3)),
+                              FactorDecl(2, FiniteCyclic(3))), cusps=(("inf", 0),))
+    ex3 = CentralAmalgamDecl((FactorDecl(0, MatrixBacked(ring)),
+                              FactorDecl(1, FiniteCyclic(3)),
+                              FactorDecl(2, VectorFactor(ring)),
+                              FactorDecl(3, VectorFactor(ring))),
+                             cusps=(("inf", 0), ("(0,0)", 2), ("(0,1)", 3)))
+    monkeypatch.setattr(words, "build_graph_ex1", partial(graphs.build_graph_ex1, depth))
+    monkeypatch.setattr(words, "build_graph_ex3", partial(graphs.build_graph_ex3, depth))
+    assert build_ex1cusp() == ex1
+    assert build_ex3cusps() == ex3
 
 
 def test_wreath_check_rejects_bad_parameters():
