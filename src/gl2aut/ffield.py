@@ -10,9 +10,10 @@ C builtins, with no Python frame per call.  Other prime fields reduce mod p;
 other extension fields multiply through discrete-log tables and add digit
 by digit.
 
-`power` is the one square-and-multiply loop: FieldSpec finds its generator
-with it on raw products, and F_{q^2}, `Mat2`, `curves.point_mul` and
-`words.word_pow` raise to powers through it.
+`power` is the one square-and-multiply loop: an extension field finds its
+generator with it on raw products (a prime field uses the builtin `pow`),
+and F_{q^2}, `Mat2`, `curves.point_mul` and `words.word_pow` raise to
+powers through it.
 
 Nothing here counts its way to an order.  `factorize` is the one integer
 factorization, and `order_dividing` finds the order of any x with x**n = 1
@@ -230,10 +231,13 @@ class FieldSpec:
         self.q = q
         self.modulus = self._find_modulus()
         self._modulus_code = self._encode(self.modulus)
-        # the log tables need the generator first, so test on _raw_mul; for
-        # n > 1 the codes below p are F_p, whose orders divide p - 1
-        g = first_of_order(range(1 if n == 1 else p, q), q - 1,
-                           lambda a, k: power(a, k, self._raw_mul, 1), 1)
+        if n == 1:
+            g = first_of_order(range(1, q), q - 1, lambda a, k: pow(a, k, p), 1)
+        else:
+            # the log tables need the generator first, so test on _raw_mul;
+            # the codes below p are F_p, whose orders divide p - 1
+            g = first_of_order(range(p, q), q - 1,
+                               lambda a, k: power(a, k, self._raw_mul, 1), 1)
         self._build_arithmetic(g)
         self.generator = FieldElem(self, g)
 

@@ -16,24 +16,24 @@ set for automorphism groups of free products:
     or a linear substitution of tF_q[t] (vector);
   * ``PartialConj`` conjugation of exactly one factor by a fixed element of
     another factor;
-  * ``Swap``        exchange of two isomorphic factors through a chosen
+  * ``Swap``        exchange of two factors of equal kinds through a chosen
     identification, applied forward one way and backward the other, so every
     swap generator is an involution.
 
 Each factor kind checks, applies, inverts and reads from JSON its own
 automorphisms, so no generator function branches on a Type1 factor's kind.
+Two factors are the same group exactly when their kinds are equal records:
+cyclic factors of one order, or matrix or vector factors over one ring object.
 
 Membership is checked once, where a letter enters: the letters given to
-`word_reduce`, each element `word_parse` reads, the letters of the word
-handed to `ComposedAuto.apply` (once per call, not per generator) and each
-letter a swap moves into another factor, since two matrix factors over
-distinct rings of one field share an `iso_key`.  Each generator is checked
-once, when its `ComposedAuto` is built.  Letters made inside one factor are
-not checked again: the product and inverse of members, the image of a
-member under a checked automorphism of its factor, and a checked
-conjugator and its inverse are members.  The reduction loop behind these
-checks checks nothing, which matters most for matrix letters, whose check
-takes a determinant.
+`word_reduce`, each element `word_parse` reads and the letters of the word
+handed to `ComposedAuto.apply` (once per call, not per generator).  Each
+generator is checked once, when its `ComposedAuto` is built.  Letters made
+from members are not checked again: the product and inverse of members, the
+image of a member under a checked automorphism of its factor, a checked
+conjugator and its inverse, and a letter a swap moves into an equal factor
+are members.  The reduction loop behind these checks checks nothing, which
+matters most for matrix letters, whose check takes a determinant.
 
 The module also builds the cyclic-spike generators (powers and swaps of
 order q^2-1 cyclic factors through the admissible unit classes), a wreath
@@ -104,9 +104,6 @@ class FiniteCyclic(Record):
             raise ValueError(f"cyclic exponent {brief(k)} out of range 0..{self.order - 1}")
         return k
 
-    def iso_key(self):
-        return ("cyclic", self.order)
-
     def check_auto(self, auto) -> None:
         if not isinstance(auto, int):
             raise ValueError("cyclic factors take an integer exponent")
@@ -154,9 +151,6 @@ class MatrixBacked(Record):
         if not self.is_member(m):
             raise ValueError(f"matrix {brief(s)} is not invertible over the factor ring")
         return m
-
-    def iso_key(self):
-        return ("matrix-poly", self.ring.field.q)
 
     def check_auto(self, auto) -> None:
         if isinstance(auto, LinearAutoSpec):
@@ -220,9 +214,6 @@ class VectorFactor(Record):
             raise ValueError(f"bad vector element {brief(s)}")
         return self.ring.poly([0, *codes])
 
-    def iso_key(self):
-        return ("vector", self.ring.field.q)
-
     def check_auto(self, auto) -> None:
         if not (isinstance(auto, LinearAutoSpec) and auto.ring is self.ring):
             raise ValueError("vector factors take linear twists over the same field")
@@ -244,9 +235,10 @@ class VectorFactor(Record):
 
 
 class FactorDecl(Record):
-    """One free factor: its position index plus its element arithmetic."""
+    """One free factor: its kind, the element arithmetic and automorphisms
+    of the group; factors of equal kinds are the ones a swap exchanges."""
 
-    __slots__ = ("index", "kind")
+    __slots__ = ("kind",)
 
 
 class CentralAmalgamDecl(Record):
@@ -262,9 +254,8 @@ class CentralAmalgamDecl(Record):
     def __init__(self, factors: tuple, cusps: tuple = ()):
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "cusps", cusps)
-        for pos, fac in enumerate(factors):
-            if not isinstance(fac, FactorDecl) or fac.index != pos:
-                raise ValueError("factor indices must run 0..k-1 in order")
+        if not all(isinstance(fac, FactorDecl) for fac in factors):
+            raise ValueError("every factor must be a FactorDecl")
         for _label, idx in cusps:
             self.factor(idx)
 
@@ -390,7 +381,7 @@ class PartialConj(Record):
 
 
 class Swap(Record):
-    """Exchange two isomorphic factors.  Going left to right applies the
+    """Exchange two factors of equal kinds.  Going left to right applies the
     identification (exponent map on cyclic factors), going right to left its
     inverse, so a swap is always an involution."""
 
@@ -416,7 +407,7 @@ def validate_gen(decl: CentralAmalgamDecl, gen) -> None:
             raise ValueError("swap needs two distinct factors")
         kl = decl.factor(gen.left).kind
         kr = decl.factor(gen.right).kind
-        if kl.iso_key() != kr.iso_key():
+        if kl != kr:
             raise ValueError("swap requires isomorphic factors")
         if isinstance(kl, FiniteCyclic):
             kl.check_auto(gen.exponent)
@@ -428,8 +419,7 @@ def validate_gen(decl: CentralAmalgamDecl, gen) -> None:
 
 def _apply_gen(decl: CentralAmalgamDecl, gen, w: FreeWord) -> FreeWord:
     """Letterwise image of a word of member letters under one validated
-    generator, re-reduced.  Only a letter a swap moves into another factor
-    is checked there."""
+    generator, re-reduced; every image letter is a member."""
     out = []
     if isinstance(gen, Type1):
         image = decl.factor(gen.factor).kind.auto_map(gen.auto)
@@ -447,14 +437,11 @@ def _apply_gen(decl: CentralAmalgamDecl, gen, w: FreeWord) -> FreeWord:
         kind = decl.factor(gen.left).kind
         back = 1 if gen.exponent == 1 else kind.invert_auto(gen.exponent)
         moves = {gen.left: (gen.right, gen.exponent), gen.right: (gen.left, back)}
-        moved = []
         for idx, elem in w.letters:
             if idx in moves:
                 idx, e = moves[idx]
                 elem = elem if e == 1 else kind.auto_map(e)(elem)
-                moved.append((idx, elem))
             out.append((idx, elem))
-        _check_letters(decl, moved)
     return _reduce(decl, out)
 
 
@@ -570,7 +557,7 @@ def cs_wreath_check(r: int, q: int) -> WreathReport:
     if q not in (2, 3, 4, 5):
         raise ValueError("q must be one of 2, 3, 4, 5")
     n = q * q - 1
-    decl = CentralAmalgamDecl(tuple(FactorDecl(i, FiniteCyclic(n)) for i in range(r)))
+    decl = CentralAmalgamDecl(tuple(FactorDecl(FiniteCyclic(n)) for _ in range(r)))
     classes = tuple(aut_rel_enumerate(q))
     gens = [spike_power(decl, i, a, q) for a in classes for i in range(r)]
     gens += [spike_swap(decl, i, j, a, q)
@@ -605,8 +592,7 @@ def isom_mul(x, y):
 
 def dihedral_decl() -> CentralAmalgamDecl:
     """Free product of two order-2 cyclic factors (infinite dihedral)."""
-    return CentralAmalgamDecl((FactorDecl(0, FiniteCyclic(2)),
-                               FactorDecl(1, FiniteCyclic(2))))
+    return CentralAmalgamDecl((FactorDecl(FiniteCyclic(2)), FactorDecl(FiniteCyclic(2))))
 
 
 def dihedral_isom(w: FreeWord):
@@ -708,7 +694,7 @@ def _decl_from_graph(g: QuotientGraph) -> CentralAmalgamDecl:
     for ray in g.rays[1:]:
         cusps.append((ray.cusp, len(kinds)))
         kinds.append(VectorFactor(ring))
-    return CentralAmalgamDecl(tuple(FactorDecl(i, k) for i, k in enumerate(kinds)), tuple(cusps))
+    return CentralAmalgamDecl(tuple(FactorDecl(k) for k in kinds), tuple(cusps))
 
 
 def build_ex1cusp() -> CentralAmalgamDecl:
@@ -730,16 +716,15 @@ class OrbitReport(Record):
 
 
 def aut_cusp_orbit_report(decl: CentralAmalgamDecl) -> OrbitReport:
-    """Partition the cusps by the isomorphism class of the factor carrying
-    each cusp stabilizer: swaps realize any exchange between isomorphic
-    factors, while no generator moves a cusp between non-isomorphic factor
-    classes."""
+    """Partition the cusps by the kind of the factor carrying each cusp
+    stabilizer: swaps exchange any two factors of equal kinds, while no
+    generator moves a cusp between factors of unequal kinds."""
     if not decl.cusps:
         raise ValueError("declaration has no cusp assignments")
     groups: dict = {}
     order = []
     for label, idx in decl.cusps:
-        key = decl.factor(idx).kind.iso_key()
+        key = decl.factor(idx).kind
         if key not in groups:
             groups[key] = []
             order.append(key)

@@ -391,6 +391,16 @@ def brute_quadratic(base):
     raise AssertionError("no irreducible quadratic found")
 
 
+def _digit_product(f, g, p) -> tuple:
+    """The product of two digit tuples (constant first) over F_p, unreduced."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+@functools.cache
 def brute_modulus(p, n):
     """Digits (constant first) of the least-code monic irreducible of degree
     n over F_p, found by ruling out every product of two monic factors; the
@@ -398,18 +408,32 @@ def brute_modulus(p, n):
     def monic(d):
         return [low + (1,) for low in itertools.product(range(p), repeat=d)]
 
-    def mul(f, g):
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-        return tuple(out)
-
     if n == 1:
         return (0, 1)
-    reducible = {mul(f, g) for d in range(1, n // 2 + 1) for f in monic(d) for g in monic(n - d)}
+    reducible = {_digit_product(f, g, p)
+                 for d in range(1, n // 2 + 1) for f in monic(d) for g in monic(n - d)}
     candidates = sorted(monic(n), key=lambda f: sum(c * p ** i for i, c in enumerate(f[:-1])))
     return next(f for f in candidates if f not in reducible)
+
+
+def brute_field_mul(p, n):
+    """The product of F_{p^n} on element codes (base-p digits, constant digit
+    least significant): the digit product, with each digit above degree n - 1
+    cancelled by a multiple of the monic brute_modulus(p, n), from the top."""
+    modulus = brute_modulus(p, n)
+
+    def digits(code):
+        return tuple(code // p ** i % p for i in range(n))
+
+    def mul(a, b):
+        out = list(_digit_product(digits(a), digits(b), p))
+        for top in range(len(out) - 1, n - 1, -1):
+            c = out[top]
+            for i, m in enumerate(modulus):
+                out[top - n + i] = (out[top - n + i] - c * m) % p
+        return sum(d * p ** i for i, d in enumerate(out[:n]))
+
+    return mul
 
 
 # ---- brute-force curve oracles ----

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from gl2aut.ffield import (FieldSpec, _digits, _pmod, _pmul, aut_rel_count,
-                           aut_rel_enumerate, euler_phi, factorize, field_make,
-                           field_of_order, is_prime, prime_power, quad_ext)
+from gl2aut.ffield import (FieldSpec, aut_rel_count, aut_rel_enumerate, euler_phi,
+                           factorize, field_make, field_of_order, is_prime,
+                           prime_power, quad_ext)
 
 
 def _prime_powers(limit):
@@ -88,7 +88,8 @@ def test_field_make_refuses_oversized_fields_before_factoring():
 def test_modulus_and_generator_match_counting_oracles(q):
     field = field_of_order(q)
     assert field.modulus == helpers.brute_modulus(field.p, field.n)
-    assert field.generator.code == helpers.brute_generator(range(1, q), q - 1, 1, field._raw_mul)
+    mul = helpers.brute_field_mul(field.p, field.n)
+    assert field.generator.code == helpers.brute_generator(range(1, q), q - 1, 1, mul)
 
 
 @pytest.mark.parametrize("q", _prime_powers(64))
@@ -138,10 +139,10 @@ def test_characteristic_two_product_matches_the_digit_product(n):
     # _raw_mul builds the exp tables; for p = 2 it works on the integer code
     field = field_make(2, n)
     rng = random.Random(n)
+    mul = helpers.brute_field_mul(2, n)
     for _ in range(200):
         a, b = rng.randrange(field.q), rng.randrange(field.q)
-        digits = _pmod(_pmul(_digits(a, 2, n), _digits(b, 2, n), 2), field.modulus, 2)
-        assert field._raw_mul(a, b) == sum(d << i for i, d in enumerate(digits))
+        assert field._raw_mul(a, b) == mul(a, b)
 
 
 @pytest.mark.parametrize("q", [9, 25, 27, 49, 125, 243])
@@ -149,12 +150,8 @@ def test_odd_extension_tables_match_the_digit_product(q):
     # exp[i] = g^i is read back by pow_i(g, i), and mul_i(x, g) reads
     # exp[log[x] + 1], so it equals x g only where log[x] is right
     field = field_of_order(q)
-    p, n, g = field.p, field.n, field.generator.code
-
-    def digit_mul(a, b):
-        digits = _pmod(_pmul(_digits(a, p, n), _digits(b, p, n), p), field.modulus, p)
-        return sum(d * p ** i for i, d in enumerate(digits))
-
+    g = field.generator.code
+    digit_mul = helpers.brute_field_mul(field.p, field.n)
     x = 1
     for i in range(q - 1):
         assert field.pow_i(g, i) == x
@@ -176,22 +173,29 @@ def test_odd_extension_fields_build_fast(p, n, monkeypatch):
     assert all(g ** ((field.q - 1) // ell) != field.one for ell in factorize(field.q - 1))
 
 
+def test_prime_fields_find_their_generator_without_raw_products(monkeypatch):
+    calls = helpers.count_calls(monkeypatch, FieldSpec, "_raw_mul")
+    field = FieldSpec(251, 1)
+    assert calls == []
+    assert field.generator.code == 6 and field.order_of(field.generator) == 250
+
+
 def _digit_hooks(field):
     """add, sub, neg and mul on element codes from the digit vectors alone:
-    digit-wise sums mod p, and the digit product reduced by the modulus.
-    None of them calls a FieldSpec hook."""
+    digit-wise sums mod p, and the digit product reduced by the oracle's
+    modulus.  None of them calls into ffield."""
     p, n = field.p, field.n
 
     def code(digits):
         return sum(d * p ** i for i, d in enumerate(digits))
 
     def digits(a):
-        return _digits(a, p, n)
+        return [a // p ** i % p for i in range(n)]
 
     return {"add_i": lambda a, b: code([(x + y) % p for x, y in zip(digits(a), digits(b))]),
             "sub_i": lambda a, b: code([(x - y) % p for x, y in zip(digits(a), digits(b))]),
             "neg_i": lambda a: code([(-x) % p for x in digits(a)]),
-            "mul_i": lambda a, b: code(_pmod(_pmul(digits(a), digits(b), p), field.modulus, p))}
+            "mul_i": helpers.brute_field_mul(p, n)}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64, 256, 2 ** 16, 3 ** 10])

@@ -10,6 +10,7 @@ from gl2aut import graphs, words
 from gl2aut.cli import main as cli_main
 from gl2aut.ffield import aut_rel_enumerate
 from gl2aut.matgroup import Mat2, mat_parse
+from gl2aut.polyring import PolyRing, poly_ring
 from gl2aut.reiner import LinearAutoSpec
 from gl2aut.words import (DIHEDRAL_A, DIHEDRAL_B,
                           CentralAmalgamDecl, ComposedAuto, FactorDecl,
@@ -36,8 +37,8 @@ def ex3():
 
 def two_spike_decl(order=3):
     return CentralAmalgamDecl(factors=(
-        FactorDecl(0, FiniteCyclic(order)),
-        FactorDecl(1, FiniteCyclic(order)),
+        FactorDecl(FiniteCyclic(order)),
+        FactorDecl(FiniteCyclic(order)),
     ))
 
 
@@ -114,16 +115,16 @@ def test_word_text_and_parse(ex1, rng):
 # ---------------------------------------------------------- declarations
 
 def test_decl_validation_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        CentralAmalgamDecl(factors=(FactorDecl(1, FiniteCyclic(3)),))
-    with pytest.raises(ValueError):
-        CentralAmalgamDecl(factors=(FactorDecl(0, FiniteCyclic(3)),
-                                    FactorDecl(0, FiniteCyclic(3))))
+    # a factor's index is its position, so the one entry check left is that
+    # each entry is a FactorDecl
+    for factors in ((FiniteCyclic(3),), (FactorDecl(FiniteCyclic(3)), 3)):
+        with pytest.raises(ValueError, match="every factor must be a FactorDecl"):
+            CentralAmalgamDecl(factors=factors)
 
 
 def test_decl_validation_rejects_bad_cusps():
     with pytest.raises(ValueError):
-        CentralAmalgamDecl(factors=(FactorDecl(0, FiniteCyclic(3)),),
+        CentralAmalgamDecl(factors=(FactorDecl(FiniteCyclic(3)),),
                            cusps=(("inf", 4),))
 
 
@@ -223,6 +224,43 @@ def test_validate_gen_rejects_mismatches(ex1, ex3):
             ex1.factors[0].kind.ring)))  # conjugation on a cyclic factor
     with pytest.raises(ValueError):
         validate_gen(ex1, PartialConj(1, 1, 1))  # source equals target
+
+
+def _decl_of(*kinds):
+    return CentralAmalgamDecl(tuple(FactorDecl(k) for k in kinds))
+
+
+def test_swap_needs_equal_kinds():
+    # matrix factors over two ring objects of one field are two groups, with
+    # no letter in common, so a swap between them is refused when it is built
+    f2 = helpers.ring_of(2).field
+    for decl in (_decl_of(MatrixBacked(poly_ring(f2)), MatrixBacked(PolyRing(f2))),
+                 _decl_of(VectorFactor(poly_ring(f2)), VectorFactor(PolyRing(f2))),
+                 _decl_of(FiniteCyclic(3), FiniteCyclic(8))):
+        with pytest.raises(ValueError, match="swap requires isomorphic factors"):
+            compose_autos(decl, [Swap(0, 1)])
+    ring = helpers.ring_of(2)
+    for kind in (MatrixBacked(ring), VectorFactor(ring), FiniteCyclic(3)):
+        compose_autos(_decl_of(kind, kind), [Swap(0, 1)])
+
+
+def test_swaps_check_only_the_letters_entering_apply(rng, monkeypatch):
+    # every letter a swap moves lands in an equal factor, so apply checks the
+    # word's letters once on entry, however many swaps follow
+    ring = helpers.ring_of(2)
+    decl = _decl_of(MatrixBacked(ring), MatrixBacked(ring), FiniteCyclic(4),
+                    FiniteCyclic(4), VectorFactor(ring), VectorFactor(ring))
+    w = word_reduce(decl, [(i, helpers.rand_elem(decl.factors[i].kind, rng))
+                           for i in (0, 2, 4, 1, 3, 5, 0, 3, 4)])
+    swaps = [Swap(0, 1), Swap(2, 3, exponent=3), Swap(4, 5)]
+    autos = [compose_autos(decl, swaps[:k] * m) for k, m in ((1, 1), (3, 1), (3, 4))]
+    checks = [helpers.count_calls(monkeypatch, kind, "is_member")
+              for kind in (MatrixBacked, FiniteCyclic, VectorFactor)]
+    for auto in autos:
+        for calls in checks:
+            calls.clear()
+        auto.apply(w)
+        assert [len(calls) for calls in checks] == [3, 3, 3]
 
 
 def test_linear_twist_on_vector_letters(ex3):
@@ -471,7 +509,7 @@ def _read_off(decl, auto):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_spike_letter_maps_compose_as_the_automorphisms(q):
     n, r = q * q - 1, 3
-    decl = CentralAmalgamDecl(tuple(FactorDecl(i, FiniteCyclic(n)) for i in range(r)))
+    decl = CentralAmalgamDecl(tuple(FactorDecl(FiniteCyclic(n)) for _ in range(r)))
     classes = aut_rel_enumerate(q)
     gens = [spike_power(decl, i, a, q) for a in classes for i in range(r)]
     gens += [spike_swap(decl, i, j, a, q) for a in classes for i in range(r) for j in range(r)
@@ -493,13 +531,13 @@ def test_spike_letter_maps_compose_as_the_automorphisms(q):
 @pytest.mark.parametrize("depth", range(1, 7))
 def test_example_declarations_are_read_off_their_graphs(depth, monkeypatch):
     ring = helpers.ring_of(2)
-    ex1 = CentralAmalgamDecl((FactorDecl(0, MatrixBacked(ring)),
-                              FactorDecl(1, FiniteCyclic(3)),
-                              FactorDecl(2, FiniteCyclic(3))), cusps=(("inf", 0),))
-    ex3 = CentralAmalgamDecl((FactorDecl(0, MatrixBacked(ring)),
-                              FactorDecl(1, FiniteCyclic(3)),
-                              FactorDecl(2, VectorFactor(ring)),
-                              FactorDecl(3, VectorFactor(ring))),
+    ex1 = CentralAmalgamDecl((FactorDecl(MatrixBacked(ring)),
+                              FactorDecl(FiniteCyclic(3)),
+                              FactorDecl(FiniteCyclic(3))), cusps=(("inf", 0),))
+    ex3 = CentralAmalgamDecl((FactorDecl(MatrixBacked(ring)),
+                              FactorDecl(FiniteCyclic(3)),
+                              FactorDecl(VectorFactor(ring)),
+                              FactorDecl(VectorFactor(ring))),
                              cusps=(("inf", 0), ("(0,0)", 2), ("(0,1)", 3)))
     monkeypatch.setattr(words, "build_graph_ex1", partial(graphs.build_graph_ex1, depth))
     monkeypatch.setattr(words, "build_graph_ex3", partial(graphs.build_graph_ex3, depth))
