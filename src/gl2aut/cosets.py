@@ -16,6 +16,17 @@ columns up to F_q*.  The quotient context numbers those lines once, and a
 cusp count turns each generator of H into a permutation of the line
 numbers and counts the orbits of those permutations.
 
+Both groups come from 2 + 2 deg m generators, 2 deg m over F_2: with g the
+generator of F_q*, B from diag(g, 1), diag(1, g) (left out over F_2, where
+g = 1) and the upper unipotents (1, t^i; 0, 1) for i < deg m, and G from
+those plus the lower unipotents (1, 0; t^i, 1).  They generate because
+
+- diag(g, 1)^k (1, b; 0, 1) diag(g, 1)^-k = (1, g^k b; 0, 1), and likewise
+  on the lower side, so products of the unipotents reach every elementary
+  matrix (1, r; 0, 1) and (1, 0; r, 1), r in R; and
+- SL2(R) is generated by its elementary matrices (R is a finite product of
+  local rings), while diag(g, 1) supplies every determinant in F_q*.
+
 A matrix over R is a 4-tuple (a, b, c, d) of residue codes, and that is
 its only representation: G is a frozenset of 4-tuples, a subgroup is a
 tuple of generator 4-tuples, and every group or subgroup is built by
@@ -170,22 +181,22 @@ def generated(R: QuotRing, gens) -> frozenset:
 
 def cusp_stab_generators(R: QuotRing) -> list:
     """Generators of the image of the infinity-cusp stabilizer (upper
-    triangular with F_q* diagonal): the diagonal F_q*-units and the upper
-    unipotents with entry c t^i, i below the modulus degree."""
-    q = R.field.q
-    gens = []
-    for alpha in range(2, q):
-        gens.append((alpha, 0, 0, 1))
-        gens.append((1, 0, 0, alpha))
-    for i in range(R.deg):
-        for c in range(1, q):
-            gens.append((1, R.reduce_poly(R.ring.monomial(c, i)), 0, 1))
-    return gens
+    triangular with F_q* diagonal): diag(g, 1) and diag(1, g) for the
+    generator g of F_q* (none over F_2), whose powers give every diagonal
+    and scale an upper entry by every constant, and the upper unipotents
+    (1, t^i; 0, 1), i below the modulus degree, whose scaled products give
+    every upper entry."""
+    q, g = R.field.q, R.field.generator.code
+    diag = [(g, 0, 0, 1), (1, 0, 0, g)] if q > 2 else []
+    # the residue code of t^i, i < deg m, is q^i
+    return diag + [(1, q ** i, 0, 1) for i in range(R.deg)]
 
 
 def reduction_generators(R: QuotRing) -> list:
     """Generators of the image of GL2(F_q[t]) in GL2(F_q[t]/m): the cusp
-    stabilizer generators plus the transposed (lower) unipotents."""
+    stabilizer generators plus the transposed (lower) unipotents; with the
+    upper ones they give every elementary matrix, so all of SL2(R), and the
+    diagonal generators every determinant in F_q*."""
     stab = cusp_stab_generators(R)
     return stab + [(1, 0, b, 1) for _a, b, _c, _d in stab if b]
 

@@ -43,11 +43,13 @@ from gl2aut.polyring import poly_ring
 import helpers
 
 # Times are seconds in-process on a 2-vCPU Xeon (Python 3.11) after the field
-# tables are built; between runs there they vary by up to half.  Outside
-# SLOW_CUSP_ROWS the slowest answers the grammars reach are cusp-count over
-# F_3 mod t^3 (0.57 s) and over F_4 mod t^2 (0.27 s); every other command
-# answers within 0.16 s (reiner-image of a 400-deep unitriangular spec), and
-# the slowest refusal seen in 3 000 examples took 0.002 s.  The answer budget
+# tables are built; between runs there they vary by up to half.  The slowest
+# answers the grammars reach are cusp-count of the full group over F_17 mod t
+# and over F_5 mod t^2+1, the largest quotient groups the cap admits (78 336
+# and 60 000 elements, 0.58 s and 0.56 s in the slowest of three runs); F_3
+# mod t^3 takes 0.24 s and F_4 mod t^2 0.06 s, every other command answers
+# within 0.16 s (reiner-image of a 400-deep unitriangular spec), and the
+# slowest refusal seen in 3 000 examples took 0.002 s.  The answer budget
 # is HEADROOM times the slowest answer, so an answer has to slow down
 # five-fold to fail: a busy or slower machine stays inside it, a regression
 # of that size does not.  The refusal budget is the contract's one second.
@@ -58,13 +60,6 @@ PEAK_MB = 64
 # a refusal names a long value by its type and length, so its line stays short
 ERROR_BYTES = 200
 
-# cusp-count inputs whose quotient context takes a second or more, keyed by
-# (q, degree of the modulus), with the seconds of their slowest subgroup in
-# the slowest run seen.  Their quotient groups have 26 208 (F_13), 60 000
-# (F_5 mod t^2), 61 200 (F_16) and 78 336 (F_17) elements, all of which the
-# context enumerates.  The fuzzer skips a line that builds one of these
-# contexts; making them fast removes them, and a new row is a regression.
-SLOW_CUSP_ROWS = {(5, 2): 2.1, (13, 1): 1.3, (16, 1): 3.7, (17, 1): 5.7}
 
 def _near(valid, edge):
     """Five draws in six from the valid grammar, the rest from the edges."""
@@ -217,27 +212,6 @@ def command_lines(draw):
     return argv
 
 
-def _slow_row(argv):
-    """Whether the line builds a quotient context of SLOW_CUSP_ROWS.  A
-    cusp-count line runs first with the context replaced by a stub that
-    records its key and refuses, so a line refused before its context is
-    built is still held to the contract."""
-    if argv[0] != "cusp-count":
-        return False
-    keys = []
-
-    def stub(ring, modulus):
-        keys.append((ring.field.q, modulus.deg))
-        raise ValueError("stub")
-
-    real, cosets.quotient_context = cosets.quotient_context, stub
-    try:
-        _run(argv)
-    finally:
-        cosets.quotient_context = real
-    return bool(keys) and keys[0] in SLOW_CUSP_ROWS
-
-
 def _run(argv):
     """Exit code, stdout, stderr and seconds of one line."""
     cosets._CTX_CACHE.clear()
@@ -305,6 +279,8 @@ CORPUS = [
     ["aut-apply", "--decl", "ex1cusp", "--script",
      json.dumps([{"type": "type1", "factor": "a" * 3000, "exponent": 2}]), "--word", "f1:1"],
     ["cusp-count", "--q", "2", "--modulus", "t^2", "--gens", "[[1,1],[0,1]];[[1,t],[0,1]]"],
+    # the largest quotient group the cap admits
+    ["cusp-count", "--q", "17", "--modulus", "t", "--subgroup", "full"],
     # refused before the quotient context is built
     ["cusp-count", "--q", "5", "--modulus", "t^2", "--gens", "[[t,0],[0,1]]"],
     ["cusp-count", "--q", "19", "--modulus", "t"],
@@ -337,8 +313,6 @@ def _with_corpus(test):
 @given(argv=command_lines())
 @_with_corpus
 def test_every_command_line_answers_or_is_refused_in_budget(warm_fields, argv):
-    if _slow_row(argv):
-        return
     code, out, err, seconds = _run(argv)
     shown = " ".join(a if len(a) <= 60 else f"<{len(a)} characters>" for a in argv)
     if code == 0:

@@ -6,7 +6,7 @@ import helpers
 from gl2aut import cosets
 from gl2aut.cosets import (QuotRing, SubgroupSpec, conj_invariance_check,
                            cusp_count, cusp_count_from_matrices, image_order,
-                           mat_mul_r, quotient_context, reduction_generators,
+                           mat_det_r, mat_mul_r, quotient_context, reduction_generators,
                            reduction_image)
 from gl2aut.matgroup import mat_parse
 from helpers import full_gl2, subgroup_from_members
@@ -100,7 +100,6 @@ def test_reduction_image_orders():
     assert len(ctx2.group) == 48
     # every element of the image has determinant reducing from a constant unit
     one = Q2.reduce_poly(helpers.ring_of(2).one)
-    from gl2aut.cosets import mat_det_r
     assert all(mat_det_r(Q2, g) == one for g in ctx2.group.elems)
 
 
@@ -112,6 +111,43 @@ def test_image_cusp_stab_is_the_triangular_image():
     # the upper entry ranges over the residue ring
     ctx2 = ctx_mod_tsq()
     assert len(ctx2.cusp_stab.members) == 4
+
+
+SMALL_MODULI = [(2, "t"), (2, "t^2"), (2, "t^2+1"), (2, "t^3"), (3, "t"), (3, "t^2"),
+                (4, "t"), (5, "t")]
+
+
+@pytest.mark.parametrize("q, modulus", SMALL_MODULI)
+def test_groups_match_the_brute_force_scan(q, modulus):
+    """G is every matrix over R with determinant in F_q*, and B its upper
+    triangular members with constant units on the diagonal, found by
+    scanning all of GL2(R) rather than by closing any generators."""
+    ring = helpers.ring_of(q)
+    ctx = quotient_context(ring, ring.parse_element(modulus))
+    R = ctx.R
+    # the constants 1, ..., q-1 are the residues with those codes
+    units = range(1, q)
+    group = {g for g in full_gl2(R).elems if mat_det_r(R, g) in units}
+    assert ctx.group.elems == group
+    assert ctx.cusp_stab.members == {(a, b, c, d) for a, b, c, d in group
+                                     if c == 0 and a in units and d in units}
+
+
+@pytest.mark.parametrize("q, modulus", SMALL_MODULI)
+def test_reduction_generators_are_two_per_modulus_degree_plus_the_diagonal(q, modulus):
+    ring = helpers.ring_of(q)
+    R = QuotRing(ring, ring.parse_element(modulus))
+    assert len(reduction_generators(R)) == 2 * R.deg + (2 if q > 2 else 0)
+
+
+def test_context_build_makes_one_product_per_element_and_generator(monkeypatch):
+    # q = 5 mod t: |G| = 480 and four generators, so 4 |G| products
+    monkeypatch.setattr(cosets, "_CTX_CACHE", {})
+    products = helpers.count_calls(monkeypatch, cosets, "mat_mul_r")
+    ring = helpers.ring_of(5)
+    ctx = quotient_context(ring, ring.t)
+    assert len(ctx.group) == 480
+    assert len(products) <= 4 * 480
 
 
 def test_benchmark_cusp_counts_mod_t():
